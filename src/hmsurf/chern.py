@@ -379,7 +379,7 @@ def _row_scan(D, n_max, strict_n, zeta_mode, precision_bits):
 
 def theorem_table(d_list: "list[int] | None" = None, n_max: int = 200, *,
                   dmax: int = 853, strict_n: bool = False,
-                  zeta_mode: "str | None" = None, with_alt: bool = True,
+                  zeta_mode: "str | None" = None,
                   precision_bits: int = 128) -> "list[TableRow]":
     """General-type degree ranges for a sweep of discriminants.
 
@@ -396,7 +396,7 @@ def theorem_table(d_list: "list[int] | None" = None, n_max: int = 200, *,
         zmode = zeta_mode or ("exact" if D <= EXACT_C_CUTOFF else "bound")
         n_min, excl = _row_scan(D, n_max, strict_n, zmode, precision_bits)
         alt = None
-        if with_alt and zeta_mode is None and zmode == "exact":
+        if zeta_mode is None and zmode == "exact":
             alt = _row_scan(D, n_max, strict_n, "bound", precision_bits)
         rows.append(TableRow(
             D=D, n_min=n_min, exclusions=excl, source="computed",

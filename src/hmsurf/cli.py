@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import chern, config, elliptic, forms, reference_data, trees, zeta
 from .field import make_field
-from .numeric import MIN_PRECISION_BITS
+from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
 
 def frac(x) -> "list[int]":
@@ -149,8 +149,7 @@ def _cmd_classnumber(args, cfg):
     if N == 0:
         raise config.ConfigError("discriminant must be nonzero")
     if N < 0:
-        cache = forms.load_cache(cfg.cache_path) if cfg.cache_path else None
-        h = forms.h_definite(-N, cache)
+        h = forms.h_definite(-N)
         kind = "definite"
         prov = "exhaustive reduced-form count"
     else:
@@ -294,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "surfaces over real quadratic fields.")
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--precision", type=int, default=None,
-                        help=f"interval precision in bits (floor {MIN_PRECISION_BITS})")
+                        help=f"interval precision in bits (floor {MIN_PRECISION_BITS}, "
+                             f"ceiling {MAX_PRECISION_BITS})")
     parser.add_argument("--format", choices=config.FORMATS, default=None,
                         help="output format (default json)")
-    parser.add_argument("--cache", default=None, help="class-number cache file")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("field", help="field constants for a discriminant")
@@ -396,8 +395,6 @@ def _build_config(args) -> config.RunConfig:
         overrides["precision_bits"] = args.precision
     if args.format is not None:
         overrides["output"] = args.format
-    if args.cache is not None:
-        overrides["cache_path"] = args.cache
     if getattr(args, "strict_n", False):
         overrides["strict_n"] = True
     if overrides:

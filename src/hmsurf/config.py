@@ -1,17 +1,15 @@
-"""Run configuration: mode, strictness, precision, cache path, output format.
+"""Run configuration: mode, strictness, precision, output format.
 
 Sources, in increasing precedence: built-in defaults, a key=value config
-file, the environment (cache path only), then explicit CLI flags.
+file, then explicit CLI flags.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .numeric import MIN_PRECISION_BITS
+from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
-CACHE_ENV = "HMSURF_CACHE"
 MODES = ("exact", "bound")
 FORMATS = ("json", "csv", "pretty")
 
@@ -25,7 +23,6 @@ class RunConfig:
     mode: str = "exact"
     strict_n: bool = False
     precision_bits: int = MIN_PRECISION_BITS
-    cache_path: "str | None" = None
     output: str = "json"
 
     def __post_init__(self):
@@ -38,6 +35,9 @@ class RunConfig:
         if self.precision_bits < MIN_PRECISION_BITS:
             raise ConfigError(
                 f"precision_bits below the {MIN_PRECISION_BITS}-bit floor")
+        if self.precision_bits > MAX_PRECISION_BITS:
+            raise ConfigError(
+                f"precision_bits above the {MAX_PRECISION_BITS}-bit ceiling")
         if not isinstance(self.strict_n, bool):
             raise ConfigError("strict_n must be a boolean")
 
@@ -55,7 +55,6 @@ _PARSERS = {
     "mode": str.strip,
     "strict_n": _parse_bool,
     "precision_bits": lambda s: int(s.strip(), 10),
-    "cache_path": str.strip,
     "output": str.strip,
 }
 
@@ -82,14 +81,9 @@ def parse_config_lines(lines) -> dict:
     return fields
 
 
-def load_config(path: "str | None" = None, env=None) -> RunConfig:
-    env = os.environ if env is None else env
+def load_config(path: "str | None" = None) -> RunConfig:
     fields = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             fields = parse_config_lines(fh)
-    cfg = RunConfig(**fields)
-    cache = env.get(CACHE_ENV)
-    if cache:
-        cfg = replace(cfg, cache_path=cache)
-    return cfg
+    return RunConfig(**fields)

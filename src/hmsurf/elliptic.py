@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import mpmath
-
 from .field import FieldContext, FieldElement, PrimeIdealData, ResidueField
 from .forms import h_bound, h_definite
 from .numeric import MIN_PRECISION_BITS
@@ -29,10 +27,6 @@ class NotEllipticError(EllipticError):
 
 class NotEllipticModPError(EllipticError):
     """b, c and a-d all vanish mod P; impossible for an elliptic element."""
-
-
-class RotationSnapError(EllipticError):
-    pass
 
 
 class InconsistentCountsError(EllipticError):
@@ -94,9 +88,6 @@ class Mat2:
         dinv = self.det().unit_inverse()
         return Mat2(self.d * dinv, -self.b * dinv, -self.c * dinv, self.a * dinv)
 
-    def conj_by(self, g: "Mat2", ginv: "Mat2") -> "Mat2":
-        return g * self * ginv
-
     def as_tuple(self) -> tuple:
         return (
             self.a.u, self.a.v, self.b.u, self.b.v,
@@ -149,16 +140,14 @@ def matrix_order(g: Mat2, cap: int = 24) -> int:
 # rotation types
 # ---------------------------------------------------------------------------
 
-# Exponent fractions k/n of the allowed rotation factors e^(2*pi*i*k/n).
-# Order 5 occurs only for the D=5 full-group catalogue; orders 2,3,4,6 are
-# the ones possible at level P for D > 12.
-_SNAP_ORDERS = (2, 3, 4, 5, 6)
-_SNAP_CANDIDATES = tuple(
-    (Fraction(k, n), n, k % n)
-    for n in _SNAP_ORDERS
-    for k in range(-n + 1, n)
-    if k != 0 and gcd(k, n) == 1
-)
+# At a real place where an elliptic g of SL2(O) has trace t, it turns by
+# theta = pi*k/n with 2cos(theta) = t.  Keyed by the (u, v) coordinates of t:
+# trace 0 has order 2, traces 1 and -1 order 3.
+_TRACE_ANGLES = {(0, 0): (2, 1), (2, 0): (3, 1), (-2, 0): (3, 2)}
+# Order 5 only occurs for D = 5, where 2cos(pi*k/5) for k = 1..4 is
+# (1+sqrt5)/2, (sqrt5-1)/2, (1-sqrt5)/2 and -(1+sqrt5)/2.
+_TRACE_ANGLES_D5 = {**_TRACE_ANGLES,
+                    (1, 1): (5, 1), (-1, 1): (5, 2), (1, -1): (5, 3), (-1, -1): (5, 4)}
 
 
 @dataclass(frozen=True)
@@ -178,57 +167,34 @@ class EllipticClassRep:
         return f"EllipticClassRep(({n};{a},{b}), {self.matrix!r})"
 
 
-def _embed_mpf(x: FieldElement, place: int, sqrtD):
-    s = sqrtD if place == 0 else -sqrtD
-    return (mpmath.mpf(x.u) + mpmath.mpf(x.v) * s) / 2
+def rotation_type(g: Mat2) -> tuple:
+    """Rotation type (n; 1, b) of an elliptic g of SL2(O).
 
-
-def rotation_type(g: Mat2, F: FieldContext | None = None,
-                  precision_bits: int = MIN_PRECISION_BITS,
-                  tol: float = 1e-9) -> tuple:
-    """Rotation type (n; 1, b) of an elliptic g.
-
-    At each real place the rotation angle theta_j has cos(theta_j) =
-    tr_j / (2 sqrt(det_j)) and sin(theta_j) carries the sign of c_j; the
-    rotation factor e^(2 i theta_j) is snapped to a root of unity and the
-    pair is normalized so the first exponent is 1.
+    At real place j, g turns by theta_j = pi*k_j/n, read off exactly from the
+    trace there (the conjugate trace at the second place), with the sign of
+    c_j.  The pair of rotation factors e^(2 i theta_j) is normalized so the
+    first exponent is 1: trace 0 gives (2;1,1), trace +-1 gives
+    (3;1, sign c_0 * sign c_1).
     """
     mat = g.matrix if isinstance(g, EllipticClassRep) else g
     if not is_elliptic(mat):
         raise NotEllipticError(f"{mat!r} is not elliptic")
-    tr = mat.trace_el()
-    det = mat.det()
     D = mat.a.D
-    found = []
-    with mpmath.workprec(max(precision_bits, MIN_PRECISION_BITS)):
-        sqrtD = mpmath.sqrt(D)
-        for place in (0, 1):
-            trj = _embed_mpf(tr, place, sqrtD)
-            detj = _embed_mpf(det, place, sqrtD)
-            cosv = trj / (2 * mpmath.sqrt(detj))
-            cosv = max(mpmath.mpf(-1), min(mpmath.mpf(1), cosv))
-            theta = mpmath.acos(cosv)
-            if mat.c.sign_at(place) < 0:
-                theta = -theta
-            f = theta / mpmath.pi  # exponent fraction of e^(2 i theta)
-            hit = None
-            for frac, n, k in _SNAP_CANDIDATES:
-                approx = mpmath.mpf(frac.numerator) / frac.denominator
-                if abs(f - approx) < tol:
-                    hit = (n, k)
-                    break
-            if hit is None:
-                raise RotationSnapError(
-                    f"rotation exponent {float(f):.12f} at place {place} is not "
-                    f"within {tol} of an allowed root of unity"
-                )
-            found.append(hit)
-    (n1, k1), (n2, k2) = found
-    if n1 != n2:
-        raise RotationSnapError(f"mismatched rotation orders {n1} != {n2}")
-    n = n1
-    m = pow(k1, -1, n)
-    b = (m * k2) % n
+    if mat.det() != FieldElement.from_int(1, D):
+        raise EllipticError(f"{mat!r} is not in SL2(O)")
+    angles = _TRACE_ANGLES_D5 if D == 5 else _TRACE_ANGLES
+    tr = mat.trace_el()
+    ks = []
+    for place, t in ((0, tr), (1, tr.conjugate())):
+        hit = angles.get(t.as_pair())
+        if hit is None:
+            raise EllipticError(
+                f"no rotation type for trace {tr!r}: only orders 2, 3 "
+                "and, for D=5, 5 are supported")
+        n, k = hit
+        ks.append(k if mat.c.sign_at(place) > 0 else -k)
+    k1, k2 = ks
+    b = (pow(k1, -1, n) * k2) % n
     if b > n // 2:
         b -= n
     return (n, 1, b)
@@ -344,12 +310,11 @@ class EllipticCounts:
         }
 
 
-def counts_full_group(F: FieldContext, assume_a3_minus: bool = True) -> EllipticCounts:
+def counts_full_group(F: FieldContext) -> EllipticCounts:
     """Exact elliptic-point counts for PSL2(O), D > 12.
 
     a2 = h(-4D) and a3_plus = h(-3D)/2 are exact; a3_minus = h(-3D)/2 rests
-    on the plus/minus split being even, which is recorded as a note and can
-    be switched off (a3_minus then reported as unknown).
+    on the plus/minus split being even, which is recorded as a note.
     """
     if F.D <= 12:
         raise EllipticError(
@@ -360,14 +325,9 @@ def counts_full_group(F: FieldContext, assume_a3_minus: bool = True) -> Elliptic
     h3 = h_definite(3 * F.D)
     if h3 % 2:
         raise InconsistentCountsError(f"h(-3D) = {h3} is odd for D={F.D}")
-    notes = ()
-    a3_minus = None
-    if assume_a3_minus:
-        a3_minus = h3 // 2
-        notes = ("a3_minus_assumed_equal_split",)
     return EllipticCounts(
-        a2=a2, a3_plus=h3 // 2, a3_minus=a3_minus,
-        mode="exact", group_tag="full", notes=notes,
+        a2=a2, a3_plus=h3 // 2, a3_minus=h3 // 2,
+        mode="exact", group_tag="full", notes=("a3_minus_assumed_equal_split",),
     )
 
 

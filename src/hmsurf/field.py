@@ -55,11 +55,6 @@ class FieldElement:
         return FieldElement(2 * n, 0, D)
 
     @staticmethod
-    def sqrt_disc(D: int) -> "FieldElement":
-        """The element sqrt(D)."""
-        return FieldElement(0, 2, D)
-
-    @staticmethod
     def omega(D: int) -> "FieldElement":
         """Module generator: (1+sqrt(D))/2 for odd D, sqrt(2) for D = 8."""
         if D % 2 == 1:
@@ -359,11 +354,6 @@ class PrimeIdealData:
     @property
     def q(self) -> int:
         return self.p ** self.f
-
-    @property
-    def index(self) -> int:
-        """n = q + 1, the index of the Hecke congruence subgroup."""
-        return self.q + 1
 
     def contains(self, x: FieldElement) -> bool:
         """Exact membership x in P."""

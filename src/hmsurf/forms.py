@@ -12,13 +12,11 @@ Two counters:
   neighboring step.
 
 All comparisons against sqrt(D) are done by squaring, so the routines are
-exact for every nonsquare discriminant.  A small persistent cache of
-discriminant -> count pairs can be layered on top for the definite counter.
+exact for every nonsquare discriminant.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -26,14 +24,12 @@ from .ntheory import is_fundamental_discriminant, is_square
 from .numeric import upper_rational, sqrt_log_over_pi
 
 
-def h_definite(N: int, cache: "dict[int, int] | None" = None) -> int:
+def h_definite(N: int) -> int:
     """Class number h(-N) for N > 0 with -N = 0 or 1 mod 4."""
     if N <= 0:
         raise ValueError(f"need N > 0, got {N}")
     if (-N) % 4 not in (0, 1):
         raise ValueError(f"-{N} is not a discriminant (need -N = 0,1 mod 4)")
-    if cache is not None and -N in cache:
-        return cache[-N]
     count = 0
     # reduced: |b| <= a <= c with b^2 - 4ac = -N; b parity is forced by N mod 2
     b_start = N % 2
@@ -53,8 +49,6 @@ def h_definite(N: int, cache: "dict[int, int] | None" = None) -> int:
                 count += 1
             else:
                 count += 2
-    if cache is not None:
-        cache[-N] = count
     return count
 
 
@@ -148,36 +142,3 @@ def h_bound(N: int, precision_bits: int = 128) -> Fraction:
         raise ValueError("need N > 1")
     return upper_rational(sqrt_log_over_pi(N, precision_bits))
 
-
-# -- optional persistent cache ----------------------------------------------
-
-CACHE_ENV = "HMSURF_FORMS_CACHE"
-
-
-def load_cache(path: "str | None" = None) -> dict[int, int]:
-    """Load a 'disc,count' cache file (missing file -> empty cache)."""
-    path = path or os.environ.get(CACHE_ENV)
-    cache: dict[int, int] = {}
-    if not path or not os.path.exists(path):
-        return cache
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            disc_s, count_s = line.split(",")
-            cache[int(disc_s)] = int(count_s)
-    return cache
-
-
-def append_cache(disc: int, count: int, path: "str | None" = None) -> None:
-    """Append one 'disc,count' line with a single atomic write."""
-    path = path or os.environ.get(CACHE_ENV)
-    if not path:
-        return
-    line = f"{disc},{count}\n".encode("ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)

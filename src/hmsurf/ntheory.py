@@ -5,7 +5,7 @@ Everything here is exact integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -130,26 +130,6 @@ def sigma1(n: int) -> int:
 
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def content(*coeffs: int) -> int:
-    """gcd of a tuple of integers (0 for the empty/all-zero case)."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    return g
 
 
 def prime_factors(n: int) -> list[int]:

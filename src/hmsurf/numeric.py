@@ -1,7 +1,7 @@
 """Certified evaluation of the transcendental bound expressions.
 
 All inequality decisions in the classifier go through interval arithmetic
-(mpmath's iv context) at a configurable precision of at least 128 bits.  A
+(mpmath's iv context) at a configurable precision of 128 to 8192 bits.  A
 "pass" verdict requires the *lower* interval endpoint to clear the threshold,
 so directed rounding always errs on the conservative side.  Endpoints are
 converted to exact `Fraction`s (binary floats are dyadic rationals), so the
@@ -16,6 +16,9 @@ from fractions import Fraction
 from mpmath import iv
 
 MIN_PRECISION_BITS = 128
+# Well under the ~14,000 bits at which exact endpoints outgrow Python's
+# 4300-digit int-to-str limit and can no longer be printed as JSON.
+MAX_PRECISION_BITS = 8192
 
 
 class PrecisionError(ValueError):
@@ -24,9 +27,11 @@ class PrecisionError(ValueError):
 
 @contextmanager
 def interval_precision(bits: int):
-    """Temporarily set the shared iv context precision (>= 128 bits enforced)."""
+    """Temporarily set the shared iv context precision (128 to 8192 bits)."""
     if bits < MIN_PRECISION_BITS:
         raise PrecisionError(f"precision {bits} below the {MIN_PRECISION_BITS}-bit floor")
+    if bits > MAX_PRECISION_BITS:
+        raise PrecisionError(f"precision {bits} above the {MAX_PRECISION_BITS}-bit ceiling")
     saved = iv.prec
     iv.prec = bits
     try:
@@ -55,14 +60,6 @@ def upper_rational(x) -> Fraction:
     """Exact rational value of the upper interval endpoint."""
     _a, b = x._mpi_
     return _raw_to_fraction(b)
-
-
-def certainly_positive(x) -> bool:
-    return lower_rational(x) > 0
-
-
-def certainly_nonpositive(x) -> bool:
-    return upper_rational(x) <= 0
 
 
 def sqrt_log_over_pi(N: int, precision_bits: int = MIN_PRECISION_BITS):

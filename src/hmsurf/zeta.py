@@ -182,9 +182,3 @@ def cusp_resolution(F: FieldContext) -> CuspCycle:
         raise InternalCheckError(f"cycle chern term mismatch for D={F.D}")
     return cc
 
-
-def zeta_exceeds_volume_floor(zeta: Fraction, D: int) -> bool:
-    """Exact check zeta_E(-1) > D^(3/2)/360 by cross-multiplied squares."""
-    if zeta <= 0:
-        return False
-    return (360 * zeta.numerator) ** 2 > D ** 3 * zeta.denominator ** 2

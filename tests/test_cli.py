@@ -2,9 +2,14 @@ import json
 
 import pytest
 
-from hmsurf import cli, config, forms
+from hmsurf import cli
 from hmsurf.config import ConfigError, RunConfig, load_config, parse_config_lines
-from hmsurf.numeric import MIN_PRECISION_BITS
+from hmsurf.numeric import (
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
+    PrecisionError,
+    interval_precision,
+)
 
 
 def run(capsys, *argv):
@@ -205,23 +210,11 @@ def test_cli_precision_floor(capsys):
     data = run_json(capsys, "--precision", "256", "classify",
                     "--disc", "13", "--prime-norm", "4")
     assert data["c1_sq"] == [-3, 1]
-
-
-def test_cli_cache_flag_consults_file(capsys, tmp_path):
-    cache = tmp_path / "h.cache"
-    forms.append_cache(-23, 99, str(cache))  # wrong on purpose
-    data = run_json(capsys, "--cache", str(cache), "classnumber", "--disc", "-23")
-    assert data["h"] == 99  # proves the lookup consulted the file
-    plain = run_json(capsys, "classnumber", "--disc", "-23")
-    assert plain["h"] == 3
-
-
-def test_cli_cache_env(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "h.cache"
-    forms.append_cache(-23, 77, str(cache))
-    monkeypatch.setenv(config.CACHE_ENV, str(cache))
-    data = run_json(capsys, "classnumber", "--disc", "-23")
-    assert data["h"] == 77
+    run_json(capsys, "--precision", "8192", "classify", "--disc", "13",
+             "--prime-norm", "103", "--mode", "bound")
+    code, out, err = run(capsys, "--precision", "8193", "zeta", "--disc", "13")
+    assert code == 2 and out == ""
+    assert "8192-bit ceiling" in json.loads(err)["error"]["message"]
 
 
 def test_cli_config_file(capsys, tmp_path):
@@ -248,10 +241,24 @@ def test_runconfig_validation():
         RunConfig(output="yaml")
     with pytest.raises(ConfigError):
         RunConfig(precision_bits=64)
+    assert RunConfig(precision_bits=MAX_PRECISION_BITS).precision_bits == 8192
+    with pytest.raises(ConfigError, match="ceiling"):
+        RunConfig(precision_bits=MAX_PRECISION_BITS + 1)
     with pytest.raises(ConfigError):
         RunConfig(precision_bits=True)
     with pytest.raises(ConfigError):
         RunConfig(strict_n="yes")
+
+
+def test_interval_precision_limits():
+    for bits in (MIN_PRECISION_BITS, MAX_PRECISION_BITS):
+        with interval_precision(bits) as ctx:
+            assert ctx.prec == bits
+    for bits, word in ((MIN_PRECISION_BITS - 1, "floor"),
+                       (MAX_PRECISION_BITS + 1, "ceiling")):
+        with pytest.raises(PrecisionError, match=word):
+            with interval_precision(bits):
+                pass
 
 
 def test_parse_config_lines():
@@ -261,13 +268,13 @@ def test_parse_config_lines():
         "mode = bound",
         "strict_n = yes",
         "precision_bits=200  # inline note",
-        "cache_path = /tmp/x",
         "output=json",
     ])
     assert fields == {"mode": "bound", "strict_n": True, "precision_bits": 200,
-                      "cache_path": "/tmp/x", "output": "json"}
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_lines(["volume = 11"])
+                      "output": "json"}
+    for line in ("volume = 11", "cache_path = /tmp/x"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_lines([line])
     with pytest.raises(ConfigError, match="key=value"):
         parse_config_lines(["just words"])
     with pytest.raises(ConfigError, match="bad value"):
@@ -279,13 +286,10 @@ def test_parse_config_lines():
 def test_load_config(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("mode=bound\nstrict_n=1\n", encoding="utf-8")
-    cfg = load_config(str(p), env={})
+    cfg = load_config(str(p))
     assert cfg.mode == "bound" and cfg.strict_n is True
-    assert cfg.cache_path is None
-    cfg2 = load_config(str(p), env={config.CACHE_ENV: "/tmp/c"})
-    assert cfg2.cache_path == "/tmp/c"
-    assert load_config(None, env={}) == RunConfig()
+    assert load_config(None) == RunConfig()
     bad = tmp_path / "bad.cfg"
     bad.write_text("precision_bits=16\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="floor"):
-        load_config(str(bad), env={})
+        load_config(str(bad))

@@ -13,7 +13,6 @@ from hmsurf.elliptic import (
     InconsistentCountsError,
     Mat2,
     NotEllipticError,
-    RotationSnapError,
     atkin_lehner_refine,
     bounds_gamma0,
     count_fixed_cosets,
@@ -25,7 +24,7 @@ from hmsurf.elliptic import (
     psl_canonical_tuple,
     rotation_type,
 )
-from hmsurf.field import make_field, split_prime
+from hmsurf.field import FieldElement, make_field, split_prime
 from hmsurf.forms import h_definite
 from hmsurf.reference_data import (
     AL_ACTION,
@@ -92,9 +91,13 @@ def test_rotation_type_rejects_non_elliptic():
         rotation_type(mat(13, 1, 1, 0, 1))  # parabolic
     with pytest.raises(NotEllipticError):
         rotation_type(mat(13, 2, 1, 1, 1))  # trace 3: hyperbolic
-    s = mat(13, 0, -1, 1, 0)
-    with pytest.raises(RotationSnapError):
-        rotation_type(s, tol=0.0)  # impossible tolerance trips the snap guard
+    # elliptic with determinant eps_plus != 1: outside SL2(O)
+    zero, one = FieldElement.from_int(0, 13), F13.one()
+    with pytest.raises(EllipticError, match="SL2"):
+        rotation_type(Mat2(zero, -F13.eps_plus, one, zero))
+    # order 4 (trace sqrt2 over Q(sqrt2)) has no exact rule
+    with pytest.raises(EllipticError, match="no rotation type"):
+        rotation_type(Mat2.from_pairs(8, [(0, 0), (-2, 0), (2, 0), (0, 1)]))
 
 
 def test_matrix_order():
@@ -193,8 +196,6 @@ def test_counts_full_group_class_numbers():
     assert counts_full_group(F17).a2 == 4
     assert counts_full_group(F29).entries()["a3_minus"] == 3
     assert "a3_minus_assumed_equal_split" in counts_full_group(F13).notes
-    hedged = counts_full_group(F13, assume_a3_minus=False)
-    assert hedged.a3_minus is None
     with pytest.raises(EllipticError):
         counts_full_group(F5)
 

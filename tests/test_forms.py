@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hmsurf.forms import (
-    append_cache,
     h_bound,
     h_definite,
     h_narrow_indefinite,
-    load_cache,
     reduced_indefinite_forms,
     rho_step,
 )
@@ -62,26 +60,6 @@ def test_definite_rejects():
         h_definite(0)
     with pytest.raises(ValueError):
         h_definite(5)  # -5 is 3 mod 4
-
-
-def test_definite_cache_roundtrip(tmp_path):
-    cache = {}
-    assert h_definite(39, cache) == 4
-    assert cache == {-39: 4}
-    # a (wrong) cached value short-circuits: proves the cache is consulted
-    assert h_definite(39, {-39: 99}) == 99
-    path = tmp_path / "h.csv"
-    append_cache(-39, 4, str(path))
-    append_cache(-20, 2, str(path))
-    assert load_cache(str(path)) == {-39: 4, -20: 2}
-    assert load_cache(str(tmp_path / "missing.csv")) == {}
-
-
-def test_cache_env_fallback(tmp_path, monkeypatch):
-    path = tmp_path / "envcache.csv"
-    monkeypatch.setenv("HMSURF_FORMS_CACHE", str(path))
-    append_cache(-52, 2)
-    assert load_cache() == {-52: 2}
 
 
 def test_narrow_class_numbers_known():

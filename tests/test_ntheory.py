@@ -6,7 +6,6 @@ import sympy
 from hypothesis import given, strategies as st
 
 from hmsurf.ntheory import (
-    content,
     divisors,
     euler_phi,
     is_fundamental_discriminant,
@@ -14,7 +13,6 @@ from hmsurf.ntheory import (
     is_square,
     kronecker,
     prime_factors,
-    primes_upto,
     sigma0,
     sigma1,
     squarefree,
@@ -131,16 +129,6 @@ def test_fundamental_discriminants():
 def test_is_square_and_primes_upto():
     for n in range(-10, 5000):
         assert is_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n), n
-    assert primes_upto(100) == list(sympy.primerange(2, 101))
-    assert primes_upto(2) == [2]
-    assert primes_upto(1) == []
-
-
-def test_content_is_gcd():
-    assert content(6, 10, 15) == 1
-    assert content(4, 8, 12) == 4
-    assert content(0, 0, 5) == 5
-    assert content(-6, 9) == 3
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -13,7 +13,6 @@ from hmsurf.zeta import (
     cycle_unit,
     local_chern_divisor_sum,
     minus_cf_cycle,
-    zeta_exceeds_volume_floor,
     zeta_minus_one,
 )
 
@@ -118,11 +117,8 @@ def test_cusp_resolution_cross_checks():
 
 
 def test_volume_floor():
+    # zeta_E(-1) > D^(3/2)/360, the floor that zeta_mode="bound" relies on,
+    # compared exactly by squaring both (positive) sides
     for D in [5, 8] + default_discriminants():
-        assert zeta_exceeds_volume_floor(zeta_minus_one(D), D), D
-    # the exact comparator is strict
-    assert not zeta_exceeds_volume_floor(Fraction(0), 5)
-    assert not zeta_exceeds_volume_floor(Fraction(-1, 6), 13)
-    # a rational exactly at the floor of a cube discriminant fails
-    assert not zeta_exceeds_volume_floor(Fraction(1000, 360), 100)
-    assert zeta_exceeds_volume_floor(Fraction(1001, 360), 100)
+        z = zeta_minus_one(D)
+        assert z > 0 and (360 * z.numerator) ** 2 > D ** 3 * z.denominator ** 2, D
