@@ -29,8 +29,6 @@ from .chern import (
 from .config import ConfigError, RunConfig, load_config
 from .elliptic import (
     ALFixedPoints,
-    CompletenessError,
-    EllipticClassRep,
     EllipticCounts,
     EllipticError,
     Mat2,
@@ -38,10 +36,8 @@ from .elliptic import (
     bounds_gamma0,
     count_fixed_cosets,
     counts_full_group,
-    counts_gamma0_from_reps,
-    enumerate_elliptic_reps,
+    counts_gamma0,
     is_elliptic,
-    matrix_order,
     rotation_type,
 )
 from .field import (
@@ -69,19 +65,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALFixedPoints", "CenterResult", "ChernError", "ChernReport",
-    "CompletenessError", "ConfigError", "CuspCycle", "EllipticClassRep",
-    "EllipticCounts", "EllipticError", "FieldContext", "FieldElement",
-    "GroupAction", "HypothesisError", "LinearForm", "Mat2", "ModeMixError",
-    "PrimeIdealData", "ResidueField", "RunConfig", "TableRow", "TreeGraph",
-    "UniquenessError", "adjunction_self_intersection", "atkin_lehner_refine",
-    "bounds_gamma0", "c1sq_lower_bound", "c2_lower_check", "chern_numbers",
-    "classify", "count_fixed_cosets", "counts_full_group",
-    "counts_gamma0_from_reps", "curve_chern_integrality",
-    "cusp_resolution", "default_discriminants", "enumerate_elliptic_reps",
+    "ConfigError", "CuspCycle", "EllipticCounts", "EllipticError",
+    "FieldContext", "FieldElement", "GroupAction", "HypothesisError",
+    "LinearForm", "Mat2", "ModeMixError", "PrimeIdealData", "ResidueField",
+    "RunConfig", "TableRow", "TreeGraph", "UniquenessError",
+    "adjunction_self_intersection", "atkin_lehner_refine", "bounds_gamma0",
+    "c1sq_lower_bound", "c2_lower_check", "chern_numbers", "classify",
+    "count_fixed_cosets", "counts_full_group", "counts_gamma0",
+    "curve_chern_integrality", "cusp_resolution", "default_discriminants",
     "fundamental_unit", "genus_gamma0_rational", "h_bound", "h_definite",
     "h_narrow_indefinite", "is_elliptic", "load_config",
-    "local_chern_divisor_sum", "make_field", "matrix_order", "rotation_type",
-    "sigma_primes", "split_prime", "table_diff", "theorem_table",
-    "tree_center", "verify_center_invariance", "verify_equidistance",
-    "zeta_minus_one",
+    "local_chern_divisor_sum", "make_field", "rotation_type", "sigma_primes",
+    "split_prime", "table_diff", "theorem_table", "tree_center",
+    "verify_center_invariance", "verify_equidistance", "zeta_minus_one",
 ]

@@ -25,8 +25,7 @@ from . import reference_data
 from .elliptic import (
     EllipticCounts,
     atkin_lehner_refine,
-    counts_gamma0_from_reps,
-    enumerate_elliptic_reps,
+    counts_gamma0,
 )
 from .field import FieldContext, make_field, split_prime
 from .forms import h_narrow_indefinite
@@ -294,9 +293,10 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     """Full pipeline for one surface: field -> counts -> Chern -> verdict.
 
     F may be a FieldContext or a discriminant.  q is the norm of the prime.
-    mode="exact" runs enumeration + involution refinement and needs fixed-point
-    data for the involution; mode="bound" runs the certified estimates (there
-    q need not be an achievable norm - degrees are swept formally).
+    mode="exact" runs the closed-form Gamma0(P) counts + involution refinement
+    and needs fixed-point data for the involution; mode="bound" runs the
+    certified estimates (there q need not be an achievable norm - degrees are
+    swept formally).
     """
     if isinstance(F, int):
         F = make_field(F)
@@ -313,8 +313,7 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
             f"exact mode is only available for the tabulated surfaces")
     if new_order2 is not None:
         fixed = replace(fixed, new_order2=new_order2)
-    reps = enumerate_elliptic_reps(F)
-    gamma0 = counts_gamma0_from_reps(F, P, reps)
+    gamma0 = counts_gamma0(F, P)
     refined = atkin_lehner_refine(gamma0, P, fixed=fixed,
                                   precision_bits=precision_bits)
     cusp = cusp_resolution(F)

@@ -211,8 +211,7 @@ def _cmd_elliptic(args, cfg):
         return {"D": F.D, "prime": None, "counts": _counts_json(counts)}
     P = chern._resolve_prime(F, args.prime_norm)
     if mode == "exact":
-        reps = elliptic.enumerate_elliptic_reps(F)
-        counts = elliptic.counts_gamma0_from_reps(F, P, reps)
+        counts = elliptic.counts_gamma0(F, P)
     else:
         counts = elliptic.bounds_gamma0(F, P, method=args.method,
                                         precision_bits=cfg.precision_bits)

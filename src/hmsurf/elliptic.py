@@ -1,16 +1,15 @@
 """Elliptic fixed points of Hilbert modular groups.
 
 Rotation types, exact counts and analytic upper bounds for PSL2(O), the Hecke
-congruence subgroup Gamma0(P), and its Atkin-Lehner extension W.Gamma0(P),
-plus a brute-force class enumerator whose output carries a completeness
-certificate (per-order totals checked against class numbers).
+congruence subgroup Gamma0(P), and its Atkin-Lehner extension W.Gamma0(P).
+The Gamma0(P) counts are in closed form: class numbers times root counts
+in O/P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .field import FieldContext, FieldElement, PrimeIdealData, ResidueField
 from .forms import h_bound, h_definite
@@ -31,11 +30,6 @@ class NotEllipticModPError(EllipticError):
 
 class InconsistentCountsError(EllipticError):
     pass
-
-
-class CompletenessError(RuntimeError):
-    """Enumeration missed classes (or found spurious ones) at this height
-    bound / conjugation depth; the caller should raise those knobs."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +97,6 @@ class Mat2:
     def __repr__(self):
         return f"Mat2[{self.a!r}, {self.b!r}; {self.c!r}, {self.d!r}]"
 
-    def is_scalar(self) -> bool:
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
-
-
-def psl_canonical_tuple(g: Mat2) -> tuple:
-    """Canonical key identifying g and -g (the same PSL2 element)."""
-    t = g.as_tuple()
-    tn = tuple(-x for x in t)
-    return min(t, tn)
-
 
 def is_elliptic(g: Mat2) -> bool:
     """Totally positive determinant and tr^2 < 4 det at both real places."""
@@ -122,18 +106,6 @@ def is_elliptic(g: Mat2) -> bool:
     t = g.trace_el()
     disc = t * t - 4 * det
     return disc.sign_at(0) < 0 and disc.sign_at(1) < 0
-
-
-def matrix_order(g: Mat2, cap: int = 24) -> int:
-    """Order of g in the projective group (g^n scalar)."""
-    if not is_elliptic(g):
-        raise NotEllipticError(f"{g!r} is not elliptic")
-    power = g
-    for n in range(1, cap + 1):
-        if power.is_scalar():
-            return n
-        power = power * g
-    raise EllipticError(f"no order <= {cap} found; not torsion?")
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +122,6 @@ _TRACE_ANGLES_D5 = {**_TRACE_ANGLES,
                     (1, 1): (5, 1), (-1, 1): (5, 2), (1, -1): (5, 3), (-1, -1): (5, 4)}
 
 
-@dataclass(frozen=True)
-class EllipticClassRep:
-    """One equivalence class of elliptic fixed points.
-
-    `matrix` generates the isotropy group of the fixed point; `rtype` is the
-    normalized rotation type (n; 1, b) with b coprime to n.
-    """
-
-    matrix: Mat2
-    order: int
-    rtype: tuple
-
-    def __repr__(self):
-        n, a, b = self.rtype
-        return f"EllipticClassRep(({n};{a},{b}), {self.matrix!r})"
-
-
 def rotation_type(g: Mat2) -> tuple:
     """Rotation type (n; 1, b) of an elliptic g of SL2(O).
 
@@ -176,14 +131,13 @@ def rotation_type(g: Mat2) -> tuple:
     first exponent is 1: trace 0 gives (2;1,1), trace +-1 gives
     (3;1, sign c_0 * sign c_1).
     """
-    mat = g.matrix if isinstance(g, EllipticClassRep) else g
-    if not is_elliptic(mat):
-        raise NotEllipticError(f"{mat!r} is not elliptic")
-    D = mat.a.D
-    if mat.det() != FieldElement.from_int(1, D):
-        raise EllipticError(f"{mat!r} is not in SL2(O)")
+    if not is_elliptic(g):
+        raise NotEllipticError(f"{g!r} is not elliptic")
+    D = g.a.D
+    if g.det() != FieldElement.from_int(1, D):
+        raise EllipticError(f"{g!r} is not in SL2(O)")
     angles = _TRACE_ANGLES_D5 if D == 5 else _TRACE_ANGLES
-    tr = mat.trace_el()
+    tr = g.trace_el()
     ks = []
     for place, t in ((0, tr), (1, tr.conjugate())):
         hit = angles.get(t.as_pair())
@@ -192,7 +146,7 @@ def rotation_type(g: Mat2) -> tuple:
                 f"no rotation type for trace {tr!r}: only orders 2, 3 "
                 "and, for D=5, 5 are supported")
         n, k = hit
-        ks.append(k if mat.c.sign_at(place) > 0 else -k)
+        ks.append(k if g.c.sign_at(place) > 0 else -k)
     k1, k2 = ks
     b = (pow(k1, -1, n) * k2) % n
     if b > n // 2:
@@ -205,7 +159,7 @@ def rotation_type(g: Mat2) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def count_fixed_cosets(g, P: PrimeIdealData) -> int:
+def count_fixed_cosets(g: Mat2, P: PrimeIdealData) -> int:
     """Number of cosets of Gamma0(P) in SL2(O) whose conjugate of g lands
     back in Gamma0(P).
 
@@ -213,13 +167,12 @@ def count_fixed_cosets(g, P: PrimeIdealData) -> int:
     c + (a-d)*alpha - b*alpha^2 = 0 in O/P; the extra coset delta_infinity
     contributes when b is in P.
     """
-    mat = g.matrix if isinstance(g, EllipticClassRep) else g
-    one = FieldElement.from_int(1, mat.a.D)
-    if mat.det() != one or not is_elliptic(mat):
+    one = FieldElement.from_int(1, g.a.D)
+    if g.det() != one or not is_elliptic(g):
         raise NotEllipticError("need an elliptic element of SL2(O)")
     R = ResidueField(P)
-    ra, rb = R.reduce(mat.a), R.reduce(mat.b)
-    rc, rd = R.reduce(mat.c), R.reduce(mat.d)
+    ra, rb = R.reduce(g.a), R.reduce(g.b)
+    rc, rd = R.reduce(g.c), R.reduce(g.d)
     amd = R.add(ra, R.neg(rd))
     if rb == R.zero and rc == R.zero and amd == R.zero:
         raise NotEllipticModPError(
@@ -313,14 +266,14 @@ class EllipticCounts:
 def counts_full_group(F: FieldContext) -> EllipticCounts:
     """Exact elliptic-point counts for PSL2(O), D > 12.
 
-    a2 = h(-4D) and a3_plus = h(-3D)/2 are exact; a3_minus = h(-3D)/2 rests
-    on the plus/minus split being even, which is recorded as a note.
+    a2 = h(-4D) and a3_plus = a3_minus = h(-3D)/2.  The even plus/minus
+    split is proved in counts_gamma0 (take P = O there); the note
+    a3_minus_assumed_equal_split predates that proof and is kept so the
+    printed full-group counts stay unchanged.
     """
     if F.D <= 12:
         raise EllipticError(
-            f"exact count formulas need D > 12 (D={F.D}); use the catalogue "
-            "fixtures / enumerate_elliptic_reps for small D"
-        )
+            f"exact count formulas need D > 12 (D={F.D})")
     a2 = h_definite(4 * F.D)
     h3 = h_definite(3 * F.D)
     if h3 % 2:
@@ -329,6 +282,55 @@ def counts_full_group(F: FieldContext) -> EllipticCounts:
         a2=a2, a3_plus=h3 // 2, a3_minus=h3 // 2,
         mode="exact", group_tag="full", notes=("a3_minus_assumed_equal_split",),
     )
+
+
+def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
+    """Exact Gamma0(P) counts in closed form, for D > 12 and for D = 5.
+
+    A PSL2(O) class of elliptic points with isotropy generator g splits into
+    as many Gamma0(P) classes as g fixes cosets of Gamma0(P).  That number is
+    the count of roots of x^2 - t*x + 1 in O/P (t the trace of g), so
+    count_fixed_cosets of the companion matrix (0 -1; 1 t) gives it for every
+    class of that trace at once.  Order 2 has t = 0, order 3 has t = +-1:
+
+        a2 = h(-4D) * N(0),   a3_plus = a3_minus = h(-3D)/2 * N(1),
+
+    with the D = 5 class totals taken from PSL_POINT_TOTALS instead.  Order-5
+    points (D = 5 only) meet Gamma0(P) exactly when N(omega) > 0, that is
+    when q = 0 or 1 mod 5; those levels are refused.
+
+    The equal plus/minus split is proved, not assumed.  Narrow class number
+    one gives a unit eps of norm -1, so eps and eps' have opposite signs and
+    (z1, z2) -> (eps*z1, eps'*conj(z2)) maps H x H to itself.  It conjugates
+    each g to diag(eps, 1) g diag(eps, 1)^-1, which keeps SL2(O) and the
+    condition c in P, so it normalises both groups; being antiholomorphic
+    in z2 it sends type (n;1,b) points onto type (n;1,-b) points
+    (van der Geer, Hilbert Modular Surfaces, 1988, ch. I; Hirzebruch,
+    Hilbert modular surfaces, Enseign. Math. 19 (1973), sec. 3).
+    """
+    if F.eps_norm != -1:
+        raise InconsistentCountsError(
+            f"D={F.D} has no unit of norm -1: the a3 plus/minus split is unproved")
+    zero, one = FieldElement.from_int(0, F.D), F.one()
+
+    def fixed(t: FieldElement) -> int:
+        return count_fixed_cosets(Mat2(zero, -one, one, t), P)
+
+    if F.D == 5:
+        from .reference_data import PSL_POINT_TOTALS  # imports this module
+
+        if fixed(F.omega):
+            raise EllipticError(
+                f"order-5 points meet Gamma0(P) for D=5, norm {P.q}; only "
+                "orders 2 and 3 are supported here")
+        a2, a3 = PSL_POINT_TOTALS[5][2], PSL_POINT_TOTALS[5][3] // 2
+    else:
+        full = counts_full_group(F)
+        a2, a3 = full.a2, full.a3_plus
+    a2 *= fixed(zero)
+    a3 *= fixed(one)
+    return EllipticCounts(a2=a2, a3_plus=a3, a3_minus=a3,
+                          mode="exact", group_tag="gamma0")
 
 
 def bounds_gamma0(F: FieldContext, P: PrimeIdealData,
@@ -452,217 +454,4 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
         a2=None, a3_plus=a3p, a3_minus=None,
         a4_plus=a4p, a4_minus=None, a6_plus=a6p, a6_minus=None,
         mode="upper_bound", group_tag="w_gamma0", notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# brute-force class enumeration with completeness certificate
-# ---------------------------------------------------------------------------
-
-
-def _field_box(D: int, bound: int):
-    """All x in O_E with |x| <= bound at both real places."""
-    from math import isqrt
-
-    vmax = (2 * bound) // isqrt(D) + 1
-    out = []
-    for v in range(-vmax, vmax + 1):
-        for u in range(-2 * bound, 2 * bound + 1):
-            if (u - v * D) % 2:
-                continue
-            x = FieldElement(u, v, D)
-            lo = bound + x   # bound + x >= 0 at both places
-            hi = bound - x   # bound - x >= 0 at both places
-            if lo.sign_at(0) >= 0 and lo.sign_at(1) >= 0 \
-                    and hi.sign_at(0) >= 0 and hi.sign_at(1) >= 0:
-                out.append(x)
-    return out
-
-
-def _elliptic_traces(D: int):
-    """Canonical representatives t (up to sign) with |t| < 2 at both places."""
-    two = FieldElement.from_int(2, D)
-    traces = []
-    for t in _field_box(D, 2):
-        if t.sign_at(0) < 0:
-            continue  # -t is scanned instead; g and -g agree in PSL2
-        if (two - t).is_totally_positive() and (two + t).is_totally_positive():
-            traces.append(t)
-    return traces
-
-
-def _conj_generators(F: FieldContext):
-    D = F.D
-    zero = FieldElement.from_int(0, D)
-    one = F.one()
-    gens = [
-        Mat2(zero, -one, one, zero),           # inversion
-        Mat2(one, one, zero, one),             # translation by 1
-        Mat2(one, F.omega, zero, one),         # translation by omega
-        Mat2(F.eps, zero, zero, F.eps.unit_inverse()),  # unit scaling
-    ]
-    gens += [g.inverse() for g in gens]
-    return [(g, g.inverse()) for g in gens]
-
-
-def _size(g: Mat2) -> int:
-    total = 0
-    for x in (g.a, g.b, g.c, g.d):
-        total += x.u * x.u + x.v * x.v * x.D
-    return total
-
-
-def _descend(g: Mat2, moves) -> Mat2:
-    """Greedy conjugation descent to a local minimum of _size."""
-    best, best_size = g, _size(g)
-    improved = True
-    while improved:
-        improved = False
-        for gamma, gamma_inv in moves:
-            h = gamma * best * gamma_inv
-            hs = _size(h)
-            if hs < best_size:
-                best, best_size = h, hs
-                improved = True
-    return best
-
-
-def _conjugation_ball(F: FieldContext, depth: int, coeff_cap: int):
-    """All products of at most `depth` conjugation generators, deduplicated."""
-    gens = [g for g, _ in _conj_generators(F)]
-    ident = Mat2.identity(F.D)
-    seen = {psl_canonical_tuple(ident)}
-    out = [(ident, ident)]
-    frontier = [ident]
-    for _ in range(depth):
-        nxt = []
-        for gamma in frontier:
-            for m in gens:
-                h = gamma * m
-                if any(abs(x) > coeff_cap for x in h.as_tuple()):
-                    continue
-                key = psl_canonical_tuple(h)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(h)
-                out.append((h, h.inverse()))
-        frontier = nxt
-    return out
-
-
-def _generator_powers(g: Mat2, order: int):
-    """g^k for k coprime to the order: all generators of the isotropy group."""
-    powers = []
-    cur = g
-    for k in range(1, order):
-        if gcd(k, order) == 1:
-            powers.append(cur)
-        cur = cur * g
-    return powers
-
-
-def enumerate_elliptic_reps(F: FieldContext, height_bound: int = 4,
-                            ball_depth: int = 3, coeff_cap: int = 64,
-                            expected: dict | None = None) -> list:
-    """Representatives of all elliptic fixed-point classes of PSL2(O).
-
-    Scans matrices (a, b; c, d) with elliptic trace, entries from a box of
-    embedding height <= height_bound, then merges candidates into classes by
-    conjugation descent plus a bounded conjugation ball.  Completeness is
-    certified by comparing per-order totals with h(-4D)/h(-3D) (or the D=5
-    catalogue totals); a mismatch raises CompletenessError.
-    """
-    D = F.D
-    if expected is None:
-        if D == 5:
-            from .reference_data import PSL_POINT_TOTALS
-
-            expected = dict(PSL_POINT_TOTALS[5])
-        elif D > 12:
-            expected = {2: h_definite(4 * D), 3: h_definite(3 * D)}
-        else:
-            raise EllipticError(f"no completeness reference for D={D}")
-
-    moves = _conj_generators(F)
-    ball = _conjugation_ball(F, ball_depth, coeff_cap)
-    box = _field_box(D, height_bound)
-    nonzero = [x for x in box if x]
-    one = F.one()
-
-    classes = []   # (representative, order)
-    registry = {}  # canonical tuple of a known conjugate/power -> class index
-
-    def register_class(rep: Mat2, order: int) -> None:
-        idx = len(classes)
-        classes.append((rep, order))
-        for power in _generator_powers(rep, order):
-            for gamma, gamma_inv in ball:
-                registry.setdefault(
-                    psl_canonical_tuple(gamma * power * gamma_inv), idx
-                )
-
-    for t in _elliptic_traces(D):
-        for c in nonzero:
-            for d in box:
-                a = t - d
-                b = (a * d - one).divide_exact(c)
-                if b is None:
-                    continue
-                g = Mat2(a, b, c, d)
-                h = _descend(g, moves)
-                key = psl_canonical_tuple(h)
-                if key in registry:
-                    continue
-                hit = None
-                for gamma, gamma_inv in ball:
-                    probe = psl_canonical_tuple(gamma * h * gamma_inv)
-                    if probe in registry:
-                        hit = registry[probe]
-                        break
-                if hit is not None:
-                    registry[key] = hit
-                    continue
-                register_class(h, matrix_order(h))
-
-    tally: dict[int, int] = {}
-    for _, order in classes:
-        tally[order] = tally.get(order, 0) + 1
-    if tally != expected:
-        raise CompletenessError(
-            f"per-order class totals {tally} != expected {expected} for D={D} "
-            f"(height_bound={height_bound}, ball_depth={ball_depth})"
-        )
-
-    reps = [
-        EllipticClassRep(matrix=rep, order=order, rtype=rotation_type(rep))
-        for rep, order in classes
-    ]
-    reps.sort(key=lambda r: (r.order, r.rtype, r.matrix.as_tuple()))
-    return reps
-
-
-def counts_gamma0_from_reps(F: FieldContext, P: PrimeIdealData,
-                            reps: list) -> EllipticCounts:
-    """Exact Gamma0(P) counts from a certified full-group catalogue.
-
-    Each full-group class splits into as many Gamma0(P) classes as there are
-    cosets whose conjugate of the generator lies in Gamma0(P).
-    """
-    totals: dict[tuple, int] = {}
-    for rep in reps:
-        totals[rep.rtype] = totals.get(rep.rtype, 0) \
-            + count_fixed_cosets(rep, P)
-    known = {(2, 1, 1), (3, 1, 1), (3, 1, -1)}
-    leftovers = {k: v for k, v in totals.items() if k not in known and v}
-    if leftovers:
-        raise EllipticError(
-            f"unexpected congruence-level types {sorted(leftovers)}; only "
-            "orders 2 and 3 are supported here"
-        )
-    return EllipticCounts(
-        a2=totals.get((2, 1, 1), 0),
-        a3_plus=totals.get((3, 1, 1), 0),
-        a3_minus=totals.get((3, 1, -1), 0),
-        mode="exact", group_tag="gamma0",
     )

@@ -402,13 +402,11 @@ def _positive_generator_scan(x: FieldElement, eps: FieldElement, window: int = 6
     return min(candidates, key=lambda y: (abs(y.u) + abs(y.v), y.u, y.v))
 
 
-def _norm_equation(D: int, rhs: int) -> FieldElement | None:
-    """Smallest-|v| solution of N((u+v*sqrt D)/2) = rhs, i.e. u^2 - v^2 D = 4*rhs."""
+def _norm_equation(D: int, rhs: int, vmax: int) -> FieldElement | None:
+    """Smallest-|v| solution of N((u+v*sqrt D)/2) = +-rhs, i.e.
+    u^2 - v^2 D = +-4*rhs, with 0 <= v <= vmax; None if there is none."""
     v = 0
-    # |u| <= sqrt(v^2 D + 4|rhs|) keeps the scan finite per v; v is bounded in
-    # practice because a solution exists for +-p whenever p splits/ramifies in a
-    # narrow-class-one field (we still cap to stay defensive).
-    while v <= 4 * abs(rhs) + D:
+    while v <= vmax:
         for s in (4 * rhs + v * v * D, -4 * rhs + v * v * D):
             if s >= 0 and is_square(s):
                 u = isqrt(s)
@@ -431,10 +429,13 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
         return (
             PrimeIdealData(D=D, p=p, splitting="inert", f=2, generator=gen, omega_image=None),
         )
-    # degree one: need an element of norm +-p
-    x = _norm_equation(D, p)
-    if x is None:  # pragma: no cover - cannot happen for h+ = 1
-        raise FieldError(f"no element of norm +-{p} found for D={D}")
+    # degree one: need an element of norm +-p.  One exists (h+ = 1), but its
+    # smallest v can exceed the search cap when the fundamental unit is large.
+    vmax = 4 * p + D
+    x = _norm_equation(D, p, vmax)
+    if x is None:
+        raise FieldError(f"no element of norm +-{p} found for D={D} within the "
+                         f"search cap v <= 4p + D = {vmax}")
     if x.norm() < 0:
         if F.eps_norm != -1:  # pragma: no cover
             raise FieldError("cannot fix the norm sign without a norm -1 unit")

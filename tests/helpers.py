@@ -1,13 +1,28 @@
 """Shared test machinery: independent oracles and random generators.
 
 Everything here is deliberately written from scratch against the definitions,
-not by calling back into the package internals, so the tests have teeth.
+not by calling back into the package internals, so the tests have teeth.  The
+elliptic class enumerator borrows only matrix arithmetic, rotation types and
+class numbers from the package; the Gamma0(P) counts it feeds are computed
+on the projective line, independently of the closed form they check.
 """
 
+import functools
 from collections import deque
+from dataclasses import dataclass
+from math import gcd, isqrt
 
-from hmsurf.elliptic import Mat2
-from hmsurf.field import FieldElement, ResidueField
+from hmsurf.elliptic import (
+    EllipticCounts,
+    EllipticError,
+    Mat2,
+    NotEllipticError,
+    is_elliptic,
+    rotation_type,
+)
+from hmsurf.field import FieldElement, ResidueField, make_field
+from hmsurf.forms import h_definite
+from hmsurf.reference_data import PSL_POINT_TOTALS
 from hmsurf.trees import TreeGraph
 
 
@@ -195,3 +210,247 @@ def p1_fixed_count(g, P):
         if cross == R.zero:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# elliptic: brute-force class enumeration with a completeness certificate,
+# the oracle for the closed-form Gamma0(P) counts
+# ---------------------------------------------------------------------------
+
+class CompletenessError(RuntimeError):
+    """Enumeration missed classes (or found spurious ones) at this height
+    bound / conjugation depth; the caller should raise those knobs."""
+
+
+@dataclass(frozen=True)
+class EllipticClassRep:
+    """One equivalence class of elliptic fixed points.
+
+    `matrix` generates the isotropy group of the fixed point; `rtype` is the
+    normalized rotation type (n; 1, b) with b coprime to n.
+    """
+
+    matrix: Mat2
+    order: int
+    rtype: tuple
+
+    def __repr__(self):
+        n, a, b = self.rtype
+        return f"EllipticClassRep(({n};{a},{b}), {self.matrix!r})"
+
+
+def psl_canonical_tuple(g):
+    """Canonical key identifying g and -g (the same PSL2 element)."""
+    t = g.as_tuple()
+    return min(t, tuple(-x for x in t))
+
+
+def matrix_order(g, cap=24):
+    """Order of g in the projective group (g^n scalar)."""
+    if not is_elliptic(g):
+        raise NotEllipticError(f"{g!r} is not elliptic")
+    power = g
+    for n in range(1, cap + 1):
+        if power.b.is_zero() and power.c.is_zero() and power.a == power.d:
+            return n
+        power = power * g
+    raise EllipticError(f"no order <= {cap} found; not torsion?")
+
+
+def _field_box(D, bound):
+    """All x in O_E with |x| <= bound at both real places."""
+    vmax = (2 * bound) // isqrt(D) + 1
+    out = []
+    for v in range(-vmax, vmax + 1):
+        for u in range(-2 * bound, 2 * bound + 1):
+            if (u - v * D) % 2:
+                continue
+            x = FieldElement(u, v, D)
+            lo = bound + x   # bound + x >= 0 at both places
+            hi = bound - x   # bound - x >= 0 at both places
+            if lo.sign_at(0) >= 0 and lo.sign_at(1) >= 0 \
+                    and hi.sign_at(0) >= 0 and hi.sign_at(1) >= 0:
+                out.append(x)
+    return out
+
+
+def _elliptic_traces(D):
+    """Canonical representatives t (up to sign) with |t| < 2 at both places."""
+    two = FieldElement.from_int(2, D)
+    traces = []
+    for t in _field_box(D, 2):
+        if t.sign_at(0) < 0:
+            continue  # -t is scanned instead; g and -g agree in PSL2
+        if (two - t).is_totally_positive() and (two + t).is_totally_positive():
+            traces.append(t)
+    return traces
+
+
+def _conj_generators(F):
+    zero = FieldElement.from_int(0, F.D)
+    one = F.one()
+    gens = [
+        Mat2(zero, -one, one, zero),           # inversion
+        Mat2(one, one, zero, one),             # translation by 1
+        Mat2(one, F.omega, zero, one),         # translation by omega
+        Mat2(F.eps, zero, zero, F.eps.unit_inverse()),  # unit scaling
+    ]
+    gens += [g.inverse() for g in gens]
+    return [(g, g.inverse()) for g in gens]
+
+
+def _size(g):
+    return sum(x.u * x.u + x.v * x.v * x.D for x in (g.a, g.b, g.c, g.d))
+
+
+def _descend(g, moves):
+    """Greedy conjugation descent to a local minimum of _size."""
+    best, best_size = g, _size(g)
+    improved = True
+    while improved:
+        improved = False
+        for gamma, gamma_inv in moves:
+            h = gamma * best * gamma_inv
+            hs = _size(h)
+            if hs < best_size:
+                best, best_size = h, hs
+                improved = True
+    return best
+
+
+def _conjugation_ball(F, depth, coeff_cap):
+    """All products of at most `depth` conjugation generators, deduplicated."""
+    gens = [g for g, _ in _conj_generators(F)]
+    ident = Mat2.identity(F.D)
+    seen = {psl_canonical_tuple(ident)}
+    out = [(ident, ident)]
+    frontier = [ident]
+    for _ in range(depth):
+        nxt = []
+        for gamma in frontier:
+            for m in gens:
+                h = gamma * m
+                if any(abs(x) > coeff_cap for x in h.as_tuple()):
+                    continue
+                key = psl_canonical_tuple(h)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append(h)
+                out.append((h, h.inverse()))
+        frontier = nxt
+    return out
+
+
+def _generator_powers(g, order):
+    """g^k for k coprime to the order: all generators of the isotropy group."""
+    powers = []
+    cur = g
+    for k in range(1, order):
+        if gcd(k, order) == 1:
+            powers.append(cur)
+        cur = cur * g
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_elliptic_reps(F, height_bound=4, ball_depth=3, coeff_cap=64):
+    """Representatives of all elliptic fixed-point classes of PSL2(O).
+
+    Scans matrices (a, b; c, d) with elliptic trace, entries from a box of
+    embedding height <= height_bound, then merges candidates into classes by
+    conjugation descent plus a bounded conjugation ball.  Completeness is
+    certified by comparing per-order totals with h(-4D)/h(-3D) (or the D=5
+    catalogue totals); a mismatch raises CompletenessError.  Memoised per
+    field and knobs, so every test file shares one scan per D.
+    """
+    D = F.D
+    if D == 5:
+        expected = PSL_POINT_TOTALS[5]
+    elif D > 12:
+        expected = {2: h_definite(4 * D), 3: h_definite(3 * D)}
+    else:
+        raise EllipticError(f"no completeness reference for D={D}")
+    moves = _conj_generators(F)
+    ball = _conjugation_ball(F, ball_depth, coeff_cap)
+    box = _field_box(D, height_bound)
+    nonzero = [x for x in box if x]
+    one = F.one()
+
+    classes = []   # (representative, order)
+    registry = {}  # canonical tuple of a known conjugate/power -> class index
+
+    def register_class(rep, order):
+        idx = len(classes)
+        classes.append((rep, order))
+        for power in _generator_powers(rep, order):
+            for gamma, gamma_inv in ball:
+                registry.setdefault(
+                    psl_canonical_tuple(gamma * power * gamma_inv), idx
+                )
+
+    for t in _elliptic_traces(D):
+        for c in nonzero:
+            for d in box:
+                a = t - d
+                b = (a * d - one).divide_exact(c)
+                if b is None:
+                    continue
+                h = _descend(Mat2(a, b, c, d), moves)
+                key = psl_canonical_tuple(h)
+                if key in registry:
+                    continue
+                hit = None
+                for gamma, gamma_inv in ball:
+                    probe = psl_canonical_tuple(gamma * h * gamma_inv)
+                    if probe in registry:
+                        hit = registry[probe]
+                        break
+                if hit is not None:
+                    registry[key] = hit
+                    continue
+                register_class(h, matrix_order(h))
+
+    tally = {}
+    for _, order in classes:
+        tally[order] = tally.get(order, 0) + 1
+    if tally != expected:
+        raise CompletenessError(
+            f"per-order class totals {tally} != expected {expected} for D={D} "
+            f"(height_bound={height_bound}, ball_depth={ball_depth})"
+        )
+    reps = [
+        EllipticClassRep(matrix=rep, order=order, rtype=rotation_type(rep))
+        for rep, order in classes
+    ]
+    reps.sort(key=lambda r: (r.order, r.rtype, r.matrix.as_tuple()))
+    return tuple(reps)
+
+
+def certified_reps(D):
+    """The certified catalogue of D at the default knobs."""
+    return enumerate_elliptic_reps(make_field(D))
+
+
+def counts_gamma0_from_reps(F, P, reps):
+    """Exact Gamma0(P) counts from a certified full-group catalogue.
+
+    Each full-group class splits into as many Gamma0(P) classes as its
+    generator has fixed points on the projective line over O/P.
+    """
+    totals = {}
+    for rep in reps:
+        totals[rep.rtype] = totals.get(rep.rtype, 0) + p1_fixed_count(rep.matrix, P)
+    known = {(2, 1, 1), (3, 1, 1), (3, 1, -1)}
+    leftovers = {k: v for k, v in totals.items() if k not in known and v}
+    if leftovers:
+        raise EllipticError(
+            f"unexpected congruence-level types {sorted(leftovers)}; only "
+            "orders 2 and 3 are supported here"
+        )
+    return EllipticCounts(
+        a2=totals.get((2, 1, 1), 0),
+        a3_plus=totals.get((3, 1, 1), 0),
+        a3_minus=totals.get((3, 1, -1), 0),
+        mode="exact", group_tag="gamma0",
+    )

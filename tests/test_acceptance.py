@@ -28,8 +28,6 @@ from hmsurf.elliptic import (
     InconsistentCountsError,
     atkin_lehner_refine,
     count_fixed_cosets,
-    counts_gamma0_from_reps,
-    enumerate_elliptic_reps,
 )
 from hmsurf.field import make_field, split_prime
 from hmsurf.forms import h_definite
@@ -40,6 +38,8 @@ from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 from helpers import (
     brute_centres,
+    counts_gamma0_from_reps,
+    enumerate_elliptic_reps,
     normalize_centre,
     p1_fixed_count,
     rand_elliptic,

@@ -26,7 +26,7 @@ from hmsurf.chern import (
     theorem_table,
 )
 from hmsurf.elliptic import EllipticCounts
-from hmsurf.field import NarrowClassError, UnsupportedShapeError, make_field
+from hmsurf.field import UnsupportedShapeError
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_prime
 from hmsurf.reference_data import published_discriminants, published_row

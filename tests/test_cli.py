@@ -93,12 +93,13 @@ def test_cli_elliptic_refine_needs_fixture(capsys):
                        "--refine")
     assert code == 2
     assert "involution" in json.loads(err)["error"]["message"]
-    # for this field the enumeration cannot even certify itself: that is an
-    # internal-limit failure, not bad input
+    # the counts themselves need no fixture, for any table field
+    code, _, _ = run(capsys, "elliptic", "--disc", "17", "--prime-norm", "2")
+    assert code == 0
     code, _, err = run(capsys, "elliptic", "--disc", "17", "--prime-norm", "2",
                        "--refine")
-    assert code == 3
-    assert json.loads(err)["error"]["type"] == "CompletenessError"
+    assert code == 2
+    assert "involution" in json.loads(err)["error"]["message"]
 
 
 def test_cli_classify_exact(capsys):

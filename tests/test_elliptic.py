@@ -1,13 +1,12 @@
 import dataclasses
-import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from hmsurf.chern import default_discriminants
 from hmsurf.elliptic import (
     ALFixedPoints,
-    CompletenessError,
     EllipticCounts,
     EllipticError,
     InconsistentCountsError,
@@ -17,32 +16,36 @@ from hmsurf.elliptic import (
     bounds_gamma0,
     count_fixed_cosets,
     counts_full_group,
-    counts_gamma0_from_reps,
-    enumerate_elliptic_reps,
+    counts_gamma0,
     is_elliptic,
-    matrix_order,
-    psl_canonical_tuple,
     rotation_type,
 )
-from hmsurf.field import FieldElement, make_field, split_prime
+from hmsurf.field import FieldElement, FieldError, make_field, split_prime
 from hmsurf.forms import h_definite
+from hmsurf.ntheory import is_prime, kronecker
 from hmsurf.reference_data import (
     AL_ACTION,
     isotropy_generators_d5_p2,
     isotropy_generators_d13_degree_one,
 )
 
-from helpers import mat, p1_fixed_count, rand_elliptic, rand_sl2
+from helpers import (
+    CompletenessError,
+    certified_reps,
+    counts_gamma0_from_reps,
+    enumerate_elliptic_reps,
+    mat,
+    matrix_order,
+    p1_fixed_count,
+    psl_canonical_tuple,
+    rand_elliptic,
+    rand_sl2,
+)
 
 F5 = make_field(5)
 F13 = make_field(13)
 F17 = make_field(17)
 F29 = make_field(29)
-
-
-@functools.lru_cache(maxsize=None)
-def certified_reps(D):
-    return enumerate_elliptic_reps(make_field(D))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +159,6 @@ def test_count_fixed_cosets_rejects():
         count_fixed_cosets(mat(13, 2, 0, 0, 1), P2)  # det 2
 
 
-def test_count_fixed_cosets_class_rep_passthrough():
-    reps = certified_reps(13)
-    (P2,) = split_prime(F13, 2)
-    for rep in reps:
-        assert count_fixed_cosets(rep, P2) == count_fixed_cosets(rep.matrix, P2)
-
-
 # ---------------------------------------------------------------------------
 # count containers and full-level values
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def test_counts_full_group_class_numbers():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_d13_certified():
-    reps = enumerate_elliptic_reps(F13)
+    reps = certified_reps(13)
     assert sorted(r.rtype for r in reps) == [
         (2, 1, 1), (2, 1, 1), (3, 1, -1), (3, 1, -1), (3, 1, 1), (3, 1, 1)]
     for rep in reps:
@@ -218,7 +214,7 @@ def test_enumerate_d13_certified():
 
 
 def test_enumerate_d5_certified():
-    reps = enumerate_elliptic_reps(F5)
+    reps = certified_reps(5)
     assert sorted(r.rtype for r in reps) == [
         (2, 1, 1), (2, 1, 1), (3, 1, -1), (3, 1, 1), (5, 1, -2), (5, 1, 2)]
     for rep in reps:
@@ -241,13 +237,13 @@ def test_enumerate_refuses_when_uncertified():
 # ---------------------------------------------------------------------------
 
 def test_counts_gamma0_frozen_values():
-    reps = certified_reps(13)
     (P2,) = split_prime(F13, 2)
     P3 = split_prime(F13, 3)[0]
-    g0 = counts_gamma0_from_reps(F13, P2, reps)
+    g0 = counts_gamma0(F13, P2)
     assert g0.mode == "exact" and g0.group_tag == "gamma0"
     assert (g0.a2, g0.a3_plus, g0.a3_minus) == (2, 4, 4)
-    g03 = counts_gamma0_from_reps(F13, P3, reps)
+    assert g0.notes == ()  # the plus/minus split is proved at level P
+    g03 = counts_gamma0(F13, P3)
     assert (g03.a2, g03.a3_plus, g03.a3_minus) == (0, 2, 2)
 
 
@@ -264,11 +260,75 @@ def test_counts_gamma0_are_coset_sums():
         assert g0.a3_minus == by_type.get((3, 1, -1), 0)
 
 
+def _prime_ideals_upto(F, qmax):
+    """Every prime ideal of norm <= qmax, both primes over a split p."""
+    return [P for p in range(2, qmax + 1) if is_prime(p)
+            for P in split_prime(F, p) if P.q <= qmax]
+
+
+def test_counts_gamma0_matches_enumerator():
+    for F in (F5, F13):
+        reps = certified_reps(F.D)
+        for P in _prime_ideals_upto(F, 200):
+            if F.D == 5 and P.q % 5 in (0, 1):
+                continue  # order-5 levels, refused below
+            want = counts_gamma0_from_reps(F, P, reps)
+            assert counts_gamma0(F, P) == want, (F.D, P.q, P.omega_image)
+
+
+def test_counts_gamma0_whole_table():
+    # exact `elliptic --disc D --prime-norm q` on every table D and every
+    # achievable q <= 200: counts within the bound-mode bounds, or the one
+    # known refusal, split_prime's search cap (never an internal failure)
+    for D in default_discriminants():
+        F = make_field(D)
+        for p in range(2, 201):
+            if not is_prime(p) or (kronecker(D, p) == -1 and p * p > 200):
+                continue
+            try:
+                primes = split_prime(F, p)
+            except FieldError as exc:
+                assert "search cap" in str(exc), (D, p)
+                continue
+            for P in primes:
+                counts = counts_gamma0(F, P)
+                bound = bounds_gamma0(F, P)
+                assert counts.a2 <= bound.a2, (D, P)
+                assert counts.a3_plus == counts.a3_minus <= bound.a3_plus, (D, P)
+
+
 def test_counts_gamma0_rejects_order5_level():
+    # order-5 points meet Gamma0(P) exactly when q = 0, 1 mod 5; both the
+    # closed form and the enumerator refuse those levels
     reps = certified_reps(5)
-    P11 = split_prime(F5, 11)[0]
-    with pytest.raises(EllipticError, match="orders 2 and 3"):
-        counts_gamma0_from_reps(F5, P11, reps)
+    refused = 0
+    for P in _prime_ideals_upto(F5, 200):
+        if P.q % 5 not in (0, 1):
+            continue
+        refused += 1
+        with pytest.raises(EllipticError, match="orders 2 and 3"):
+            counts_gamma0_from_reps(F5, P, reps)
+        with pytest.raises(EllipticError, match="orders 2 and 3"):
+            counts_gamma0(F5, P)
+    assert refused >= 11
+
+
+def test_counts_gamma0_refuses_small_or_unproved_fields():
+    with pytest.raises(EllipticError, match="D > 12"):
+        counts_gamma0(make_field(8), split_prime(make_field(8), 7)[0])
+    no_minus_unit = dataclasses.replace(F13, eps_norm=1)
+    with pytest.raises(InconsistentCountsError, match="norm -1"):
+        counts_gamma0(no_minus_unit, split_prime(F13, 3)[0])
+
+
+def test_enumerated_types_pair_up_under_norm_minus_one_unit():
+    # the symmetry counts_gamma0 relies on: as many (n;1,b) classes as (n;1,-b)
+    for D in (5, 13):
+        tally = {}
+        for rep in certified_reps(D):
+            tally[rep.rtype] = tally.get(rep.rtype, 0) + 1
+        for (n, _, b), count in tally.items():
+            assert tally.get((n, 1, -b if n > 2 else b)) == count, (D, tally)
 
 
 def test_refine_exact_fixtures():

@@ -103,3 +103,8 @@ def test_readme_global_flags_match_parser():
 def test_public_names_resolve():
     for name in hmsurf.__all__:
         assert getattr(hmsurf, name) is not None, name
+    # the class enumerator is a test oracle (tests/helpers.py), not API
+    assert "counts_gamma0" in hmsurf.__all__
+    oracle = {"enumerate_elliptic_reps", "counts_gamma0_from_reps",
+              "CompletenessError", "EllipticClassRep", "matrix_order"}
+    assert not oracle & set(hmsurf.__all__)

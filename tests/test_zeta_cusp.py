@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from hmsurf.chern import default_discriminants
-from hmsurf.field import FieldElement, fundamental_unit, make_field
+from hmsurf.field import fundamental_unit, make_field
 from hmsurf.zeta import (
     CuspCycle,
     QuadIrrational,
