@@ -31,20 +31,16 @@ from .elliptic import (
     ALFixedPoints,
     EllipticCounts,
     EllipticError,
-    Mat2,
     atkin_lehner_refine,
     bounds_gamma0,
-    count_fixed_cosets,
     counts_full_group,
     counts_gamma0,
-    is_elliptic,
-    rotation_type,
+    root_count,
 )
 from .field import (
     FieldContext,
     FieldElement,
     PrimeIdealData,
-    ResidueField,
     fundamental_unit,
     make_field,
     split_prime,
@@ -67,15 +63,14 @@ __all__ = [
     "ALFixedPoints", "CenterResult", "ChernError", "ChernReport",
     "ConfigError", "CuspCycle", "EllipticCounts", "EllipticError",
     "FieldContext", "FieldElement", "GroupAction", "HypothesisError",
-    "LinearForm", "Mat2", "ModeMixError", "PrimeIdealData", "ResidueField",
-    "RunConfig", "TableRow", "TreeGraph", "UniquenessError",
-    "adjunction_self_intersection", "atkin_lehner_refine", "bounds_gamma0",
-    "c1sq_lower_bound", "c2_lower_check", "chern_numbers", "classify",
-    "count_fixed_cosets", "counts_full_group", "counts_gamma0",
-    "curve_chern_integrality", "cusp_resolution", "default_discriminants",
-    "fundamental_unit", "genus_gamma0_rational", "h_bound", "h_definite",
-    "h_narrow_indefinite", "is_elliptic", "load_config",
-    "local_chern_divisor_sum", "make_field", "rotation_type", "sigma_primes",
+    "LinearForm", "ModeMixError", "PrimeIdealData", "RunConfig", "TableRow",
+    "TreeGraph", "UniquenessError", "adjunction_self_intersection",
+    "atkin_lehner_refine", "bounds_gamma0", "c1sq_lower_bound",
+    "c2_lower_check", "chern_numbers", "classify", "counts_full_group",
+    "counts_gamma0", "curve_chern_integrality", "cusp_resolution",
+    "default_discriminants", "fundamental_unit", "genus_gamma0_rational",
+    "h_bound", "h_definite", "h_narrow_indefinite", "load_config",
+    "local_chern_divisor_sum", "make_field", "root_count", "sigma_primes",
     "split_prime", "table_diff", "theorem_table", "tree_center",
     "verify_center_invariance", "verify_equidistance", "zeta_minus_one",
 ]

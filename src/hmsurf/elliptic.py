@@ -1,9 +1,8 @@
 """Elliptic fixed points of Hilbert modular groups.
 
-Rotation types, exact counts and analytic upper bounds for PSL2(O), the Hecke
-congruence subgroup Gamma0(P), and its Atkin-Lehner extension W.Gamma0(P).
-The Gamma0(P) counts are in closed form: class numbers times root counts
-in O/P.
+Exact counts and analytic upper bounds for PSL2(O), the Hecke congruence
+subgroup Gamma0(P), and its Atkin-Lehner extension W.Gamma0(P).  The
+Gamma0(P) counts are in closed form: class numbers times root counts in O/P.
 """
 
 from __future__ import annotations
@@ -11,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldContext, FieldElement, PrimeIdealData, ResidueField
+from .field import FieldContext, PrimeIdealData
 from .forms import h_bound, h_definite
+from .ntheory import kronecker
 from .numeric import MIN_PRECISION_BITS
 
 
@@ -20,189 +20,21 @@ class EllipticError(ValueError):
     """Base class for elliptic-point computation errors."""
 
 
-class NotEllipticError(EllipticError):
-    pass
-
-
-class NotEllipticModPError(EllipticError):
-    """b, c and a-d all vanish mod P; impossible for an elliptic element."""
-
-
 class InconsistentCountsError(EllipticError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# 2x2 matrices over O_E
-# ---------------------------------------------------------------------------
+def root_count(t: int, P: PrimeIdealData) -> int:
+    """Number of roots of x^2 - t*x + 1 in O/P = F_q, q = p^f, for an integer t.
 
-
-class Mat2:
-    """A 2x2 matrix over O_E; just enough group arithmetic for this module."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @staticmethod
-    def from_pairs(D: int, pairs) -> "Mat2":
-        """Build from four (u, v) coordinate pairs."""
-        a, b, c, d = (FieldElement(u, v, D) for (u, v) in pairs)
-        return Mat2(a, b, c, d)
-
-    @staticmethod
-    def from_ints(D: int, a: int, b: int, c: int, d: int) -> "Mat2":
-        f = lambda n: FieldElement.from_int(n, D)
-        return Mat2(f(a), f(b), f(c), f(d))
-
-    @staticmethod
-    def identity(D: int) -> "Mat2":
-        return Mat2.from_ints(D, 1, 0, 0, 1)
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def det(self) -> FieldElement:
-        return self.a * self.d - self.b * self.c
-
-    def trace_el(self) -> FieldElement:
-        return self.a + self.d
-
-    def inverse(self) -> "Mat2":
-        """Inverse for unit determinant (all we ever need)."""
-        dinv = self.det().unit_inverse()
-        return Mat2(self.d * dinv, -self.b * dinv, -self.c * dinv, self.a * dinv)
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.a.u, self.a.v, self.b.u, self.b.v,
-            self.c.u, self.c.v, self.d.u, self.d.v,
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self):
-        return f"Mat2[{self.a!r}, {self.b!r}; {self.c!r}, {self.d!r}]"
-
-
-def is_elliptic(g: Mat2) -> bool:
-    """Totally positive determinant and tr^2 < 4 det at both real places."""
-    det = g.det()
-    if not det.is_totally_positive():
-        return False
-    t = g.trace_el()
-    disc = t * t - 4 * det
-    return disc.sign_at(0) < 0 and disc.sign_at(1) < 0
-
-
-# ---------------------------------------------------------------------------
-# rotation types
-# ---------------------------------------------------------------------------
-
-# At a real place where an elliptic g of SL2(O) has trace t, it turns by
-# theta = pi*k/n with 2cos(theta) = t.  Keyed by the (u, v) coordinates of t:
-# trace 0 has order 2, traces 1 and -1 order 3.
-_TRACE_ANGLES = {(0, 0): (2, 1), (2, 0): (3, 1), (-2, 0): (3, 2)}
-# Order 5 only occurs for D = 5, where 2cos(pi*k/5) for k = 1..4 is
-# (1+sqrt5)/2, (sqrt5-1)/2, (1-sqrt5)/2 and -(1+sqrt5)/2.
-_TRACE_ANGLES_D5 = {**_TRACE_ANGLES,
-                    (1, 1): (5, 1), (-1, 1): (5, 2), (1, -1): (5, 3), (-1, -1): (5, 4)}
-
-
-def rotation_type(g: Mat2) -> tuple:
-    """Rotation type (n; 1, b) of an elliptic g of SL2(O).
-
-    At real place j, g turns by theta_j = pi*k_j/n, read off exactly from the
-    trace there (the conjugate trace at the second place), with the sign of
-    c_j.  The pair of rotation factors e^(2 i theta_j) is normalized so the
-    first exponent is 1: trace 0 gives (2;1,1), trace +-1 gives
-    (3;1, sign c_0 * sign c_1).
+    In odd characteristic the count is 1 + chi(t^2 - 4), chi the quadratic
+    character of F_q.  For f = 1 that is the Legendre symbol; for f = 2 every
+    element of F_p is a square in F_{p^2}, so chi(t^2 - 4) = (t^2 - 4|p)^2.
+    For p = 2 and t even, x^2 + 1 = (x + 1)^2 has one root, and
+    (t^2 - 4|2) = 0; for t odd, x^2 + x + 1 has roots only in F_4, and
+    (t^2 - 4|2) = (5|2) = -1.  Hence 1 + (t^2 - 4|p)^f in every case.
     """
-    if not is_elliptic(g):
-        raise NotEllipticError(f"{g!r} is not elliptic")
-    D = g.a.D
-    if g.det() != FieldElement.from_int(1, D):
-        raise EllipticError(f"{g!r} is not in SL2(O)")
-    angles = _TRACE_ANGLES_D5 if D == 5 else _TRACE_ANGLES
-    tr = g.trace_el()
-    ks = []
-    for place, t in ((0, tr), (1, tr.conjugate())):
-        hit = angles.get(t.as_pair())
-        if hit is None:
-            raise EllipticError(
-                f"no rotation type for trace {tr!r}: only orders 2, 3 "
-                "and, for D=5, 5 are supported")
-        n, k = hit
-        ks.append(k if g.c.sign_at(place) > 0 else -k)
-    k1, k2 = ks
-    b = (pow(k1, -1, n) * k2) % n
-    if b > n // 2:
-        b -= n
-    return (n, 1, b)
-
-
-# ---------------------------------------------------------------------------
-# coset-level counting for Gamma0(P)
-# ---------------------------------------------------------------------------
-
-
-def count_fixed_cosets(g: Mat2, P: PrimeIdealData) -> int:
-    """Number of cosets of Gamma0(P) in SL2(O) whose conjugate of g lands
-    back in Gamma0(P).
-
-    The lower-triangular coset delta_alpha contributes when
-    c + (a-d)*alpha - b*alpha^2 = 0 in O/P; the extra coset delta_infinity
-    contributes when b is in P.
-    """
-    one = FieldElement.from_int(1, g.a.D)
-    if g.det() != one or not is_elliptic(g):
-        raise NotEllipticError("need an elliptic element of SL2(O)")
-    R = ResidueField(P)
-    ra, rb = R.reduce(g.a), R.reduce(g.b)
-    rc, rd = R.reduce(g.c), R.reduce(g.d)
-    amd = R.add(ra, R.neg(rd))
-    if rb == R.zero and rc == R.zero and amd == R.zero:
-        raise NotEllipticModPError(
-            "b, c and a-d all vanish mod P; not elliptic mod P"
-        )
-    count = 0
-    if P.p == 2:
-        # characteristic two: no usable discriminant, just try every residue
-        for alpha in R.elements():
-            val = R.add(rc, R.mul(amd, alpha))
-            val = R.add(val, R.neg(R.mul(rb, R.mul(alpha, alpha))))
-            if val == R.zero:
-                count += 1
-    elif rb == R.zero:
-        count = 1 if amd != R.zero else 0
-    else:
-        # roots of -b x^2 + (a-d) x + c, odd characteristic
-        disc = R.mul(amd, amd)
-        four_bc = R.mul(rb, rc)
-        four_bc = R.add(R.add(four_bc, four_bc), R.add(four_bc, four_bc))
-        disc = R.add(disc, four_bc)
-        if disc == R.zero:
-            count = 1
-        elif R.is_square(disc):
-            count = 2
-        else:
-            count = 0
-    if rb == R.zero:
-        count += 1  # the delta_infinity coset: conjugate has lower-left -b
-    return count
+    return 1 + kronecker(t * t - 4, P.p) ** P.f
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +120,21 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     """Exact Gamma0(P) counts in closed form, for D > 12 and for D = 5.
 
     A PSL2(O) class of elliptic points with isotropy generator g splits into
-    as many Gamma0(P) classes as g fixes cosets of Gamma0(P).  That number is
-    the count of roots of x^2 - t*x + 1 in O/P (t the trace of g), so
-    count_fixed_cosets of the companion matrix (0 -1; 1 t) gives it for every
-    class of that trace at once.  Order 2 has t = 0, order 3 has t = +-1:
+    as many Gamma0(P) classes as g fixes cosets of Gamma0(P), i.e. points of
+    the projective line over O/P.  Those are the eigenlines of g mod P, one
+    for each root of its characteristic polynomial x^2 - t*x + 1 (t the trace
+    of g), so root_count(t, P) gives the split for every class of that trace
+    at once.  (g is never scalar mod P: g = +-1 mod P would put
+    det(g -+ 1) = 2 -+ t in P^2, and neither 2 nor 3 ramifies here.)  Order 2
+    has t = 0, order 3 has t = +-1:
 
         a2 = h(-4D) * N(0),   a3_plus = a3_minus = h(-3D)/2 * N(1),
 
     with the D = 5 class totals taken from PSL_POINT_TOTALS instead.  Order-5
-    points (D = 5 only) meet Gamma0(P) exactly when N(omega) > 0, that is
-    when q = 0 or 1 mod 5; those levels are refused.
+    points (D = 5 only) have trace +-omega or +-omega'; the roots of
+    x^2 - omega*x + 1 are primitive 10th roots of unity, which F_q holds only
+    when 10 | q - 1, and at q = 5 it is (x + 1)^2.  So they meet Gamma0(P)
+    exactly when q = 0 or 1 mod 5, and those levels are refused.
 
     The equal plus/minus split is proved, not assumed.  Narrow class number
     one gives a unit eps of norm -1, so eps and eps' have opposite signs and
@@ -311,15 +148,10 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     if F.eps_norm != -1:
         raise InconsistentCountsError(
             f"D={F.D} has no unit of norm -1: the a3 plus/minus split is unproved")
-    zero, one = FieldElement.from_int(0, F.D), F.one()
-
-    def fixed(t: FieldElement) -> int:
-        return count_fixed_cosets(Mat2(zero, -one, one, t), P)
-
     if F.D == 5:
         from .reference_data import PSL_POINT_TOTALS  # imports this module
 
-        if fixed(F.omega):
+        if P.q % 5 in (0, 1):
             raise EllipticError(
                 f"order-5 points meet Gamma0(P) for D=5, norm {P.q}; only "
                 "orders 2 and 3 are supported here")
@@ -327,8 +159,8 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     else:
         full = counts_full_group(F)
         a2, a3 = full.a2, full.a3_plus
-    a2 *= fixed(zero)
-    a3 *= fixed(one)
+    a2 *= root_count(0, P)
+    a3 *= root_count(1, P)
     return EllipticCounts(a2=a2, a3_plus=a3, a3_minus=a3,
                           mode="exact", group_tag="gamma0")
 

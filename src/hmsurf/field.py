@@ -199,11 +199,6 @@ class FieldElement:
     def __ge__(self, other):
         return self.compare(other) >= 0
 
-    def embedding(self, place: int = 0) -> float:
-        """Float approximation, for diagnostics only."""
-        s = self.D ** 0.5 if place == 0 else -(self.D ** 0.5)
-        return (self.u + self.v * s) / 2.0
-
     def as_pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
@@ -355,24 +350,6 @@ class PrimeIdealData:
     def q(self) -> int:
         return self.p ** self.f
 
-    def contains(self, x: FieldElement) -> bool:
-        """Exact membership x in P."""
-        if self.f == 2:
-            # inert: P = (p), so membership is exact divisibility by p
-            return x.divide_exact(FieldElement.from_int(self.p, self.D)) is not None
-        # degree one: reduce via omega -> omega_image
-        return self.reduce_int(x) == 0
-
-    def reduce_int(self, x: FieldElement) -> int:
-        """Image of x in the residue field F_p (degree-one primes only)."""
-        if self.f != 1:
-            raise ValueError("reduce_int needs a degree-one prime")
-        if self.D % 2 == 1:
-            rat = (x.u - x.v) // 2
-            return (rat + x.v * self.omega_image) % self.p
-        rat = x.u // 2
-        return (rat + x.v * self.omega_image) % self.p
-
 
 def _positive_generator_scan(x: FieldElement, eps: FieldElement, window: int = 64) -> FieldElement:
     """Totally positive associate of x, canonicalized.
@@ -442,16 +419,16 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
         x = x * F.eps
     gen = _positive_generator_scan(x, F.eps)
     if sym == 0:
-        r = _omega_image_for(gen, D, p)
+        r = _omega_image_for(gen, p)
         return (
             PrimeIdealData(D=D, p=p, splitting="ramified", f=1, generator=gen, omega_image=r),
         )
     gen2 = _positive_generator_scan(gen.conjugate(), F.eps)
     prim1 = PrimeIdealData(
-        D=D, p=p, splitting="split", f=1, generator=gen, omega_image=_omega_image_for(gen, D, p)
+        D=D, p=p, splitting="split", f=1, generator=gen, omega_image=_omega_image_for(gen, p)
     )
     prim2 = PrimeIdealData(
-        D=D, p=p, splitting="split", f=1, generator=gen2, omega_image=_omega_image_for(gen2, D, p)
+        D=D, p=p, splitting="split", f=1, generator=gen2, omega_image=_omega_image_for(gen2, p)
     )
     # deterministic ordering: smaller omega image first
     if prim2.omega_image < prim1.omega_image:
@@ -459,106 +436,12 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     return (prim1, prim2)
 
 
-def _omega_image_for(gen: FieldElement, D: int, p: int) -> int:
-    """The residue r with omega = r (mod (gen)); found by testing all r in F_p."""
-    for r in range(p):
-        # check gen = 0 under the map omega -> r, i.e. rational part + v*r = 0 mod p
-        if D % 2 == 1:
-            rat = (gen.u - gen.v) // 2
-        else:
-            rat = gen.u // 2
-        if (rat + gen.v * r) % p == 0:
-            # also require r to be consistent: omega's minimal polynomial vanishes
-            if D % 2 == 1:
-                c0 = (D - 1) // 4
-                if (r * r - r - c0) % p == 0:
-                    return r
-            else:
-                if (r * r - 2) % p == 0:
-                    return r
-    raise FieldError(f"no residue image for {gen!r} mod {p}")  # pragma: no cover
+def _omega_image_for(gen: FieldElement, p: int) -> int:
+    """The residue r with omega = r (mod (gen)), (gen) of norm p.
 
-
-# ---------------------------------------------------------------------------
-# residue fields O/P (F_p or F_{p^2}) for coset computations
-# ---------------------------------------------------------------------------
-
-
-class ResidueField:
-    """O_E/P as F_q with elements encoded as ints in [0, q).
-
-    For f = 2 the encoding is e0 + e1*p where the class of omega is the
-    generator theta, with theta^2 = theta + (D-1)/4 for odd D and theta^2 = 2
-    for D = 8.
+    gen = rat + v*omega maps to rat + v*r = 0 in F_p.  p does not divide v:
+    otherwise p | rat too (rat = gen - v*omega lies in P, so in pZ), and
+    p^2 would divide N(gen) = +-p.
     """
-
-    def __init__(self, P: PrimeIdealData):
-        self.P = P
-        self.p = P.p
-        self.f = P.f
-        self.q = P.q
-        D = P.D
-        if self.f == 2:
-            if D % 2 == 1:
-                self.t1, self.t0 = 1, ((D - 1) // 4) % self.p
-            else:
-                self.t1, self.t0 = 0, 2 % self.p
-
-    def reduce(self, x: FieldElement) -> int:
-        if self.f == 1:
-            return self.P.reduce_int(x)
-        if x.D % 2 == 1:
-            e0 = ((x.u - x.v) // 2) % self.p
-        else:
-            e0 = (x.u // 2) % self.p
-        e1 = x.v % self.p
-        return e0 + e1 * self.p
-
-    def add(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a + b) % self.p
-        return (a % self.p + b % self.p) % self.p + ((a // self.p + b // self.p) % self.p) * self.p
-
-    def neg(self, a: int) -> int:
-        if self.f == 1:
-            return (-a) % self.p
-        return (-a % self.p) % self.p + ((-(a // self.p)) % self.p) * self.p
-
-    def mul(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a * b) % self.p
-        a0, a1 = a % self.p, a // self.p
-        b0, b1 = b % self.p, b // self.p
-        # (a0 + a1 t)(b0 + b1 t) with t^2 = t1*t + t0
-        cross = a1 * b1
-        e0 = (a0 * b0 + cross * self.t0) % self.p
-        e1 = (a0 * b1 + a1 * b0 + cross * self.t1) % self.p
-        return e0 + e1 * self.p
-
-    def pow(self, a: int, k: int) -> int:
-        r = self.one
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def elements(self):
-        return range(self.q)
-
-    def is_square(self, a: int) -> bool:
-        """Quadratic-residue test in odd characteristic (0 counts as square)."""
-        if self.p == 2:
-            return True  # squaring is a bijection in characteristic 2
-        if a == 0:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == self.one
+    rat = (gen.u - gen.v) // 2 if gen.D % 2 == 1 else gen.u // 2
+    return -rat * pow(gen.v, -1, p) % p

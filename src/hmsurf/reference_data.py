@@ -1,56 +1,26 @@
 """Worked-example fixtures and the published classification table.
 
-Everything here is static data: isotropy generators for the two small worked
-examples, how the Atkin-Lehner involution acts on their elliptic points, the
-fixed-point class totals for D=5 (below the reach of the class-number
-formulas), and the published table of (D, n) conditions that the table
-pipeline reproduces and diffs against.
+Everything here is static data: how the Atkin-Lehner involution acts on the
+elliptic points of the small worked examples, the fixed-point class totals
+for D=5 (below the reach of the class-number formulas), and the published
+table of (D, n) conditions that the table pipeline reproduces and diffs
+against.
 """
 
 from __future__ import annotations
 
-from .elliptic import ALFixedPoints, Mat2
+from .elliptic import ALFixedPoints
 
 # ---------------------------------------------------------------------------
 # small-discriminant fixed-point catalogues
 # ---------------------------------------------------------------------------
 
 # PSL2(O) fixed-point class totals by isotropy order.  D=5 sits below the
-# D > 12 threshold of the count formulas, so its totals are pinned here and
-# serve as the completeness certificate for the enumerator.
+# D > 12 threshold of the count formulas, so its totals are pinned here for
+# counts_gamma0 (and certify the test-side class enumerator).
 PSL_POINT_TOTALS = {
     5: {2: 2, 3: 2, 5: 2},
 }
-
-
-def isotropy_generators_d5_p2():
-    """The six Gamma0((2))-inequivalent elliptic points for D=5.
-
-    Each entry is (rotation type, generator of the isotropy group); the
-    generators live in Gamma0((2)) of Q(sqrt(5)).  Coordinate pairs (u, v)
-    encode (u + v*sqrt(5))/2.
-    """
-    rows = [
-        ((2, 1, 1), ((2, 0), (-2, 0), (4, 0), (-2, 0))),
-        ((2, 1, 1), ((-2, 0), (-1, 1), (-2, -2), (2, 0))),
-        ((3, 1, 1), ((1, 1), (-2, 0), (4, 0), (1, -1))),
-        ((3, 1, 1), ((3, 1), (-2, 0), (6, 2), (-1, -1))),
-        ((3, 1, -1), ((1, -1), (-1, 1), (-2, -2), (1, 1))),
-        ((3, 1, -1), ((-1, -1), (-1, 1), (-8, -4), (3, 1))),
-    ]
-    return [(rtype, Mat2.from_pairs(5, pairs)) for rtype, pairs in rows]
-
-
-def isotropy_generators_d13_degree_one():
-    """The four Gamma0(P)-inequivalent elliptic points for D=13 with P the
-    norm-3 prime generated by an associate of 4+sqrt(13)."""
-    rows = [
-        ((3, 1, 1), ((-2, 0), (2, 0), (-6, 0), (4, 0))),
-        ((3, 1, 1), ((-1, 1), (-4, 0), (5, -1), (3, -1))),
-        ((3, 1, -1), ((4, 0), (-1, 1), (-1, -1), (-2, 0))),
-        ((3, 1, -1), ((5, 1), (3, 1), (-2, -2), (-3, -1))),
-    ]
-    return [(rtype, Mat2.from_pairs(13, pairs)) for rtype, pairs in rows]
 
 
 # How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points of

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, _floor_quad
 from .ntheory import sigma0, sigma1
 
 
@@ -76,10 +76,7 @@ class QuadIrrational:
             raise ValueError(f"invalid state ({self.P}+sqrt{self.D})/{self.Q}")
 
     def floor(self) -> int:
-        s = isqrt(self.D)
-        if self.Q > 0:
-            return (self.P + s) // self.Q
-        return (-self.P - s - 1) // (-self.Q)
+        return _floor_quad(self.P, self.Q, self.D)
 
     def ceil(self) -> int:
         # never an integer for nonsquare D
@@ -91,9 +88,6 @@ class QuadIrrational:
         P1 = b * self.Q - self.P
         Q1 = (P1 * P1 - self.D) // self.Q
         return b, QuadIrrational(P1, Q1, self.D)
-
-    def value(self) -> float:
-        return (self.P + self.D ** 0.5) / self.Q
 
 
 def minus_cf_cycle(D: int) -> tuple[int, ...]:

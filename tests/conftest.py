@@ -12,7 +12,7 @@ _DESCR = {
     4: "D=13 norm-4 exact Chern pipeline (c1^2=-3, c2=18+3/2*a2, chi>=2, inconclusive)",
     5: "classification table reproduction, exclusion flags, discrepancy report",
     6: "modular curve integrality forcing, adjunction, genus checks",
-    7: "fixed-coset counts vs projective residue oracle; involution refinement",
+    7: "Gamma0(P) root counts vs projective residue oracle; involution refinement",
     8: "tree centre vs all-pairs oracle; invariance and equidistance properties",
 }
 

@@ -2,25 +2,19 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling back into the package internals, so the tests have teeth.  The
-elliptic class enumerator borrows only matrix arithmetic, rotation types and
-class numbers from the package; the Gamma0(P) counts it feeds are computed
-on the projective line, independently of the closed form they check.
+matrices, rotation types and residue fields the elliptic oracles need live
+here; the class enumerator borrows only field arithmetic and class numbers
+from the package, and the Gamma0(P) counts it feeds are computed on the
+projective line, independently of the closed form they check.
 """
 
 import functools
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 
-from hmsurf.elliptic import (
-    EllipticCounts,
-    EllipticError,
-    Mat2,
-    NotEllipticError,
-    is_elliptic,
-    rotation_type,
-)
-from hmsurf.field import FieldElement, ResidueField, make_field
+from hmsurf.elliptic import EllipticCounts, EllipticError
+from hmsurf.field import FieldElement, make_field
 from hmsurf.forms import h_definite
 from hmsurf.reference_data import PSL_POINT_TOTALS
 from hmsurf.trees import TreeGraph
@@ -152,14 +146,201 @@ def normalize_centre(res):
 
 
 # ---------------------------------------------------------------------------
-# elliptic: random group elements and the projective fixed-point oracle
+# field elements as floats, for order and size checks
 # ---------------------------------------------------------------------------
+
+def real(x):
+    """Float value of x = (u + v*sqrt(D))/2 at the first real place."""
+    return (x.u + x.v * sqrt(x.D)) / 2
+
+
+# ---------------------------------------------------------------------------
+# elliptic: 2x2 matrices over O_E, rotation types and residue fields
+# ---------------------------------------------------------------------------
+
+class NotEllipticError(EllipticError):
+    pass
+
+
+class Mat2:
+    """A 2x2 matrix over O_E; just enough group arithmetic for the oracles."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @staticmethod
+    def from_pairs(D, pairs):
+        """Build from four (u, v) coordinate pairs."""
+        return Mat2(*(FieldElement(u, v, D) for u, v in pairs))
+
+    @staticmethod
+    def identity(D):
+        return mat(D, 1, 0, 0, 1)
+
+    def __mul__(self, other):
+        return Mat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def __neg__(self):
+        return Mat2(-self.a, -self.b, -self.c, -self.d)
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def trace_el(self):
+        return self.a + self.d
+
+    def inverse(self):
+        """Inverse for unit determinant (all we ever need)."""
+        dinv = self.det().unit_inverse()
+        return Mat2(self.d * dinv, -self.b * dinv, -self.c * dinv, self.a * dinv)
+
+    def as_tuple(self):
+        return (self.a.u, self.a.v, self.b.u, self.b.v,
+                self.c.u, self.c.v, self.d.u, self.d.v)
+
+    def __eq__(self, other):
+        return isinstance(other, Mat2) and self.as_tuple() == other.as_tuple()
+
+    def __hash__(self):
+        return hash(self.as_tuple())
+
+    def __repr__(self):
+        return f"Mat2[{self.a!r}, {self.b!r}; {self.c!r}, {self.d!r}]"
+
 
 def _fe(D, x):
     return x if isinstance(x, FieldElement) else FieldElement.from_int(x, D)
 
 def mat(D, a, b, c, d):
     return Mat2(_fe(D, a), _fe(D, b), _fe(D, c), _fe(D, d))
+
+def is_elliptic(g):
+    """Totally positive determinant and tr^2 < 4 det at both real places."""
+    det = g.det()
+    if not det.is_totally_positive():
+        return False
+    t = g.trace_el()
+    disc = t * t - 4 * det
+    return disc.sign_at(0) < 0 and disc.sign_at(1) < 0
+
+
+# At a real place where an elliptic g of SL2(O) has trace t, it turns by
+# theta = pi*k/n with 2cos(theta) = t.  Keyed by the (u, v) coordinates of t:
+# trace 0 has order 2, traces 1 and -1 order 3.
+_TRACE_ANGLES = {(0, 0): (2, 1), (2, 0): (3, 1), (-2, 0): (3, 2)}
+# Order 5 only occurs for D = 5, where 2cos(pi*k/5) for k = 1..4 is
+# (1+sqrt5)/2, (sqrt5-1)/2, (1-sqrt5)/2 and -(1+sqrt5)/2.
+_TRACE_ANGLES_D5 = {**_TRACE_ANGLES,
+                    (1, 1): (5, 1), (-1, 1): (5, 2), (1, -1): (5, 3), (-1, -1): (5, 4)}
+
+
+def rotation_type(g):
+    """Rotation type (n; 1, b) of an elliptic g of SL2(O).
+
+    At real place j, g turns by theta_j = pi*k_j/n, read off exactly from the
+    trace there (the conjugate trace at the second place), with the sign of
+    c_j.  The pair of rotation factors e^(2 i theta_j) is normalized so the
+    first exponent is 1: trace 0 gives (2;1,1), trace +-1 gives
+    (3;1, sign c_0 * sign c_1).
+    """
+    if not is_elliptic(g):
+        raise NotEllipticError(f"{g!r} is not elliptic")
+    D = g.a.D
+    if g.det() != FieldElement.from_int(1, D):
+        raise EllipticError(f"{g!r} is not in SL2(O)")
+    angles = _TRACE_ANGLES_D5 if D == 5 else _TRACE_ANGLES
+    tr = g.trace_el()
+    ks = []
+    for place, t in ((0, tr), (1, tr.conjugate())):
+        hit = angles.get(t.as_pair())
+        if hit is None:
+            raise EllipticError(
+                f"no rotation type for trace {tr!r}: only orders 2, 3 "
+                "and, for D=5, 5 are supported")
+        n, k = hit
+        ks.append(k if g.c.sign_at(place) > 0 else -k)
+    k1, k2 = ks
+    b = (pow(k1, -1, n) * k2) % n
+    if b > n // 2:
+        b -= n
+    return (n, 1, b)
+
+
+class ResidueField:
+    """O_E/P as F_q, with e0 + e1*theta encoded as the int e0 + e1*p in [0, q).
+
+    theta is the class of omega: theta^2 = theta + (D-1)/4 for odd D and
+    theta^2 = 2 for D = 8.  For f = 1, omega reduces to omega_image, so e1 = 0
+    and the encoding is F_p itself.
+    """
+
+    zero, one = 0, 1
+
+    def __init__(self, P):
+        self.P, self.p, self.q = P, P.p, P.q
+        self.t1, self.t0 = (1, (P.D - 1) // 4) if P.D % 2 else (0, 2)
+
+    def reduce(self, x):
+        rat = (x.u - x.v) // 2 if x.D % 2 else x.u // 2  # x = rat + v*omega
+        if self.P.f == 1:
+            return (rat + x.v * self.P.omega_image) % self.p
+        return rat % self.p + x.v % self.p * self.p
+
+    def add(self, a, b):
+        p = self.p
+        return (a + b) % p + (a // p + b // p) % p * p
+
+    def mul(self, a, b):
+        p = self.p
+        a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+        cross = a1 * b1  # theta^2 = t1*theta + t0
+        return ((a0 * b0 + cross * self.t0) % p
+                + (a0 * b1 + a1 * b0 + cross * self.t1) % p * p)
+
+    def elements(self):
+        return range(self.q)
+
+
+def isotropy_generators_d5_p2():
+    """The six Gamma0((2))-inequivalent elliptic points for D=5.
+
+    Each entry is (rotation type, generator of the isotropy group); the
+    generators live in Gamma0((2)) of Q(sqrt(5)).  Coordinate pairs (u, v)
+    encode (u + v*sqrt(5))/2.
+    """
+    rows = [
+        ((2, 1, 1), ((2, 0), (-2, 0), (4, 0), (-2, 0))),
+        ((2, 1, 1), ((-2, 0), (-1, 1), (-2, -2), (2, 0))),
+        ((3, 1, 1), ((1, 1), (-2, 0), (4, 0), (1, -1))),
+        ((3, 1, 1), ((3, 1), (-2, 0), (6, 2), (-1, -1))),
+        ((3, 1, -1), ((1, -1), (-1, 1), (-2, -2), (1, 1))),
+        ((3, 1, -1), ((-1, -1), (-1, 1), (-8, -4), (3, 1))),
+    ]
+    return [(rtype, Mat2.from_pairs(5, pairs)) for rtype, pairs in rows]
+
+
+def isotropy_generators_d13_degree_one():
+    """The four Gamma0(P)-inequivalent elliptic points for D=13 with P the
+    norm-3 prime generated by an associate of 4+sqrt(13)."""
+    rows = [
+        ((3, 1, 1), ((-2, 0), (2, 0), (-6, 0), (4, 0))),
+        ((3, 1, 1), ((-1, 1), (-4, 0), (5, -1), (3, -1))),
+        ((3, 1, -1), ((4, 0), (-1, 1), (-1, -1), (-2, 0))),
+        ((3, 1, -1), ((5, 1), (3, 1), (-2, -2), (-3, -1))),
+    ]
+    return [(rtype, Mat2.from_pairs(13, pairs)) for rtype, pairs in rows]
+
+
+# ---------------------------------------------------------------------------
+# elliptic: random group elements and the projective fixed-point oracle
+# ---------------------------------------------------------------------------
 
 def rand_o_elt(F, rng, lim=2):
     return (FieldElement.from_int(rng.randint(-lim, lim), F.D)
@@ -206,8 +387,7 @@ def p1_fixed_count(g, P):
     for x, y in points:
         xi = R.add(R.mul(x, a), R.mul(y, c))
         yi = R.add(R.mul(x, b), R.mul(y, d))
-        cross = R.add(R.mul(xi, y), R.neg(R.mul(yi, x)))
-        if cross == R.zero:
+        if R.mul(xi, y) == R.mul(yi, x):
             count += 1
     return count
 

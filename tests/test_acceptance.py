@@ -27,7 +27,7 @@ from hmsurf.elliptic import (
     EllipticCounts,
     InconsistentCountsError,
     atkin_lehner_refine,
-    count_fixed_cosets,
+    root_count,
 )
 from hmsurf.field import make_field, split_prime
 from hmsurf.forms import h_definite
@@ -192,7 +192,9 @@ def test_criterion_7_elliptic_counts():
     for case in range(1000):
         F, P = setups[case % len(setups)]
         g = rand_elliptic(F, rng, steps=rng.randint(1, 4))
-        assert count_fixed_cosets(g, P) == p1_fixed_count(g, P), (case, F.D, P.p)
+        tr = g.trace_el()
+        assert tr.v == 0 and tr.u in (-2, 0, 2), (case, g)
+        assert root_count(tr.u // 2, P) == p1_fixed_count(g, P), (case, F.D, P.p)
 
     # involution bookkeeping identity on randomized consistent inputs
     F13 = make_field(13)

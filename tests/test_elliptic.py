@@ -10,36 +10,33 @@ from hmsurf.elliptic import (
     EllipticCounts,
     EllipticError,
     InconsistentCountsError,
-    Mat2,
-    NotEllipticError,
     atkin_lehner_refine,
     bounds_gamma0,
-    count_fixed_cosets,
     counts_full_group,
     counts_gamma0,
-    is_elliptic,
-    rotation_type,
+    root_count,
 )
 from hmsurf.field import FieldElement, FieldError, make_field, split_prime
 from hmsurf.forms import h_definite
 from hmsurf.ntheory import is_prime, kronecker
-from hmsurf.reference_data import (
-    AL_ACTION,
-    isotropy_generators_d5_p2,
-    isotropy_generators_d13_degree_one,
-)
+from hmsurf.reference_data import AL_ACTION
 
 from helpers import (
     CompletenessError,
+    Mat2,
+    NotEllipticError,
     certified_reps,
     counts_gamma0_from_reps,
     enumerate_elliptic_reps,
+    is_elliptic,
+    isotropy_generators_d5_p2,
+    isotropy_generators_d13_degree_one,
     mat,
     matrix_order,
     p1_fixed_count,
     psl_canonical_tuple,
-    rand_elliptic,
     rand_sl2,
+    rotation_type,
 )
 
 F5 = make_field(5)
@@ -111,52 +108,6 @@ def test_matrix_order():
         matrix_order(Mat2.identity(13))
     with pytest.raises(NotEllipticError):
         matrix_order(mat(13, 1, 1, 0, 1))
-
-
-# ---------------------------------------------------------------------------
-# fixed cosets vs the projective-line oracle
-# ---------------------------------------------------------------------------
-
-def _primes_for(F, ps=(2, 3, 5, 7, 11, 13)):
-    out = []
-    for p in ps:
-        out.extend(split_prime(F, p))
-    return out
-
-
-def test_count_fixed_cosets_vs_projective_oracle():
-    rng = random.Random(20240817)
-    fields = (F13, F17, F29)
-    primes = {F.D: _primes_for(F) for F in fields}
-    checked = 0
-    for _ in range(250):
-        F = rng.choice(fields)
-        g = rand_elliptic(F, rng)
-        P = rng.choice(primes[F.D])
-        assert count_fixed_cosets(g, P) == p1_fixed_count(g, P), (F.D, g, P)
-        checked += 1
-    assert checked == 250
-
-
-def test_elliptic_never_scalar_mod_p():
-    # b, c, a-d cannot all vanish mod P for a genuine unit-determinant
-    # elliptic element; the guard in count_fixed_cosets must stay dead code
-    rng = random.Random(5)
-    for F in (F13, F17, F29):
-        for P in _primes_for(F, (2, 3, 5)):
-            for _ in range(25):
-                g = rand_elliptic(F, rng)
-                vanished = (P.contains(g.b) and P.contains(g.c)
-                            and P.contains(g.a - g.d))
-                assert not vanished, (F.D, P, g)
-
-
-def test_count_fixed_cosets_rejects():
-    (P2,) = split_prime(F13, 2)
-    with pytest.raises(NotEllipticError):
-        count_fixed_cosets(mat(13, 1, 1, 0, 1), P2)  # parabolic
-    with pytest.raises(NotEllipticError):
-        count_fixed_cosets(mat(13, 2, 0, 0, 1), P2)  # det 2
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +198,6 @@ def test_counts_gamma0_frozen_values():
     assert (g03.a2, g03.a3_plus, g03.a3_minus) == (0, 2, 2)
 
 
-def test_counts_gamma0_are_coset_sums():
-    reps = certified_reps(13)
-    for P in split_prime(F13, 2) + split_prime(F13, 3) + split_prime(F13, 13):
-        g0 = counts_gamma0_from_reps(F13, P, reps)
-        by_type = {}
-        for rep in reps:
-            key = rep.rtype
-            by_type[key] = by_type.get(key, 0) + count_fixed_cosets(rep.matrix, P)
-        assert g0.a2 == by_type.get((2, 1, 1), 0)
-        assert g0.a3_plus == by_type.get((3, 1, 1), 0)
-        assert g0.a3_minus == by_type.get((3, 1, -1), 0)
-
-
 def _prime_ideals_upto(F, qmax):
     """Every prime ideal of norm <= qmax, both primes over a split p."""
     return [P for p in range(2, qmax + 1) if is_prime(p)
@@ -277,10 +215,13 @@ def test_counts_gamma0_matches_enumerator():
 
 
 def test_counts_gamma0_whole_table():
-    # exact `elliptic --disc D --prime-norm q` on every table D and every
-    # achievable q <= 200: counts within the bound-mode bounds, or the one
-    # known refusal, split_prime's search cap (never an internal failure)
-    for D in default_discriminants():
+    # exact `elliptic --disc D --prime-norm q` on D = 5, every table D and
+    # every achievable q <= 200: counts within the bound-mode bounds, or the
+    # one known refusal, split_prime's search cap (never an internal
+    # failure); root_count agrees with the projective-line oracle on the
+    # companion matrices (0 -1; 1 t), and D = 5 refuses exactly the levels
+    # where the order-5 trace omega has a root
+    for D in [5] + default_discriminants():
         F = make_field(D)
         for p in range(2, 201):
             if not is_prime(p) or (kronecker(D, p) == -1 and p * p > 200):
@@ -291,6 +232,15 @@ def test_counts_gamma0_whole_table():
                 assert "search cap" in str(exc), (D, p)
                 continue
             for P in primes:
+                for t in (0, 1, -1):
+                    assert root_count(t, P) == p1_fixed_count(mat(D, 0, -1, 1, t), P), (D, P, t)
+                if D == 5:
+                    order5 = p1_fixed_count(mat(D, 0, -1, 1, F.omega), P) > 0
+                    assert order5 == (P.q % 5 in (0, 1)), P
+                    if order5:
+                        with pytest.raises(EllipticError, match="orders 2 and 3"):
+                            counts_gamma0(F, P)
+                    continue  # the other D = 5 levels: matches_enumerator
                 counts = counts_gamma0(F, P)
                 bound = bounds_gamma0(F, P)
                 assert counts.a2 <= bound.a2, (D, P)

@@ -103,8 +103,11 @@ def test_readme_global_flags_match_parser():
 def test_public_names_resolve():
     for name in hmsurf.__all__:
         assert getattr(hmsurf, name) is not None, name
-    # the class enumerator is a test oracle (tests/helpers.py), not API
-    assert "counts_gamma0" in hmsurf.__all__
+    # the class enumerator and its matrices are test oracles
+    # (tests/helpers.py), not API
+    assert {"counts_gamma0", "root_count"} <= set(hmsurf.__all__)
     oracle = {"enumerate_elliptic_reps", "counts_gamma0_from_reps",
-              "CompletenessError", "EllipticClassRep", "matrix_order"}
+              "CompletenessError", "EllipticClassRep", "matrix_order",
+              "Mat2", "ResidueField", "count_fixed_cosets", "is_elliptic",
+              "rotation_type"}
     assert not oracle & set(hmsurf.__all__)
