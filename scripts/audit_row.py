@@ -18,6 +18,7 @@ from hmsurf.chern import (
     c2_lower_check,
     theorem_table,
 )
+from hmsurf.field import FieldError, make_field
 from hmsurf.ntheory import kronecker
 from hmsurf.reference_data import published_row
 
@@ -52,6 +53,11 @@ def main(argv=None) -> int:
                     help="audit a single degree instead of the row's landmarks")
     args = ap.parse_args(argv)
     D = args.disc
+    try:
+        make_field(D)  # the domain of `classify`: the table does not check it
+    except FieldError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     (row,) = theorem_table([D])
     print(f"D={D}: computed n_min={row.n_min}, "

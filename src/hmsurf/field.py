@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .ntheory import is_fundamental_discriminant, is_prime, is_square, kronecker
+from .forms import h_narrow_indefinite, unit_form_walk
+from .ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
 
 class FieldError(ValueError):
@@ -107,19 +108,6 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(-self.u, -self.v, self.D)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            inv = self.unit_inverse()
-            return inv ** (-k)
-        result = FieldElement.from_int(1, self.D)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def conjugate(self) -> "FieldElement":
         return FieldElement(self.u, -self.v, self.D)
 
@@ -128,29 +116,6 @@ class FieldElement:
 
     def trace(self) -> int:
         return self.u
-
-    def unit_inverse(self) -> "FieldElement":
-        """Inverse of a unit (norm +-1)."""
-        n = self.norm()
-        if n == 1:
-            return self.conjugate()
-        if n == -1:
-            return -self.conjugate()
-        raise ValueError(f"{self!r} is not a unit")
-
-    def divide_exact(self, other) -> "FieldElement | None":
-        """self/other if it lies in O_E, else None."""
-        o = self._coerce(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero element")
-        prod = self * o.conjugate()
-        if prod.u % n or prod.v % n:
-            return None
-        try:
-            return FieldElement(prod.u // n, prod.v // n, self.D)
-        except ValueError:
-            return None
 
     # -- exact order/sign features -------------------------------------------
 
@@ -206,76 +171,18 @@ class FieldElement:
         return f"({self.u}{self.v:+d}*sqrt{self.D})/2"
 
 
-# ---------------------------------------------------------------------------
-# fundamental unit by the classical (plus) continued fraction of omega
-# ---------------------------------------------------------------------------
-
-
-def _floor_quad(P: int, Q: int, D: int) -> int:
-    """Exact floor((P + sqrt(D))/Q) for nonsquare D > 0, Q != 0."""
-    s = isqrt(D)
-    if Q > 0:
-        return (P + s) // Q
-    return (-P - s - 1) // (-Q)
-
-
 def fundamental_unit(D: int) -> FieldElement:
-    """Fundamental unit eps > 1 of O_E via the continued fraction of omega.
+    """Fundamental unit eps > 1 of O_E, from the cycle of the principal form.
 
-    Runs the standard quadratic-irrational expansion until the (P, Q) state
-    repeats; the closing matrix identity yields a unit that generates the
-    stabilizer of the module Z + Z*omega = O_E, i.e. the fundamental unit up
-    to sign and inversion, which we then normalize to eps > 1.
+    The principal reduced form is (1, b, (b^2 - D)/4) with b the largest
+    b < sqrt(D), b = D mod 2.  The walk stops at the first form of leading
+    coefficient +-1, and the unit eta it gives generates the units modulo -1
+    (Buchmann & Vollmer ch. 6); eps is the largest of +-eta and +-eta'.
     """
-    if D % 2 == 1:
-        P0, Q0 = 1, 2
-    else:
-        P0, Q0 = 0, 2  # omega = sqrt(2) written over the sqrt(8) surd
-    # convergent matrices M_k = [[A_k, A_{k-1}], [B_k, B_{k-1}]]
-    mats = [(1, 0, 0, 1)]
-    seen: dict[tuple[int, int], int] = {}
-    P, Q = P0, Q0
-    for k in range(10 ** 6):
-        if (P, Q) in seen:
-            j = seen[(P, Q)]
-            break
-        seen[(P, Q)] = k
-        a = _floor_quad(P, Q, D)
-        A, Ap, B, Bp = mats[-1]
-        mats.append((a * A + Ap, A, a * B + Bp, B))
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    else:  # pragma: no cover
-        raise RuntimeError("continued fraction failed to cycle")
-    # alpha_j == alpha_k, so M_k * M_j^{-1} fixes omega: it is multiplication
-    # by a unit on Z + Z*omega.
-    A, Ap, B, Bp = mats[k]
-    a2, b2, c2, d2 = mats[j]
-    det = a2 * d2 - b2 * c2  # +-1
-    inv = (d2 * det, -b2 * det, -c2 * det, a2 * det)
-    g = (
-        A * inv[0] + Ap * inv[2],
-        A * inv[1] + Ap * inv[3],
-        B * inv[0] + Bp * inv[2],
-        B * inv[1] + Bp * inv[3],
-    )
-    # unit eta = c*omega + d from the bottom row of g
-    c, d = g[2], g[3]
-    if D % 2 == 1:
-        eta = FieldElement(2 * d + c, c, D)
-    else:
-        eta = FieldElement(2 * d, c, D)
-    one = FieldElement.from_int(1, D)
-    if eta.norm() not in (1, -1):  # pragma: no cover - algebra guarantees a unit
-        raise RuntimeError(f"continued fraction produced a non-unit for D={D}")
-    # normalize: eps > 1 under the first embedding
-    if eta.sign_at(0) < 0:
-        eta = -eta
-    if eta < one:
-        eta = eta.unit_inverse()
-        if eta.sign_at(0) < 0:
-            eta = -eta
-    return eta
+    s = isqrt(D)
+    b = s - (s - D) % 2
+    eta = FieldElement(*unit_form_walk((1, b, (b * b - D) // 4), D), D)
+    return max((eta, -eta, eta.conjugate(), -eta.conjugate()))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +225,6 @@ def make_field(D: int) -> FieldContext:
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)"
         )
-    from .forms import h_narrow_indefinite  # local import to avoid a cycle
-
     h_plus = h_narrow_indefinite(D)
     if h_plus != 1:
         raise NarrowClassError(f"D={D} has narrow class number {h_plus}, need 1")
@@ -351,89 +256,57 @@ class PrimeIdealData:
         return self.p ** self.f
 
 
-def _positive_generator_scan(x: FieldElement, eps: FieldElement, window: int = 64) -> FieldElement:
-    """Totally positive associate of x, canonicalized.
+def _positive_generator(x: FieldElement, F: FieldContext) -> FieldElement:
+    """The totally positive associate y of x with the least (|u|+|v|, u, v).
 
-    Scans +-x * eps^k for |k| <= window and returns the totally positive
-    candidate with the smallest coordinate pair (deterministic output).
+    After the norm is made positive, the totally positive associates are
+    y*eps_plus^k, whose embeddings s1*L^k and s2*L^-k (L = eps_plus > 1)
+    give |u| + |v| = s1*L^k + s2*L^-k + |s1*L^k - s2*L^-k|/sqrt(D).  Each
+    term is convex in real k (the last is |g| for an increasing g with
+    g'' = g*log(L)^2), the sum falls before the balance point s1*L^k =
+    s2*L^-k and rises after it, so the least key over all k is at one of
+    the two integers around that point.  The loops stop with v(y) < 0 <
+    v(y*eps_plus), i.e. s1 < s2 at y and s1 > s2 at y*eps_plus (v is never
+    0: N(y) = p is not a square).
     """
-    candidates = []
-    D = x.D
-    e = FieldElement.from_int(1, D)
-    powers = [e]
-    for _ in range(window):
-        powers.append(powers[-1] * eps)
-    inv = eps.unit_inverse()
-    cur = e
-    neg_powers = []
-    for _ in range(window):
-        cur = cur * inv
-        neg_powers.append(cur)
-    for unit in powers + neg_powers:
-        for sign in (1, -1):
-            y = x * unit if sign == 1 else -(x * unit)
-            if y.is_totally_positive():
-                candidates.append(y)
-    if not candidates:
-        raise FieldError(f"no totally positive associate of {x!r} in the unit window")
-    return min(candidates, key=lambda y: (abs(y.u) + abs(y.v), y.u, y.v))
-
-
-def _norm_equation(D: int, rhs: int, vmax: int) -> FieldElement | None:
-    """Smallest-|v| solution of N((u+v*sqrt D)/2) = +-rhs, i.e.
-    u^2 - v^2 D = +-4*rhs, with 0 <= v <= vmax; None if there is none."""
-    v = 0
-    while v <= vmax:
-        for s in (4 * rhs + v * v * D, -4 * rhs + v * v * D):
-            if s >= 0 and is_square(s):
-                u = isqrt(s)
-                if (u - v * D) % 2 == 0:
-                    x = FieldElement(u, v, D)
-                    if abs(x.norm()) == abs(rhs):
-                        return x
-        v += 1
-    return None
+    if x.norm() < 0:
+        if F.eps_norm != -1:
+            raise FieldError("cannot fix the norm sign without a norm -1 unit")
+        x = x * F.eps
+    y = x if x.u > 0 else -x
+    while y.v > 0:
+        y = y * F.eps_plus.conjugate()  # eps_plus^-1, as N(eps_plus) = 1
+    z = y * F.eps_plus
+    while z.v < 0:
+        y, z = z, z * F.eps_plus
+    return min((y, z), key=lambda w: (abs(w.u) + abs(w.v), w.u, w.v))
 
 
 def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
-    """All primes of O_E above the rational prime p with canonical generators."""
+    """All primes of O_E above the rational prime p with canonical generators.
+
+    A degree-one prime is (p, (b + sqrt(D))/2) with b = D mod 2 and
+    b^2 = D mod 4p; walking from the form (p, b, (b^2 - D)/4p) gives an
+    element of norm +-p, which h+ = 1 guarantees.
+    """
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
     D = F.D
     sym = kronecker(D, p)
     if sym == -1:
-        gen = FieldElement.from_int(p, D)
-        return (
-            PrimeIdealData(D=D, p=p, splitting="inert", f=2, generator=gen, omega_image=None),
-        )
-    # degree one: need an element of norm +-p.  One exists (h+ = 1), but its
-    # smallest v can exceed the search cap when the fundamental unit is large.
-    vmax = 4 * p + D
-    x = _norm_equation(D, p, vmax)
-    if x is None:
-        raise FieldError(f"no element of norm +-{p} found for D={D} within the "
-                         f"search cap v <= 4p + D = {vmax}")
-    if x.norm() < 0:
-        if F.eps_norm != -1:  # pragma: no cover
-            raise FieldError("cannot fix the norm sign without a norm -1 unit")
-        x = x * F.eps
-    gen = _positive_generator_scan(x, F.eps)
-    if sym == 0:
-        r = _omega_image_for(gen, p)
-        return (
-            PrimeIdealData(D=D, p=p, splitting="ramified", f=1, generator=gen, omega_image=r),
-        )
-    gen2 = _positive_generator_scan(gen.conjugate(), F.eps)
-    prim1 = PrimeIdealData(
-        D=D, p=p, splitting="split", f=1, generator=gen, omega_image=_omega_image_for(gen, p)
-    )
-    prim2 = PrimeIdealData(
-        D=D, p=p, splitting="split", f=1, generator=gen2, omega_image=_omega_image_for(gen2, p)
-    )
+        return (PrimeIdealData(D=D, p=p, splitting="inert", f=2,
+                               generator=FieldElement.from_int(p, D), omega_image=None),)
+    b = sqrt_mod(D, p)
+    b += p * ((b - D) % 2)
+    x = FieldElement(*unit_form_walk((p, b, (b * b - D) // (4 * p)), D), D)
+    gens = [_positive_generator(x, F)]
+    if sym == 1:
+        gens.append(_positive_generator(gens[0].conjugate(), F))
+    splitting = "split" if sym == 1 else "ramified"
+    primes = [PrimeIdealData(D=D, p=p, splitting=splitting, f=1, generator=g,
+                             omega_image=_omega_image_for(g, p)) for g in gens]
     # deterministic ordering: smaller omega image first
-    if prim2.omega_image < prim1.omega_image:
-        prim1, prim2 = prim2, prim1
-    return (prim1, prim2)
+    return tuple(sorted(primes, key=lambda P: P.omega_image))
 
 
 def _omega_image_for(gen: FieldElement, p: int) -> int:

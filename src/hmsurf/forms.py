@@ -90,19 +90,53 @@ def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
 
 
 def rho_step(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:
-    """Neighboring step on reduced indefinite forms: (a,b,c) -> (c,b',c')."""
+    """The reduction operator: (a,b,c) -> (c,b',c') with b' = -b mod 2|c|.
+
+    b' lies in (-|c|, |c|] when |c| > sqrt(D), else in (sqrt(D) - 2|c|, sqrt(D)).
+    The steps reach a reduced form, then run round its cycle (Buchmann &
+    Vollmer, Binary Quadratic Forms, 2007, ch. 6).
+    """
     _, b, c = form
     two_c = 2 * abs(c)
-    # b' = -b mod 2|c|, with sqrt(D) - 2|c| < b' < sqrt(D)
-    s = isqrt(D)
     b1 = (-b) % two_c
-    # lift b1 into the window (s - 2|c|, s]; D nonsquare so b' = s is fine as
-    # the topmost admissible representative of b' < sqrt(D)
-    b1 += ((s - b1) // two_c) * two_c
-    if b1 > s:
-        b1 -= two_c
+    if c * c > D:
+        if b1 > abs(c):
+            b1 -= two_c
+    else:
+        # lift b1 into the window (s - 2|c|, s]; D nonsquare so b' = s is
+        # fine as the topmost admissible representative of b' < sqrt(D)
+        s = isqrt(D)
+        b1 += ((s - b1) // two_c) * two_c
+        if b1 > s:
+            b1 -= two_c
     c1 = (b1 * b1 - D) // (4 * c)
     return (c, b1, c1)
+
+
+def unit_form_walk(form: tuple[int, int, int], D: int) -> tuple[int, int]:
+    """Walk rho steps from (a0, b, c) to a form (a', b', c') with a' = +-1.
+
+    A step is the substitution (x, y) -> (-y, x + t*y), t = (b + b')/(2c);
+    only the bottom row of their product M is kept.  (x, y) = (m11, -m10),
+    the first column of M^-1, has a'x^2 + b'xy + c'y^2 = a0, so (u, v) =
+    (2a'x + b'y, y) is an element (u + v*sqrt(D))/2 of norm a' * a0 = +-a0.
+    From the principal form this gives the fundamental unit; from (p, b, c)
+    it is the principal-ideal test by reduction (Buchmann & Vollmer ch. 6).
+    RuntimeError if a reduced form comes round again first.
+    """
+    seen: set[tuple[int, int, int]] = set()
+    m10, m11 = 0, 1
+    while True:
+        _, b, c = form
+        form = rho_step(form, D)
+        m10, m11 = m11, (b + form[1]) // (2 * c) * m11 - m10
+        a1, b1, _ = form
+        if abs(a1) == 1:
+            return (2 * a1 * m11 - b1 * m10, -m10)
+        if _is_reduced_indefinite(*form, D):
+            if form in seen:
+                raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
+            seen.add(form)
 
 
 def h_narrow_indefinite(D: int) -> int:

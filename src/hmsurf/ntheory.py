@@ -66,6 +66,27 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the prime p (Tonelli-Shanks); ValueError if none."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, r, t = i, b * b % p, r * b % p, t * b * b % p
+    return r
+
+
 def squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:

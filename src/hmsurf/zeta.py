@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .field import FieldContext, FieldElement, _floor_quad
+from .field import FieldContext, FieldElement
 from .ntheory import sigma0, sigma1
 
 
@@ -76,7 +76,9 @@ class QuadIrrational:
             raise ValueError(f"invalid state ({self.P}+sqrt{self.D})/{self.Q}")
 
     def floor(self) -> int:
-        return _floor_quad(self.P, self.Q, self.D)
+        """Exact floor((P + sqrt(D))/Q) for nonsquare D > 0."""
+        s = isqrt(self.D)
+        return (self.P + s) // self.Q if self.Q > 0 else (-self.P - s - 1) // -self.Q
 
     def ceil(self) -> int:
         # never an integer for nonsquare D

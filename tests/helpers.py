@@ -154,6 +154,14 @@ def real(x):
     return (x.u + x.v * sqrt(x.D)) / 2
 
 
+def divide_exact(x, y):
+    """x/y if it lies in O_E, else None; ZeroDivisionError for y = 0."""
+    n, prod = y.norm(), x * y.conjugate()
+    if prod.u % n or prod.v % n or (prod.u // n - prod.v // n * x.D) % 2:
+        return None
+    return FieldElement(prod.u // n, prod.v // n, x.D)
+
+
 # ---------------------------------------------------------------------------
 # elliptic: 2x2 matrices over O_E, rotation types and residue fields
 # ---------------------------------------------------------------------------
@@ -198,7 +206,9 @@ class Mat2:
 
     def inverse(self):
         """Inverse for unit determinant (all we ever need)."""
-        dinv = self.det().unit_inverse()
+        det = self.det()
+        assert abs(det.norm()) == 1, f"{det!r} is not a unit"
+        dinv = det.conjugate() * det.norm()
         return Mat2(self.d * dinv, -self.b * dinv, -self.c * dinv, self.a * dinv)
 
     def as_tuple(self):
@@ -473,7 +483,7 @@ def _conj_generators(F):
         Mat2(zero, -one, one, zero),           # inversion
         Mat2(one, one, zero, one),             # translation by 1
         Mat2(one, F.omega, zero, one),         # translation by omega
-        Mat2(F.eps, zero, zero, F.eps.unit_inverse()),  # unit scaling
+        Mat2(F.eps, zero, zero, F.eps.conjugate() * F.eps_norm),  # unit scaling
     ]
     gens += [g.inverse() for g in gens]
     return [(g, g.inverse()) for g in gens]
@@ -573,7 +583,7 @@ def enumerate_elliptic_reps(F, height_bound=4, ball_depth=3, coeff_cap=64):
         for c in nonzero:
             for d in box:
                 a = t - d
-                b = (a * d - one).divide_exact(c)
+                b = divide_exact(a * d - one, c)
                 if b is None:
                     continue
                 h = _descend(Mat2(a, b, c, d), moves)

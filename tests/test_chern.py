@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_prime
 from hmsurf.reference_data import published_discriminants, published_row
 from hmsurf.zeta import local_chern_divisor_sum
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,17 @@ def test_theorem_table_exclusion_logic():
 def test_theorem_table_small_window():
     rows = theorem_table(dmax=100)
     assert [r.D for r in rows] == [13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+
+
+def test_audit_row_script_refuses_what_classify_refuses(capsys):
+    spec = importlib.util.spec_from_file_location("audit_row", SCRIPTS / "audit_row.py")
+    audit_row = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit_row)
+    assert audit_row.main(["--disc", "109"]) == 0 and "c1^2" in capsys.readouterr().out
+    for D, reason in ((12, "supported shape"), (229, "narrow class number 3")):
+        assert audit_row.main(["--disc", str(D)]) == 2, D
+        out, err = capsys.readouterr()
+        assert out == "" and reason in err, D
 
 
 def test_published_rows_cover_table():

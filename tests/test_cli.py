@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_cli_zeta_and_cusp(capsys):
     assert z["zeta"] == [1, 6]
     c = run_json(capsys, "cusp", "--disc", "13")
     assert c["cycle"] == [5, 2, 2] and c["m"] == 3 and c["c"] == -3
+
+
+def test_cli_elliptic_any_prime_norm(capsys):
+    # both primes split at D = 769, whose eps has 51 bits, so elements of
+    # norm +-q have large coordinates; a norm above 10^18 is still quick
+    for q in (1000039, 10**18 + 3):
+        for mode in ("exact", "bound"):
+            start = time.perf_counter()
+            data = run_json(capsys, "elliptic", "--disc", "769", "--prime-norm",
+                            str(q), "--mode", mode)
+            assert time.perf_counter() - start < 1.0, (q, mode)
+            assert data["prime"]["norm"] == q and data["prime"]["splitting"] == "split"
 
 
 def test_cli_elliptic_full_group(capsys):

@@ -216,9 +216,8 @@ def test_counts_gamma0_matches_enumerator():
 
 def test_counts_gamma0_whole_table():
     # exact `elliptic --disc D --prime-norm q` on D = 5, every table D and
-    # every achievable q <= 200: counts within the bound-mode bounds, or the
-    # one known refusal, split_prime's search cap (never an internal
-    # failure); root_count agrees with the projective-line oracle on the
+    # every achievable q <= 200: counts within the bound-mode bounds;
+    # root_count agrees with the projective-line oracle on the
     # companion matrices (0 -1; 1 t), and D = 5 refuses exactly the levels
     # where the order-5 trace omega has a root
     for D in [5] + default_discriminants():
@@ -226,12 +225,7 @@ def test_counts_gamma0_whole_table():
         for p in range(2, 201):
             if not is_prime(p) or (kronecker(D, p) == -1 and p * p > 200):
                 continue
-            try:
-                primes = split_prime(F, p)
-            except FieldError as exc:
-                assert "search cap" in str(exc), (D, p)
-                continue
-            for P in primes:
+            for P in split_prime(F, p):
                 for t in (0, 1, -1):
                     assert root_count(t, P) == p1_fixed_count(mat(D, 0, -1, 1, t), P), (D, P, t)
                 if D == 5:
@@ -269,6 +263,9 @@ def test_counts_gamma0_refuses_small_or_unproved_fields():
     no_minus_unit = dataclasses.replace(F13, eps_norm=1)
     with pytest.raises(InconsistentCountsError, match="norm -1"):
         counts_gamma0(no_minus_unit, split_prime(F13, 3)[0])
+    # the walk from (3, 1, -1) gives norm -3, which only eps can fix
+    with pytest.raises(FieldError, match="norm -1 unit"):
+        split_prime(no_minus_unit, 3)
 
 
 def test_enumerated_types_pair_up_under_norm_minus_one_unit():

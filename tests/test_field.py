@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hmsurf.chern import default_discriminants
 from hmsurf.field import (
     FieldContext,
     FieldElement,
@@ -15,8 +16,9 @@ from hmsurf.field import (
     make_field,
     split_prime,
 )
+from hmsurf.ntheory import is_prime
 
-from helpers import ResidueField, real
+from helpers import ResidueField, divide_exact, real
 
 DISCS = (5, 8, 13, 17, 29)
 
@@ -51,31 +53,22 @@ def test_conjugation(D, n, m):
     assert x * xb == FieldElement.from_int(x.norm(), D)
 
 
-@given(disc, small, small, st.integers(0, 6))
-def test_pow(D, n, m, k):
-    x = elt(D, n, m)
-    acc = FieldElement.from_int(1, D)
-    for _ in range(k):
-        acc = acc * x
-    assert x**k == acc
-
-
 @given(disc, small, small, small, small)
 def test_divide_exact_roundtrip(D, n1, m1, n2, m2):
     x = elt(D, n1, m1)
     y = elt(D, n2, m2)
     if not y:
         return
-    assert (x * y).divide_exact(y) == x
+    assert divide_exact(x * y, y) == x
 
 
 def test_divide_exact_refuses():
     one = FieldElement.from_int(1, 13)
     two = FieldElement.from_int(2, 13)
-    assert one.divide_exact(two) is None
+    assert divide_exact(one, two) is None
     w = FieldElement.omega(13)
-    assert w.divide_exact(two) is None
-    assert (w * 2).divide_exact(two) == w
+    assert divide_exact(w, two) is None
+    assert divide_exact(w * 2, two) == w
 
 
 @given(disc, small, small)
@@ -105,14 +98,13 @@ def test_order_matches_first_embedding(D, n1, m1, n2, m2):
 
 def test_fundamental_units_frozen():
     # (u, v) encodes (u + v*sqrt(D))/2
-    expected = {5: (1, 1), 8: (2, 1), 13: (3, 1), 17: (8, 2), 29: (5, 1)}
+    expected = {5: (1, 1), 8: (2, 1), 13: (3, 1), 17: (8, 2), 29: (5, 1),
+                769: (32734748155099080, 1180445209689554)}
     for D, pair in expected.items():
         eps = fundamental_unit(D)
         assert eps.as_pair() == pair, D
         assert eps.norm() == -1, D
         assert eps.sign_at(0) > 0 and real(eps) > 1
-        inv = eps.unit_inverse()
-        assert eps * inv == FieldElement.from_int(1, D)
 
 
 def test_fundamental_unit_is_smallest():
@@ -161,20 +153,40 @@ def test_make_field_rejections(D, exc):
         make_field(D)
 
 
-def test_split_prime_shapes_d13():
-    F = make_field(13)
-    (p2,) = split_prime(F, 2)
-    assert p2.splitting == "inert" and p2.q == 4 and p2.omega_image is None
-    p3a, p3b = split_prime(F, 3)
-    assert {p3a.splitting, p3b.splitting} == {"split"}
-    assert sorted((p3a.omega_image, p3b.omega_image)) == [p3a.omega_image, p3b.omega_image]
-    assert p3a.omega_image != p3b.omega_image
-    assert abs(p3a.generator.norm()) == 3 and abs(p3b.generator.norm()) == 3
-    (p13,) = split_prime(F, 13)
-    assert p13.splitting == "ramified" and p13.q == 13
-    assert abs(p13.generator.norm()) == 13
-    pa, pb = split_prime(F, 17)
-    assert pa.splitting == "split" and pa.q == 17 and pb.q == 17
+def test_split_prime_frozen():
+    # frozen (splitting, q, generator, omega image): inert, ramified, split,
+    # p = 2 both ways, and the largest fundamental unit among the table D
+    frozen = {
+        (13, 2): [("inert", 4, 4, 0, None)],
+        (13, 13): [("ramified", 13, 13, -3, 7)],
+        (13, 3): [("split", 3, 5, -1, 0), ("split", 3, 5, 1, 1)],
+        (8, 2): [("ramified", 2, 4, -1, 0)],
+        (17, 2): [("split", 2, 5, 1, 0), ("split", 2, 5, -1, 1)],
+        (769, 3): [("split", 3, 68102706505996, 2455846407646, 0),
+                   ("split", 3, 68102706505996, -2455846407646, 1)],
+    }
+    for (D, p), want in frozen.items():
+        got = [(P.splitting, P.q, P.generator.u, P.generator.v, P.omega_image)
+               for P in split_prime(make_field(D), p)]
+        assert got == want, (D, p)
+
+
+def test_split_prime_whole_range():
+    # every D <= 10^4 with h+ = 1, every p < 200: a totally positive generator
+    # of norm p that neither neighbouring associate beats on the key, and two
+    # distinct omega images over a split p
+    for D in default_discriminants(10**4):
+        F = make_field(D)
+        for p in filter(is_prime, range(2, 200)):
+            primes = split_prime(F, p)
+            if primes[0].splitting == "inert":
+                continue
+            for P in primes:
+                g = P.generator
+                assert g.norm() == p and g.is_totally_positive(), (D, p)
+                neighbours = (g, g * F.eps_plus, g * F.eps_plus.conjugate())
+                assert min(neighbours, key=lambda z: (abs(z.u) + abs(z.v), z.u, z.v)) == g, (D, p)
+            assert len({P.omega_image for P in primes}) == len(primes), (D, p)
 
 
 def test_split_prime_rejects_composite():

@@ -10,6 +10,7 @@ from hmsurf.forms import (
     h_narrow_indefinite,
     reduced_indefinite_forms,
     rho_step,
+    unit_form_walk,
 )
 from hmsurf.ntheory import is_fundamental_discriminant
 
@@ -101,6 +102,14 @@ def test_rho_step_permutes_reduced_forms():
                 assert steps <= len(forms) + 1
                 if g == f:
                     break
+
+
+def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
+    # |c| > sqrt(D): b' = -b mod 2|c| is taken in (-|c|, |c|], not below sqrt(D)
+    assert rho_step((-17, -25, -9), 13) == (-9, 7, -1)
+    # h+(229) = 3: no form (+-1, b, c) lies on the cycle of (-9, 7, 5)
+    with pytest.raises(RuntimeError, match="cycle of"):
+        unit_form_walk((-9, 7, 5), 229)
 
 
 def test_reduced_forms_satisfy_window():

@@ -15,6 +15,7 @@ from hmsurf.ntheory import (
     prime_factors,
     sigma0,
     sigma1,
+    sqrt_mod,
     squarefree,
 )
 
@@ -35,6 +36,17 @@ def test_is_prime_carmichael_and_large():
 @given(st.integers(min_value=2, max_value=2**62))
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+def test_sqrt_mod_matches_brute_force():
+    for p in filter(is_prime, range(2, 200)):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, 2 * p):
+            if a % p in squares:
+                assert sqrt_mod(a, p) ** 2 % p == a % p, (a, p)
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod(a, p)
 
 
 def test_kronecker_odd_positive_vs_jacobi():

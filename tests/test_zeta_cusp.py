@@ -67,11 +67,12 @@ def test_minus_cf_cycles_small():
 
 
 def test_cycle_unit_is_trace_of_eps_plus():
-    # independent identity: the period matrix trace is the trace of the
-    # fundamental totally positive unit
-    for D in (5, 8, 13, 17, 29, 101, 853):
+    # independent identity: the minus continued fraction's period matrix has
+    # the trace of eps_plus = eps^2, for the unit walk's eps of norm -1
+    for D in [5, 8] + default_discriminants():
         eps = fundamental_unit(D)
-        eps_plus = eps * eps if eps.norm() == -1 else eps
+        assert eps.norm() == -1, D
+        eps_plus = eps * eps
         cyc = minus_cf_cycle(D)
         m = [[1, 0], [0, 1]]
         for b in cyc:
