@@ -35,6 +35,7 @@ from .elliptic import (
     bounds_gamma0,
     counts_full_group,
     counts_gamma0,
+    involution_action,
     root_count,
 )
 from .field import (
@@ -69,8 +70,9 @@ __all__ = [
     "c2_lower_check", "chern_numbers", "classify", "counts_full_group",
     "counts_gamma0", "curve_chern_integrality", "cusp_resolution",
     "default_discriminants", "fundamental_unit", "genus_gamma0_rational",
-    "h_bound", "h_definite", "h_narrow_indefinite", "load_config",
-    "local_chern_divisor_sum", "make_field", "root_count", "sigma_primes",
-    "split_prime", "table_diff", "theorem_table", "tree_center",
-    "verify_center_invariance", "verify_equidistance", "zeta_minus_one",
+    "h_bound", "h_definite", "h_narrow_indefinite", "involution_action",
+    "load_config", "local_chern_divisor_sum", "make_field", "root_count",
+    "sigma_primes", "split_prime", "table_diff", "theorem_table",
+    "tree_center", "verify_center_invariance", "verify_equidistance",
+    "zeta_minus_one",
 ]

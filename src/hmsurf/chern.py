@@ -26,6 +26,7 @@ from .elliptic import (
     EllipticCounts,
     atkin_lehner_refine,
     counts_gamma0,
+    involution_action,
 )
 from .field import FieldContext, make_field, split_prime
 from .forms import h_narrow_indefinite
@@ -45,7 +46,7 @@ class ChernError(ValueError):
 
 
 class ModeMixError(ChernError):
-    """Exact assembly fed with bound-mode counts, or the reverse."""
+    """Exact assembly fed with bound-mode counts or counts for the wrong group."""
 
 
 class HypothesisError(ChernError):
@@ -98,16 +99,12 @@ class ChernReport:
     notes: "tuple[str, ...]" = ()
 
 
-def chern_numbers(F, P, counts, cusp, zeta, mode: str = "exact", *,
-                  n: "int | None" = None, p_case: "str | None" = None,
-                  zeta_mode: "str | None" = None,
-                  precision_bits: int = 128) -> ChernReport:
-    """Assemble a ChernReport for the quotient surface of degree n = Nm(p)+1.
+def chern_numbers(F, P, counts, cusp, zeta, *, n: "int | None" = None) -> ChernReport:
+    """Exact ChernReport for the quotient surface of degree n = Nm(p)+1.
 
-    mode="exact" wants exact counts for the involution quotient plus the cusp
-    cycle and zeta value; mode="bound" ignores counts/cusp/zeta and runs the
-    certified estimate pipeline.  F and cusp may be None for degenerate test
-    inputs as long as n is passed explicitly.
+    Wants exact counts for the involution quotient plus the cusp cycle and
+    zeta value.  F and cusp may be None for degenerate test inputs as long
+    as n is passed explicitly.
     """
     if n is None:
         if P is None:
@@ -115,29 +112,12 @@ def chern_numbers(F, P, counts, cusp, zeta, mode: str = "exact", *,
         n = P.q + 1
     elif P is not None and n != P.q + 1:
         raise ChernError(f"n={n} disagrees with the prime of norm {P.q}")
-    if mode == "exact":
-        if counts is None or counts.mode != "exact":
-            raise ModeMixError("exact Chern assembly requires exact counts")
-        if counts.group_tag != "w_gamma0":
-            raise ModeMixError(
-                f"exact Chern assembly wants involution-quotient counts, got "
-                f"group_tag={counts.group_tag!r}")
-        return _exact_report(F, P, counts, cusp, zeta, n)
-    if mode == "bound":
-        if counts is not None and counts.mode == "exact":
-            raise ModeMixError("bound-mode assembly given exact counts; use mode='exact'")
-        D = F.D if isinstance(F, FieldContext) else F
-        if D is None and P is not None:
-            D = P.D
-        if not isinstance(D, int):
-            raise ChernError("bound mode needs the discriminant")
-        q = P.q if P is not None else n - 1
-        return _bound_report(D, n, q, p_case=p_case, zeta_mode=zeta_mode,
-                             precision_bits=precision_bits)
-    raise ChernError(f"unknown mode {mode!r}")
-
-
-def _exact_report(F, P, counts, cusp, zeta, n: int) -> ChernReport:
+    if counts is None or counts.mode != "exact":
+        raise ModeMixError("exact Chern assembly requires exact counts")
+    if counts.group_tag != "w_gamma0":
+        raise ModeMixError(
+            f"exact Chern assembly wants involution-quotient counts, got "
+            f"group_tag={counts.group_tag!r}")
     if zeta is None:
         raise ChernError("exact assembly needs zeta_E(-1)")
     zeta = Fraction(zeta)
@@ -281,7 +261,7 @@ def _resolve_prime(F: FieldContext, q: int):
     """The prime ideal of norm q, or raise if no such prime exists."""
     if q >= 2 and is_prime(q) and kronecker(F.D, q) >= 0:
         return split_prime(F, q)[0]
-    p = isqrt(q)
+    p = isqrt(max(q, 0))
     if p * p == q and is_prime(p) and kronecker(F.D, p) == -1:
         return split_prime(F, p)[0]
     raise ChernError(f"no prime of norm {q} in the field of discriminant {F.D}")
@@ -293,10 +273,11 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     """Full pipeline for one surface: field -> counts -> Chern -> verdict.
 
     F may be a FieldContext or a discriminant.  q is the norm of the prime.
-    mode="exact" runs the closed-form Gamma0(P) counts + involution refinement
-    and needs fixed-point data for the involution; mode="bound" runs the
-    certified estimates (there q need not be an achievable norm - degrees are
-    swept formally).
+    mode="exact" runs the closed-form Gamma0(P) counts + involution refinement;
+    it covers every prime except an inert (2) or (3) without fixed-point data
+    in reference_data.AL_ACTION (see involution_action).  mode="bound" runs
+    the certified estimates (there q need not be an achievable norm - degrees
+    are swept formally).
     """
     if isinstance(F, int):
         F = make_field(F)
@@ -306,19 +287,11 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     if mode != "exact":
         raise ChernError(f"unknown mode {mode!r}")
     P = _resolve_prime(F, q)
-    fixed = reference_data.AL_ACTION.get((F.D, P.p))
-    if fixed is None:
-        raise ChernError(
-            f"no involution fixed-point data for D={F.D}, p={P.p}; "
-            f"exact mode is only available for the tabulated surfaces")
+    fixed = involution_action(P)
     if new_order2 is not None:
         fixed = replace(fixed, new_order2=new_order2)
-    gamma0 = counts_gamma0(F, P)
-    refined = atkin_lehner_refine(gamma0, P, fixed=fixed,
-                                  precision_bits=precision_bits)
-    cusp = cusp_resolution(F)
-    return chern_numbers(F, P, refined, cusp, zeta_minus_one(F.D), mode="exact",
-                         precision_bits=precision_bits)
+    refined = atkin_lehner_refine(counts_gamma0(F, P), P, fixed=fixed)
+    return chern_numbers(F, P, refined, cusp_resolution(F), zeta_minus_one(F.D))
 
 
 @dataclass(frozen=True)
@@ -347,7 +320,7 @@ def norm_achievable(D: int, q: int) -> bool:
     """Whether q occurs as the norm of a prime ideal of the field."""
     if q >= 2 and is_prime(q):
         return kronecker(D, q) >= 0
-    p = isqrt(q)
+    p = isqrt(max(q, 0))
     return p * p == q and is_prime(p) and kronecker(D, p) == -1
 
 

@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import chern, config, elliptic, forms, reference_data, trees, zeta
+from . import chern, config, elliptic, forms, trees, zeta
 from .field import make_field
 from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
@@ -213,18 +213,10 @@ def _cmd_elliptic(args, cfg):
     if mode == "exact":
         counts = elliptic.counts_gamma0(F, P)
     else:
-        counts = elliptic.bounds_gamma0(F, P, method=args.method,
-                                        precision_bits=cfg.precision_bits)
+        counts = elliptic.bounds_gamma0(F, P)
     payload = {"D": F.D, "prime": _prime_json(P), "counts": _counts_json(counts)}
     if args.refine:
-        fixed = None
-        if mode == "exact":
-            fixed = reference_data.AL_ACTION.get((F.D, P.p))
-            if fixed is None:
-                raise config.ConfigError(
-                    f"no involution fixed-point data for D={F.D}, p={P.p}; "
-                    f"cannot refine exactly")
-        refined = elliptic.atkin_lehner_refine(counts, P, fixed=fixed,
+        refined = elliptic.atkin_lehner_refine(counts, P,
                                                precision_bits=cfg.precision_bits)
         payload["refined"] = _counts_json(refined)
     return payload
@@ -315,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--prime-norm", type=int, default=None)
     p.add_argument("--mode", choices=config.MODES, default=None)
-    p.add_argument("--method", choices=("classnumber", "analytic"),
-                   default="classnumber")
     p.add_argument("--refine", action="store_true",
                    help="also apply the involution refinement")
 
@@ -402,10 +392,12 @@ def _build_config(args) -> config.RunConfig:
     return cfg
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         return 0 if not exc.code else 2
     try:

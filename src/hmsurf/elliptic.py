@@ -20,8 +20,8 @@ class EllipticError(ValueError):
     """Base class for elliptic-point computation errors."""
 
 
-class InconsistentCountsError(EllipticError):
-    pass
+class InconsistentCountsError(RuntimeError):
+    """A parity or bookkeeping cross-check failed: a broken internal invariant."""
 
 
 def root_count(t: int, P: PrimeIdealData) -> int:
@@ -165,30 +165,19 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
                           mode="exact", group_tag="gamma0")
 
 
-def bounds_gamma0(F: FieldContext, P: PrimeIdealData,
-                  method: str = "classnumber",
-                  precision_bits: int = MIN_PRECISION_BITS) -> EllipticCounts:
+def bounds_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     """Upper bounds for Gamma0(P) counts, D > 12.
 
     Passing to Gamma0(P) multiplies each count by at most 3 (at most two
-    lower-triangular cosets fix a point, plus possibly the infinity coset).
-    method="classnumber" uses 3 * the exact full-group counts;
-    method="analytic" replaces the class numbers by sqrt(N) log(N) / pi.
+    lower-triangular cosets fix a point, plus possibly the infinity coset),
+    so the bounds are 3 * the exact full-group counts.
     """
     if F.D <= 12:
         raise EllipticError(f"bound lemmas need D > 12 (D={F.D})")
-    if method == "classnumber":
-        a2 = 3 * h_definite(4 * F.D)
-        a3p = Fraction(3 * h_definite(3 * F.D), 2)
-    elif method == "analytic":
-        a2 = 3 * h_bound(4 * F.D, precision_bits)
-        a3p = Fraction(3, 2) * h_bound(3 * F.D, precision_bits)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return EllipticCounts(
-        a2=a2, a3_plus=a3p, a3_minus=None,
-        mode="upper_bound", group_tag="gamma0",
-        notes=(f"method:{method}",),
+        a2=3 * h_definite(4 * F.D), a3_plus=Fraction(3 * h_definite(3 * F.D), 2),
+        a3_minus=None, mode="upper_bound", group_tag="gamma0",
+        notes=("method:classnumber",),
     )
 
 
@@ -209,6 +198,37 @@ class ALFixedPoints:
     new_order2: int | None = None
 
 
+def involution_action(P: PrimeIdealData) -> ALFixedPoints:
+    """How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points.
+
+    Lemma: the involution fixes a Gamma0(P) elliptic point only when P = (2)
+    or P = (3) is inert.  Suppose it fixes a point of order 2 (resp. 3).  Its
+    stabiliser in W.Gamma0(P) is cyclic of order 4 (resp. 6), generated by
+    some w not in Gamma0(P) with det w = pi*u, pi a totally positive
+    generator of P and u a unit, and tr(w)^2 = 2 det w (resp. 3 det w), as
+    the eigenvalue ratio of w is a primitive 4th (resp. 6th) root of unity.
+    The Atkin-Lehner coset has diagonal entries in P, so P | tr w, hence
+    P^2 | 2*pi*u (resp. 3*pi*u) and P | 2 (resp. 3).  Taking norms,
+    4q (resp. 9q) = Nm(tr w)^2 is a square, so q = p^2 and P is inert
+    (van der Geer, Hilbert Modular Surfaces, 1988, ch. I).
+
+    So at every other prime the involution fixes nothing, and only the count
+    of new order-2 points stays unknown.  At an inert (2) or (3) the action
+    comes from reference_data.AL_ACTION; a prime with no entry there is
+    refused.
+    """
+    if P.splitting != "inert" or P.p > 3:
+        return ALFixedPoints()
+    from .reference_data import AL_ACTION  # imports this module
+
+    fixed = AL_ACTION.get((P.D, P.p))
+    if fixed is None:
+        raise EllipticError(
+            f"no involution fixed-point data for D={P.D} at the inert prime "
+            f"({P.p}); the involution may fix elliptic points there")
+    return fixed
+
+
 def _half_exact(n: int, what: str) -> int:
     if n < 0 or n % 2:
         raise InconsistentCountsError(f"{what} = {n} is not an even nonnegative count")
@@ -224,6 +244,7 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
     points become order-6 points (possible only when P = (3) with 3 inert),
     fixed order-2 points become order-4 points (only when P = (2) with 2
     inert), and exchanged pairs descend to single points.  Exact mode
+    takes the action from involution_action(P) unless `fixed` is given, and
     enforces 2*a3_plus(W) + a6_plus(W) = a3_plus(Gamma0) and
     a4_plus + a4_minus <= a2(Gamma0).
     """
@@ -234,7 +255,7 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
     g0 = counts_gamma0
 
     if g0.mode == "exact":
-        fx = fixed or ALFixedPoints()
+        fx = involution_action(P) if fixed is None else fixed
         if not is_p3 and (fx.order3_fixed_plus or fx.order3_fixed_minus):
             raise InconsistentCountsError(
                 "order-3 points can only be fixed when P = (3) is inert"

@@ -1,10 +1,10 @@
 """Worked-example fixtures and the published classification table.
 
 Everything here is static data: how the Atkin-Lehner involution acts on the
-elliptic points of the small worked examples, the fixed-point class totals
-for D=5 (below the reach of the class-number formulas), and the published
-table of (D, n) conditions that the table pipeline reproduces and diffs
-against.
+elliptic points of the small worked examples at an inert (2), the
+fixed-point class totals for D=5 (below the reach of the class-number
+formulas), and the published table of (D, n) conditions that the table
+pipeline reproduces and diffs against.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ PSL_POINT_TOTALS = {
 
 
 # How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points of
-# the worked examples, keyed by (D, rational prime under P).  For both
-# D=5 and D=13 with P=(2): the involution fixes the two order-2 points
+# the worked examples at an inert (2) or (3), keyed by (D, p); at every
+# other prime it fixes nothing (elliptic.involution_action proves it).  For
+# both D=5 and D=13 with P=(2): the involution fixes the two order-2 points
 # (producing one (4;1,1) and one (4;1,-1) point) and exchanges the order-3
-# points pairwise.  For D=13 with P of norm 3 it exchanges everything.
+# points pairwise.
 AL_ACTION = {
     (5, 2): ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1),
     (13, 2): ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1),
-    (13, 3): ALFixedPoints(),
 }
 
 

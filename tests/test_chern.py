@@ -27,8 +27,8 @@ from hmsurf.chern import (
     table_diff,
     theorem_table,
 )
-from hmsurf.elliptic import EllipticCounts
-from hmsurf.field import UnsupportedShapeError
+from hmsurf.elliptic import EllipticCounts, EllipticError, counts_gamma0
+from hmsurf.field import UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_prime
 from hmsurf.reference_data import published_discriminants, published_row
@@ -104,10 +104,13 @@ def test_classify_never_general_type_on_nonpositive_c1sq():
 def test_classify_input_errors():
     with pytest.raises(ChernError, match="norm 6"):
         classify(13, 6)
+    with pytest.raises(ChernError, match="norm -5"):
+        classify(13, -5)
     with pytest.raises(ChernError):
         classify(13, 2)  # 2 is inert: the degree-one norm-2 prime does not exist
-    with pytest.raises(ChernError, match="involution"):
-        classify(17, 2)  # no stored involution action for this field
+    assert classify(17, 2).mode == "exact"  # the lemma settles a split (2)
+    with pytest.raises(EllipticError, match="involution"):
+        classify(29, 4)  # 2 is inert and its involution action is not stored
     with pytest.raises(UnsupportedShapeError):
         classify(12, 4)
     with pytest.raises(ChernError):
@@ -123,10 +126,6 @@ def test_chern_numbers_mode_mixing():
                                  mode="exact", group_tag="gamma0")
     with pytest.raises(ModeMixError):
         chern_numbers(None, None, wrong_level, None, Fraction(1, 6), n=5)
-    exact = EllipticCounts(a2=1, a3_plus=2, a3_minus=2,
-                           mode="exact", group_tag="w_gamma0")
-    with pytest.raises(ModeMixError):
-        chern_numbers(13, None, exact, None, Fraction(1, 6), mode="bound", n=5)
 
 
 def test_chern_numbers_trivial_zero_counts():
@@ -240,6 +239,34 @@ def test_bound_mode_never_beats_exact_mode():
     # the certified floor must sit at or below the true exact value
     for D, q in ((13, 4), (13, 3), (5, 4)):
         assert classify(D, q, mode="bound").c1_sq <= classify(D, q).c1_sq
+    # ... over every table D and every achievable prime norm q <= 200
+    classified = refused = exact_only = 0
+    for D in default_discriminants():
+        F = make_field(D)
+        for q in range(2, 201):
+            if not norm_achievable(D, q):
+                continue
+            p = math.isqrt(q) if math.isqrt(q) ** 2 == q else q
+            P = split_prime(F, p)[0]
+            inert23 = P.splitting == "inert" and p in (2, 3)
+            bound = classify(F, q, mode="bound")
+            try:
+                exact = classify(F, q)
+            except EllipticError as exc:
+                assert inert23 and "involution" in str(exc), (D, q)
+                refused += 1
+                continue
+            classified += 1
+            assert bound.c1_sq <= exact.c1_sq, (D, q)
+            if bound.verdict == "general_type":
+                assert exact.c1_sq > 0 and exact.verdict == "general_type", (D, q)
+            else:
+                exact_only += exact.verdict == "general_type"
+            if not inert23:  # the involution fixes nothing, pairs up the rest
+                g0, w = counts_gamma0(F, P), exact.counts
+                assert (w.a4_plus, w.a4_minus, w.a6_plus, w.a6_minus) == (0, 0, 0, 0)
+                assert 2 * w.a3_plus == g0.a3_plus and 2 * w.a3_minus == g0.a3_minus
+    assert (classified, refused, exact_only) == (1521, 70, 32)
 
 
 def test_norm_achievable():

@@ -1,9 +1,13 @@
+import contextlib
+import dataclasses
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hmsurf import cli
+from hmsurf import cli, elliptic
 from hmsurf.config import ConfigError, RunConfig, load_config, parse_config_lines
 from hmsurf.numeric import (
     MAX_PRECISION_BITS,
@@ -101,18 +105,62 @@ def test_cli_elliptic_bound_mode(capsys):
 
 
 def test_cli_elliptic_refine_needs_fixture(capsys):
-    # counts work for any prime, but only some have a stored involution action
-    code, _, err = run(capsys, "elliptic", "--disc", "13", "--prime-norm", "17",
-                       "--refine")
-    assert code == 2
-    assert "involution" in json.loads(err)["error"]["message"]
-    # the counts themselves need no fixture, for any table field
-    code, _, _ = run(capsys, "elliptic", "--disc", "17", "--prime-norm", "2")
+    # the involution fixes nothing away from an inert (2) or (3), so any
+    # other prime refines without stored data
+    for D, q in ((13, 17), (17, 2)):
+        data = run_json(capsys, "elliptic", "--disc", str(D), "--prime-norm",
+                        str(q), "--refine")
+        r, g0 = data["refined"]["entries"], data["counts"]["entries"]
+        assert r["a4_plus"] == r["a6_plus"] == 0 and 2 * r["a3_plus"] == g0["a3_plus"]
+        assert r["a2"] is None
+    # an inert (2) with no stored action is refused; its counts are not
+    code, _, _ = run(capsys, "elliptic", "--disc", "29", "--prime-norm", "4")
     assert code == 0
-    code, _, err = run(capsys, "elliptic", "--disc", "17", "--prime-norm", "2",
-                       "--refine")
-    assert code == 2
+    code, out, err = run(capsys, "elliptic", "--disc", "29", "--prime-norm", "4",
+                         "--refine")
+    assert code == 2 and out == ""
     assert "involution" in json.loads(err)["error"]["message"]
+
+
+def test_cli_elliptic_has_no_method_flag(capsys):
+    code, out, _ = run(capsys, "elliptic", "--help")
+    assert code == 0 and "--refine" in out and "--method" not in out
+
+
+def test_cli_failed_cross_check_exits_3(capsys, monkeypatch):
+    real = elliptic.counts_gamma0
+
+    def odd_a3(F, P):
+        return dataclasses.replace(real(F, P), a3_plus=3)
+
+    monkeypatch.setattr(elliptic, "counts_gamma0", odd_a3)
+    code, out, err = run(capsys, "elliptic", "--disc", "13", "--prime-norm", "17",
+                         "--refine")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "InconsistentCountsError"
+
+
+def test_cli_parser_is_reused_after_a_bad_flag(capsys):
+    argv = ("elliptic", "--disc", "13", "--prime-norm", "3", "--refine")
+    first = run(capsys, *argv)
+    assert run(capsys, "elliptic", "--disc", "13", "--no-such-flag")[0] == 2
+    assert run(capsys, *argv) == first and first[0] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(cmd=st.sampled_from(("elliptic", "classify")),
+       D=st.integers(-20, 900), q=st.integers(-5, 250),
+       refine=st.booleans(), mode=st.sampled_from((None, "exact", "bound")))
+def test_cli_exit_codes_fuzzed(cmd, D, q, refine, mode):
+    argv = [cmd, "--disc", str(D), "--prime-norm", str(q)]
+    if mode is not None:
+        argv += ["--mode", mode]
+    if refine and cmd == "elliptic":
+        argv.append("--refine")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
 
 
 def test_cli_classify_exact(capsys):

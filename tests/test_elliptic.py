@@ -14,6 +14,7 @@ from hmsurf.elliptic import (
     bounds_gamma0,
     counts_full_group,
     counts_gamma0,
+    involution_action,
     root_count,
 )
 from hmsurf.field import FieldElement, FieldError, make_field, split_prime
@@ -289,7 +290,7 @@ def test_refine_exact_fixtures():
     assert w2.a2 is None and w2.a6_plus == 0
 
     w3 = atkin_lehner_refine(counts_gamma0_from_reps(F13, P3, reps13), P3,
-                             AL_ACTION[(13, 3)])
+                             involution_action(P3))
     assert (w3.a3_plus, w3.a3_minus, w3.a4_plus, w3.a4_minus) == (1, 1, 0, 0)
 
     reps5 = certified_reps(5)
@@ -297,6 +298,35 @@ def test_refine_exact_fixtures():
     w5 = atkin_lehner_refine(counts_gamma0_from_reps(F5, P2_5, reps5), P2_5,
                              AL_ACTION[(5, 2)])
     assert (w5.a3_plus, w5.a3_minus, w5.a4_plus, w5.a4_minus) == (1, 1, 1, 1)
+
+
+def test_involution_action_follows_the_lemma():
+    # no fixed points away from an inert (2) or (3): split, ramified, and
+    # inert primes over p >= 5 alike
+    for F, p in ((F13, 3), (F13, 13), (F13, 17), (F13, 5), (F29, 5), (F5, 11)):
+        for P in split_prime(F, p):
+            assert involution_action(P) == ALFixedPoints(), (F.D, p)
+    # an inert (2) or (3) takes the stored action, or is refused
+    for F, p in ((F13, 2), (F5, 2)):
+        (P,) = split_prime(F, p)
+        assert involution_action(P) == AL_ACTION[(F.D, p)]
+    for F, p in ((F29, 2), (F29, 3), (F5, 3)):
+        (P,) = split_prime(F, p)
+        with pytest.raises(EllipticError, match="involution"):
+            involution_action(P)
+
+
+def test_refine_defaults_to_involution_action():
+    # exact mode: the stored action at the inert (2), so a4 = (1, 1) here
+    (P2,) = split_prime(F13, 2)
+    w = atkin_lehner_refine(counts_gamma0_from_reps(F13, P2, certified_reps(13)), P2)
+    assert (w.a3_plus, w.a3_minus, w.a4_plus, w.a4_minus) == (2, 2, 1, 1)
+    # exact mode refuses an inert (2) without data; bound mode never asks
+    (P2_29,) = split_prime(F29, 2)
+    g0 = EllipticCounts(a2=2, a3_plus=2, a3_minus=2, mode="exact", group_tag="gamma0")
+    with pytest.raises(EllipticError, match="involution"):
+        atkin_lehner_refine(g0, P2_29)
+    assert atkin_lehner_refine(bounds_gamma0(F29, P2_29), P2_29).mode == "upper_bound"
 
 
 def test_refine_relation_on_exact_inputs():
@@ -373,15 +403,11 @@ def test_bounds_gamma0_values_and_ordering():
     b = bounds_gamma0(F13, P2)
     assert b.mode == "upper_bound" and b.group_tag == "gamma0"
     assert b.a2 == 6 and b.a3_plus == 6 and b.a3_minus is None
-    ba = bounds_gamma0(F13, P2, method="analytic")
-    assert ba.a2 >= b.a2 and ba.a3_plus >= b.a3_plus
     # genuine upper bounds for the exact congruence-level counts
     g0 = counts_gamma0_from_reps(F13, P2, certified_reps(13))
     assert g0.a2 <= b.a2 and g0.a3_plus <= b.a3_plus and g0.a3_minus <= b.a3_plus
     with pytest.raises(EllipticError):
         bounds_gamma0(F5, split_prime(F5, 2)[0])
-    with pytest.raises(ValueError):
-        bounds_gamma0(F13, P2, method="banana")
 
 
 def test_refine_bound_mode():
