@@ -15,19 +15,14 @@ helpers (modular-curve genus, integrality bookkeeping, adjunction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from mpmath import iv
 
 from . import reference_data
-from .elliptic import (
-    EllipticCounts,
-    atkin_lehner_refine,
-    counts_gamma0,
-    involution_action,
-)
+from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
 from .field import FieldContext, make_field, split_prime
 from .forms import h_narrow_indefinite
 from .ntheory import divisors, euler_phi, is_prime, kronecker, prime_factors
@@ -268,14 +263,13 @@ def _resolve_prime(F: FieldContext, q: int):
 
 
 def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
-             new_order2: "int | None" = None,
              precision_bits: int = 128) -> ChernReport:
     """Full pipeline for one surface: field -> counts -> Chern -> verdict.
 
     F may be a FieldContext or a discriminant.  q is the norm of the prime.
-    mode="exact" runs the closed-form Gamma0(P) counts + involution refinement;
-    it covers every prime except an inert (2) or (3) without fixed-point data
-    in reference_data.AL_ACTION (see involution_action).  mode="bound" runs
+    mode="exact" runs the closed-form Gamma0(P) counts + involution refinement
+    (the action in closed form, see involution_action); it covers every
+    prime except D=5's order-5 levels, q = 0 or 1 mod 5.  mode="bound" runs
     the certified estimates (there q need not be an achievable norm - degrees
     are swept formally).
     """
@@ -287,10 +281,7 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     if mode != "exact":
         raise ChernError(f"unknown mode {mode!r}")
     P = _resolve_prime(F, q)
-    fixed = involution_action(P)
-    if new_order2 is not None:
-        fixed = replace(fixed, new_order2=new_order2)
-    refined = atkin_lehner_refine(counts_gamma0(F, P), P, fixed=fixed)
+    refined = atkin_lehner_refine(counts_gamma0(F, P), P)
     return chern_numbers(F, P, refined, cusp_resolution(F), zeta_minus_one(F.D))
 
 

@@ -14,6 +14,7 @@ from .field import FieldContext, PrimeIdealData
 from .forms import h_bound, h_definite
 from .ntheory import kronecker
 from .numeric import MIN_PRECISION_BITS
+from .reference_data import PSL_POINT_TOTALS
 
 
 class EllipticError(ValueError):
@@ -149,8 +150,6 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
         raise InconsistentCountsError(
             f"D={F.D} has no unit of norm -1: the a3 plus/minus split is unproved")
     if F.D == 5:
-        from .reference_data import PSL_POINT_TOTALS  # imports this module
-
         if P.q % 5 in (0, 1):
             raise EllipticError(
                 f"order-5 points meet Gamma0(P) for D=5, norm {P.q}; only "
@@ -198,41 +197,48 @@ class ALFixedPoints:
     new_order2: int | None = None
 
 
-def involution_action(P: PrimeIdealData) -> ALFixedPoints:
-    """How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points.
-
-    Lemma: the involution fixes a Gamma0(P) elliptic point only when P = (2)
-    or P = (3) is inert.  Suppose it fixes a point of order 2 (resp. 3).  Its
-    stabiliser in W.Gamma0(P) is cyclic of order 4 (resp. 6), generated by
-    some w not in Gamma0(P) with det w = pi*u, pi a totally positive
-    generator of P and u a unit, and tr(w)^2 = 2 det w (resp. 3 det w), as
-    the eigenvalue ratio of w is a primitive 4th (resp. 6th) root of unity.
-    The Atkin-Lehner coset has diagonal entries in P, so P | tr w, hence
-    P^2 | 2*pi*u (resp. 3*pi*u) and P | 2 (resp. 3).  Taking norms,
-    4q (resp. 9q) = Nm(tr w)^2 is a square, so q = p^2 and P is inert
-    (van der Geer, Hilbert Modular Surfaces, 1988, ch. I).
-
-    So at every other prime the involution fixes nothing, and only the count
-    of new order-2 points stays unknown.  At an inert (2) or (3) the action
-    comes from reference_data.AL_ACTION; a prime with no entry there is
-    refused.
-    """
-    if P.splitting != "inert" or P.p > 3:
-        return ALFixedPoints()
-    from .reference_data import AL_ACTION  # imports this module
-
-    fixed = AL_ACTION.get((P.D, P.p))
-    if fixed is None:
-        raise EllipticError(
-            f"no involution fixed-point data for D={P.D} at the inert prime "
-            f"({P.p}); the involution may fix elliptic points there")
-    return fixed
-
-
 def _half_exact(n: int, what: str) -> int:
     if n < 0 or n % 2:
         raise InconsistentCountsError(f"{what} = {n} is not an even nonnegative count")
     return n // 2
+
+
+def involution_action(P: PrimeIdealData, g0: EllipticCounts) -> ALFixedPoints:
+    """How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points.
+
+    g0 are the exact Gamma0(P) counts.  Lemma: the involution fixes a
+    Gamma0(P) elliptic point only when P = (2) or P = (3) is inert.  Suppose
+    it fixes a point of order 2 (resp. 3).  Its stabiliser in W.Gamma0(P) is
+    cyclic of order 4 (resp. 6), generated by some w not in Gamma0(P) with
+    det w = pi*u, pi a totally positive generator of P and u a unit, and
+    tr(w)^2 = 2 det w (resp. 3 det w), as the eigenvalue ratio of w is a
+    primitive 4th (resp. 6th) root of unity.  The Atkin-Lehner coset has
+    diagonal entries in P, so P | tr w, hence P^2 | 2*pi*u (resp. 3*pi*u)
+    and P | 2 (resp. 3).  Taking norms, 4q (resp. 9q) = Nm(tr w)^2 is a
+    square, so q = p^2 and P is inert (van der Geer, Hilbert Modular
+    Surfaces, 1988, ch. I).  So at every other prime the involution fixes
+    nothing, and only the count of new order-2 points stays unknown.
+
+    At an inert (2) it fixes every order-2 point.  Take g in Gamma0((2)) of
+    order 2: its characteristic polynomial is x^2 + 1 = (x + 1)^2 mod 2, and
+    g is upper triangular mod P with the roots on its diagonal, so
+    a = d = 1 mod P.  Then 1 + g has its diagonal and lower-left entries in
+    P and det(1 + g) = 2 + tr g = 2, so it lies in the Atkin-Lehner coset;
+    it commutes with g, so it fixes g's point.  At an inert (3) the same
+    holds for g of order 3 and trace t = +-1: the polynomial is (x + t)^2
+    mod 3, and 1 + t*g has det 1 + 2t^2 = 3.  The lemma rules out every
+    other fixed type.  The norm -1 symmetry of counts_gamma0 maps the
+    fixed (n;1,b) points onto the fixed (n;1,-b) ones, so
+    a4_plus = a4_minus = a2(Gamma0)/2 at an inert (2), and
+    a6_plus = a3_plus(Gamma0), a6_minus = a3_minus(Gamma0) at an inert (3).
+    """
+    if P.splitting != "inert" or P.p > 3:
+        return ALFixedPoints()
+    if P.p == 2:
+        a4 = _half_exact(g0.a2, "a2(Gamma0) at an inert (2)")
+        return ALFixedPoints(order2_to_4_plus=a4, order2_to_4_minus=a4)
+    return ALFixedPoints(order3_fixed_plus=g0.a3_plus,
+                         order3_fixed_minus=g0.a3_minus)
 
 
 def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
@@ -244,8 +250,8 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
     points become order-6 points (possible only when P = (3) with 3 inert),
     fixed order-2 points become order-4 points (only when P = (2) with 2
     inert), and exchanged pairs descend to single points.  Exact mode
-    takes the action from involution_action(P) unless `fixed` is given, and
-    enforces 2*a3_plus(W) + a6_plus(W) = a3_plus(Gamma0) and
+    takes the action from involution_action(P, counts_gamma0) unless `fixed`
+    is given, and enforces 2*a3_plus(W) + a6_plus(W) = a3_plus(Gamma0) and
     a4_plus + a4_minus <= a2(Gamma0).
     """
     if counts_gamma0.group_tag != "gamma0":
@@ -255,7 +261,7 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
     g0 = counts_gamma0
 
     if g0.mode == "exact":
-        fx = involution_action(P) if fixed is None else fixed
+        fx = involution_action(P, g0) if fixed is None else fixed
         if not is_p3 and (fx.order3_fixed_plus or fx.order3_fixed_minus):
             raise InconsistentCountsError(
                 "order-3 points can only be fixed when P = (3) is inert"

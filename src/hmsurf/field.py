@@ -114,9 +114,6 @@ class FieldElement:
     def norm(self) -> int:
         return (self.u * self.u - self.v * self.v * self.D) // 4
 
-    def trace(self) -> int:
-        return self.u
-
     # -- exact order/sign features -------------------------------------------
 
     def is_zero(self) -> bool:
@@ -143,9 +140,6 @@ class FieldElement:
             return 0
         bigger_rational = lhs > rhs
         return (1 if bigger_rational else -1) if u > 0 else (-1 if bigger_rational else 1)
-
-    def is_totally_positive(self) -> bool:
-        return self.sign_at(0) > 0 and self.sign_at(1) > 0
 
     def compare(self, other) -> int:
         """Exact comparison under the first embedding."""
@@ -203,12 +197,6 @@ class FieldContext:
     @property
     def omega(self) -> FieldElement:
         return FieldElement.omega(self.D)
-
-    def one(self) -> FieldElement:
-        return FieldElement.from_int(1, self.D)
-
-    def element(self, u: int, v: int) -> FieldElement:
-        return FieldElement(u, v, self.D)
 
 
 def make_field(D: int) -> FieldContext:

@@ -1,37 +1,15 @@
-"""Worked-example fixtures and the published classification table.
+"""Static data: the D=5 fixed-point class totals and the published table.
 
-Everything here is static data: how the Atkin-Lehner involution acts on the
-elliptic points of the small worked examples at an inert (2), the
-fixed-point class totals for D=5 (below the reach of the class-number
-formulas), and the published table of (D, n) conditions that the table
-pipeline reproduces and diffs against.
+The D=5 totals sit below the reach of the class-number formulas; the
+published table of (D, n) conditions is what the table pipeline reproduces
+and diffs against.
 """
-
-from __future__ import annotations
-
-from .elliptic import ALFixedPoints
-
-# ---------------------------------------------------------------------------
-# small-discriminant fixed-point catalogues
-# ---------------------------------------------------------------------------
 
 # PSL2(O) fixed-point class totals by isotropy order.  D=5 sits below the
 # D > 12 threshold of the count formulas, so its totals are pinned here for
 # counts_gamma0 (and certify the test-side class enumerator).
 PSL_POINT_TOTALS = {
     5: {2: 2, 3: 2, 5: 2},
-}
-
-
-# How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points of
-# the worked examples at an inert (2) or (3), keyed by (D, p); at every
-# other prime it fixes nothing (elliptic.involution_action proves it).  For
-# both D=5 and D=13 with P=(2): the involution fixes the two order-2 points
-# (producing one (4;1,1) and one (4;1,-1) point) and exchanges the order-3
-# points pairwise.
-AL_ACTION = {
-    (5, 2): ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1),
-    (13, 2): ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1),
 }
 
 

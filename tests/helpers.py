@@ -234,7 +234,7 @@ def mat(D, a, b, c, d):
 def is_elliptic(g):
     """Totally positive determinant and tr^2 < 4 det at both real places."""
     det = g.det()
-    if not det.is_totally_positive():
+    if det.sign_at(0) <= 0 or det.sign_at(1) <= 0:
         return False
     t = g.trace_el()
     disc = t * t - 4 * det
@@ -471,14 +471,14 @@ def _elliptic_traces(D):
     for t in _field_box(D, 2):
         if t.sign_at(0) < 0:
             continue  # -t is scanned instead; g and -g agree in PSL2
-        if (two - t).is_totally_positive() and (two + t).is_totally_positive():
+        if all(x.sign_at(j) > 0 for x in (two - t, two + t) for j in (0, 1)):
             traces.append(t)
     return traces
 
 
 def _conj_generators(F):
     zero = FieldElement.from_int(0, F.D)
-    one = F.one()
+    one = FieldElement.from_int(1, F.D)
     gens = [
         Mat2(zero, -one, one, zero),           # inversion
         Mat2(one, one, zero, one),             # translation by 1
@@ -494,8 +494,10 @@ def _size(g):
 
 
 def _descend(g, moves):
-    """Greedy conjugation descent to a local minimum of _size."""
+    """Greedy conjugation descent to a local minimum h of _size; returns h
+    and the conjugator delta with h = delta * g * delta^-1."""
     best, best_size = g, _size(g)
+    delta = Mat2.identity(g.a.D)
     improved = True
     while improved:
         improved = False
@@ -503,9 +505,9 @@ def _descend(g, moves):
             h = gamma * best * gamma_inv
             hs = _size(h)
             if hs < best_size:
-                best, best_size = h, hs
+                best, best_size, delta = h, hs, gamma * delta
                 improved = True
-    return best
+    return best, delta
 
 
 def _conjugation_ball(F, depth, coeff_cap):
@@ -565,7 +567,7 @@ def enumerate_elliptic_reps(F, height_bound=4, ball_depth=3, coeff_cap=64):
     ball = _conjugation_ball(F, ball_depth, coeff_cap)
     box = _field_box(D, height_bound)
     nonzero = [x for x in box if x]
-    one = F.one()
+    one = FieldElement.from_int(1, F.D)
 
     classes = []   # (representative, order)
     registry = {}  # canonical tuple of a known conjugate/power -> class index
@@ -586,7 +588,7 @@ def enumerate_elliptic_reps(F, height_bound=4, ball_depth=3, coeff_cap=64):
                 b = divide_exact(a * d - one, c)
                 if b is None:
                     continue
-                h = _descend(Mat2(a, b, c, d), moves)
+                h, _ = _descend(Mat2(a, b, c, d), moves)
                 key = psl_canonical_tuple(h)
                 if key in registry:
                     continue
@@ -644,3 +646,76 @@ def counts_gamma0_from_reps(F, P, reps):
         a3_minus=totals.get((3, 1, -1), 0),
         mode="exact", group_tag="gamma0",
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _ball_targets(F, reps, ball_depth, coeff_cap):
+    """The conjugation ball, and each ball conjugate of a catalogue generator
+    mapped to (index, inverse conjugator)."""
+    ball = _conjugation_ball(F, ball_depth, coeff_cap)
+    targets = {}
+    for i, rep in enumerate(reps):
+        for power in _generator_powers(rep.matrix, rep.order):
+            for gamma, gamma_inv in ball:
+                targets.setdefault(psl_canonical_tuple(gamma * power * gamma_inv),
+                                   (i, gamma_inv))
+    return ball, targets
+
+
+def psl_class_of(F, h, reps, ball_depth=3, coeff_cap=64):
+    """(i, delta): delta in SL2(O) conjugates the elliptic h into the isotropy
+    group of reps[i], so delta maps the fixed point of h to that of reps[i].
+
+    The same descent and conjugation ball the enumerator merges classes with:
+    a ball conjugate of the descended h meets a ball conjugate of a generator.
+    Raises CompletenessError if the ball is too small to find delta.
+    """
+    ball, targets = _ball_targets(F, reps, ball_depth, coeff_cap)
+    h, delta = _descend(h, _conj_generators(F))
+    for gamma, gamma_inv in ball:
+        hit = targets.get(psl_canonical_tuple(gamma * h * gamma_inv))
+        if hit is not None:
+            return hit[0], hit[1] * gamma * delta
+    raise CompletenessError(f"{h!r} is not conjugate to a catalogue generator "
+                            f"within depth {ball_depth}")
+
+
+def atkin_lehner_fixed_classes(F, P, w, reps):
+    """Rotation type -> number of Gamma0(P) elliptic classes that w fixes.
+
+    w is any matrix of the Atkin-Lehner coset.  A Gamma0(P) class is a
+    catalogue generator g with a line L of P^1(O/P) that g fixes: the point
+    gamma*z_g for gamma in SL2(O) with bottom row on L, since the cosets
+    Gamma0(P)*gamma are the bottom rows mod P.  Here gamma is (0 -1; 1 x)
+    for L = (1 : x) and the identity for L = (0 : 1).  w*gamma*z_g is fixed
+    by h = (w gamma) g (w gamma)^-1; psl_class_of gives delta with
+    w*gamma*z_g = delta^-1 z_i, so the image class is reps[i] with the
+    bottom row of delta^-1.
+    """
+    R = ResidueField(P)
+
+    def lift(e):  # e0 + e1*theta back to O, theta the class of omega
+        return FieldElement.from_int(e % R.p, F.D) + F.omega * (e // R.p)
+
+    def same_line(r1, r2):
+        return R.mul(r1[0], r2[1]) == R.mul(r1[1], r2[0])
+
+    def bottom(g):
+        return (R.reduce(g.c), R.reduce(g.d))
+
+    lines = [(0, 1)] + [(1, x) for x in R.elements()]
+    det = w.det()
+    fixed = {}
+    for i, rep in enumerate(reps):
+        g = rep.matrix
+        for line in lines:
+            gamma = Mat2.identity(F.D) if line == (0, 1) else mat(F.D, 0, -1, 1, lift(line[1]))
+            if not same_line(bottom(gamma * g), line):
+                continue  # gamma*z_g is not elliptic for Gamma0(P)
+            wg = w * gamma
+            num = wg * g * Mat2(wg.d, -wg.b, -wg.c, wg.a)  # times adj(wg) = det(wg) wg^-1
+            h = Mat2(*(divide_exact(x, det) for x in (num.a, num.b, num.c, num.d)))
+            j, delta = psl_class_of(F, h, reps)
+            if j == i and same_line(bottom(delta.inverse()), line):
+                fixed[rep.rtype] = fixed.get(rep.rtype, 0) + 1
+    return fixed

@@ -32,7 +32,7 @@ from hmsurf.elliptic import (
 from hmsurf.field import make_field, split_prime
 from hmsurf.forms import h_definite
 from hmsurf.ntheory import is_fundamental_discriminant
-from hmsurf.reference_data import AL_ACTION, published_row
+from hmsurf.reference_data import published_row
 from hmsurf.trees import GroupAction, tree_center, verify_center_invariance, verify_equidistance
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -229,8 +229,7 @@ def test_criterion_7_elliptic_counts():
     assert tried >= 100
 
     reps = enumerate_elliptic_reps(F13)
-    w = atkin_lehner_refine(counts_gamma0_from_reps(F13, P2_13, reps), P2_13,
-                            AL_ACTION[(13, 2)])
+    w = atkin_lehner_refine(counts_gamma0_from_reps(F13, P2_13, reps), P2_13)
     assert (w.a3_plus, w.a3_minus, w.a4_plus, w.a4_minus) == (2, 2, 1, 1)
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,12 +28,18 @@ from hmsurf.chern import (
     table_diff,
     theorem_table,
 )
-from hmsurf.elliptic import EllipticCounts, EllipticError, counts_gamma0
+from hmsurf.elliptic import (
+    EllipticCounts,
+    EllipticError,
+    atkin_lehner_refine,
+    counts_gamma0,
+    involution_action,
+)
 from hmsurf.field import UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_prime
 from hmsurf.reference_data import published_discriminants, published_row
-from hmsurf.zeta import local_chern_divisor_sum
+from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -89,7 +96,12 @@ def test_twelve_chi_identity():
 
 
 def test_classify_with_new_order2_is_constant():
-    rep = classify(13, 4, new_order2=6)
+    F = make_field(13)
+    (P,) = split_prime(F, 2)
+    g0 = counts_gamma0(F, P)
+    fixed = replace(involution_action(P, g0), new_order2=6)
+    rep = chern_numbers(F, P, atkin_lehner_refine(g0, P, fixed=fixed),
+                        cusp_resolution(F), zeta_minus_one(F.D))
     assert rep.chi.is_constant and rep.chi.as_fraction() == 2
     assert rep.c2.as_fraction() == 27
     assert rep.verdict == "inconclusive"  # c1^2 is still negative
@@ -109,8 +121,10 @@ def test_classify_input_errors():
     with pytest.raises(ChernError):
         classify(13, 2)  # 2 is inert: the degree-one norm-2 prime does not exist
     assert classify(17, 2).mode == "exact"  # the lemma settles a split (2)
-    with pytest.raises(EllipticError, match="involution"):
-        classify(29, 4)  # 2 is inert and its involution action is not stored
+    # an inert (2) or (3) takes the action in closed form
+    assert classify(29, 4).mode == classify(29, 9).mode == "exact"
+    with pytest.raises(EllipticError, match="orders 2 and 3"):
+        classify(5, 11)  # order-5 points meet Gamma0(P) for D=5 at q = 1 mod 5
     with pytest.raises(UnsupportedShapeError):
         classify(12, 4)
     with pytest.raises(ChernError):
@@ -240,7 +254,7 @@ def test_bound_mode_never_beats_exact_mode():
     for D, q in ((13, 4), (13, 3), (5, 4)):
         assert classify(D, q, mode="bound").c1_sq <= classify(D, q).c1_sq
     # ... over every table D and every achievable prime norm q <= 200
-    classified = refused = exact_only = 0
+    classified = exact_only = 0
     for D in default_discriminants():
         F = make_field(D)
         for q in range(2, 201):
@@ -250,12 +264,7 @@ def test_bound_mode_never_beats_exact_mode():
             P = split_prime(F, p)[0]
             inert23 = P.splitting == "inert" and p in (2, 3)
             bound = classify(F, q, mode="bound")
-            try:
-                exact = classify(F, q)
-            except EllipticError as exc:
-                assert inert23 and "involution" in str(exc), (D, q)
-                refused += 1
-                continue
+            exact = classify(F, q)
             classified += 1
             assert bound.c1_sq <= exact.c1_sq, (D, q)
             if bound.verdict == "general_type":
@@ -266,7 +275,7 @@ def test_bound_mode_never_beats_exact_mode():
                 g0, w = counts_gamma0(F, P), exact.counts
                 assert (w.a4_plus, w.a4_minus, w.a6_plus, w.a6_minus) == (0, 0, 0, 0)
                 assert 2 * w.a3_plus == g0.a3_plus and 2 * w.a3_minus == g0.a3_minus
-    assert (classified, refused, exact_only) == (1521, 70, 32)
+    assert (classified, exact_only) == (1591, 73)
 
 
 def test_norm_achievable():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmsurf import cli, elliptic
+from hmsurf.chern import norm_achievable
 from hmsurf.config import ConfigError, RunConfig, load_config, parse_config_lines
+from hmsurf.field import FieldError, make_field
 from hmsurf.numeric import (
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
@@ -113,13 +115,16 @@ def test_cli_elliptic_refine_needs_fixture(capsys):
         r, g0 = data["refined"]["entries"], data["counts"]["entries"]
         assert r["a4_plus"] == r["a6_plus"] == 0 and 2 * r["a3_plus"] == g0["a3_plus"]
         assert r["a2"] is None
-    # an inert (2) with no stored action is refused; its counts are not
-    code, _, _ = run(capsys, "elliptic", "--disc", "29", "--prime-norm", "4")
-    assert code == 0
-    code, out, err = run(capsys, "elliptic", "--disc", "29", "--prime-norm", "4",
+    # an inert (2) or (3) refines too, with the action in closed form
+    for q in (4, 9):
+        code, _, _ = run(capsys, "elliptic", "--disc", "29", "--prime-norm", str(q),
+                         "--refine")
+        assert code == 0, q
+    # a D = 5 order-5 level is refused, counts and refinement alike
+    code, out, err = run(capsys, "elliptic", "--disc", "5", "--prime-norm", "11",
                          "--refine")
     assert code == 2 and out == ""
-    assert "involution" in json.loads(err)["error"]["message"]
+    assert "orders 2 and 3" in json.loads(err)["error"]["message"]
 
 
 def test_cli_elliptic_has_no_method_flag(capsys):
@@ -147,9 +152,20 @@ def test_cli_parser_is_reused_after_a_bad_flag(capsys):
     assert run(capsys, *argv) == first and first[0] == 0
 
 
+def _exact_level_supported(D, q):
+    """Exact mode takes every achievable level of a supported field with
+    D > 12, and D = 5 away from its order-5 levels q = 0, 1 mod 5."""
+    try:
+        make_field(D)
+    except FieldError:
+        return False
+    return norm_achievable(D, q) and (D > 12 or (D == 5 and q % 5 not in (0, 1)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(cmd=st.sampled_from(("elliptic", "classify")),
-       D=st.integers(-20, 900), q=st.integers(-5, 250),
+       D=st.one_of(st.integers(-20, 900), st.sampled_from((5, 13, 17, 29))),
+       q=st.one_of(st.integers(-5, 250), st.sampled_from((4, 9, 11))),
        refine=st.booleans(), mode=st.sampled_from((None, "exact", "bound")))
 def test_cli_exit_codes_fuzzed(cmd, D, q, refine, mode):
     argv = [cmd, "--disc", str(D), "--prime-norm", str(q)]
@@ -161,6 +177,8 @@ def test_cli_exit_codes_fuzzed(cmd, D, q, refine, mode):
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
     assert code in (0, 2), (argv, err.getvalue())
+    if mode != "bound" and _exact_level_supported(D, q):
+        assert code == 0, (argv, err.getvalue())
 
 
 def test_cli_classify_exact(capsys):

@@ -20,12 +20,12 @@ from hmsurf.elliptic import (
 from hmsurf.field import FieldElement, FieldError, make_field, split_prime
 from hmsurf.forms import h_definite
 from hmsurf.ntheory import is_prime, kronecker
-from hmsurf.reference_data import AL_ACTION
 
 from helpers import (
     CompletenessError,
     Mat2,
     NotEllipticError,
+    atkin_lehner_fixed_classes,
     certified_reps,
     counts_gamma0_from_reps,
     enumerate_elliptic_reps,
@@ -93,7 +93,7 @@ def test_rotation_type_rejects_non_elliptic():
     with pytest.raises(NotEllipticError):
         rotation_type(mat(13, 2, 1, 1, 1))  # trace 3: hyperbolic
     # elliptic with determinant eps_plus != 1: outside SL2(O)
-    zero, one = FieldElement.from_int(0, 13), F13.one()
+    zero, one = FieldElement.from_int(0, 13), FieldElement.from_int(1, 13)
     with pytest.raises(EllipticError, match="SL2"):
         rotation_type(Mat2(zero, -F13.eps_plus, one, zero))
     # order 4 (trace sqrt2 over Q(sqrt2)) has no exact rule
@@ -284,48 +284,73 @@ def test_refine_exact_fixtures():
     (P2,) = split_prime(F13, 2)
     P3 = split_prime(F13, 3)[0]
     w2 = atkin_lehner_refine(counts_gamma0_from_reps(F13, P2, reps13), P2,
-                             AL_ACTION[(13, 2)])
+                             ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1))
     assert w2.group_tag == "w_gamma0" and w2.mode == "exact"
     assert (w2.a3_plus, w2.a3_minus, w2.a4_plus, w2.a4_minus) == (2, 2, 1, 1)
     assert w2.a2 is None and w2.a6_plus == 0
 
     w3 = atkin_lehner_refine(counts_gamma0_from_reps(F13, P3, reps13), P3,
-                             involution_action(P3))
+                             ALFixedPoints())
     assert (w3.a3_plus, w3.a3_minus, w3.a4_plus, w3.a4_minus) == (1, 1, 0, 0)
 
     reps5 = certified_reps(5)
     (P2_5,) = split_prime(F5, 2)
     w5 = atkin_lehner_refine(counts_gamma0_from_reps(F5, P2_5, reps5), P2_5,
-                             AL_ACTION[(5, 2)])
+                             ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1))
     assert (w5.a3_plus, w5.a3_minus, w5.a4_plus, w5.a4_minus) == (1, 1, 1, 1)
 
 
 def test_involution_action_follows_the_lemma():
     # no fixed points away from an inert (2) or (3): split, ramified, and
     # inert primes over p >= 5 alike
+    g0 = EllipticCounts(a2=2, a3_plus=2, a3_minus=2, mode="exact", group_tag="gamma0")
     for F, p in ((F13, 3), (F13, 13), (F13, 17), (F13, 5), (F29, 5), (F5, 11)):
         for P in split_prime(F, p):
-            assert involution_action(P) == ALFixedPoints(), (F.D, p)
-    # an inert (2) or (3) takes the stored action, or is refused
-    for F, p in ((F13, 2), (F5, 2)):
+            assert involution_action(P, g0) == ALFixedPoints(), (F.D, p)
+    # an inert (2) fixes every order-2 point, split evenly between the two
+    # order-4 types; an inert (3) fixes every order-3 point
+    for F, p, want in ((F5, 2, ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1)),
+                       (F13, 2, ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1)),
+                       (F29, 2, ALFixedPoints(order2_to_4_plus=3, order2_to_4_minus=3)),
+                       (F5, 3, ALFixedPoints(order3_fixed_plus=1, order3_fixed_minus=1)),
+                       (F29, 3, ALFixedPoints(order3_fixed_plus=3, order3_fixed_minus=3))):
         (P,) = split_prime(F, p)
-        assert involution_action(P) == AL_ACTION[(F.D, p)]
-    for F, p in ((F29, 2), (F29, 3), (F5, 3)):
-        (P,) = split_prime(F, p)
-        with pytest.raises(EllipticError, match="involution"):
-            involution_action(P)
+        assert involution_action(P, counts_gamma0(F, P)) == want, (F.D, p)
+    # an odd a2 at an inert (2) is a broken invariant, never floored
+    (P2,) = split_prime(F29, 2)
+    odd = EllipticCounts(a2=3, a3_plus=2, a3_minus=2, mode="exact", group_tag="gamma0")
+    with pytest.raises(InconsistentCountsError, match="inert"):
+        involution_action(P2, odd)
+
+
+def test_involution_action_matches_the_enumerator():
+    # independently of the closed form: the Atkin-Lehner element (0 -1; pi 0)
+    # permutes the Gamma0(P) classes of the certified catalogue
+    found = {}
+    for F, p in ((F5, 3), (F5, 2), (F13, 2), (F13, 3)):
+        P = split_prime(F, p)[0]
+        w = mat(F.D, 0, -1, P.generator, 0)
+        fixed = found[F.D, p] = atkin_lehner_fixed_classes(F, P, w, certified_reps(F.D))
+        fx = involution_action(P, counts_gamma0(F, P))
+        assert fixed.get((2, 1, 1), 0) == fx.order2_to_4_plus + fx.order2_to_4_minus
+        assert fixed.get((3, 1, 1), 0) == fx.order3_fixed_plus, (F.D, p)
+        assert fixed.get((3, 1, -1), 0) == fx.order3_fixed_minus, (F.D, p)
+    # at D = 5, q = 9 every order-3 class is fixed and no order-2 class
+    assert found[5, 3] == {(3, 1, 1): 1, (3, 1, -1): 1}
 
 
 def test_refine_defaults_to_involution_action():
-    # exact mode: the stored action at the inert (2), so a4 = (1, 1) here
+    # exact mode: the closed-form action at the inert (2), so a4 = (1, 1) here
     (P2,) = split_prime(F13, 2)
     w = atkin_lehner_refine(counts_gamma0_from_reps(F13, P2, certified_reps(13)), P2)
     assert (w.a3_plus, w.a3_minus, w.a4_plus, w.a4_minus) == (2, 2, 1, 1)
-    # exact mode refuses an inert (2) without data; bound mode never asks
+    # and at an inert (3) every order-3 point becomes an order-6 point
+    (P3,) = split_prime(F29, 3)
+    w3 = atkin_lehner_refine(counts_gamma0(F29, P3), P3)
+    assert (w3.a3_plus, w3.a3_minus, w3.a6_plus, w3.a6_minus) == (0, 0, 3, 3)
+    assert (w3.a4_plus, w3.a4_minus) == (0, 0)
+    # bound mode never asks for the action
     (P2_29,) = split_prime(F29, 2)
-    g0 = EllipticCounts(a2=2, a3_plus=2, a3_minus=2, mode="exact", group_tag="gamma0")
-    with pytest.raises(EllipticError, match="involution"):
-        atkin_lehner_refine(g0, P2_29)
     assert atkin_lehner_refine(bounds_gamma0(F29, P2_29), P2_29).mode == "upper_bound"
 
 
@@ -365,7 +390,7 @@ def test_refine_new_order2_bookkeeping():
     reps = certified_reps(13)
     (P2,) = split_prime(F13, 2)
     g0 = counts_gamma0_from_reps(F13, P2, reps)
-    fx = dataclasses.replace(AL_ACTION[(13, 2)], new_order2=6)
+    fx = ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1, new_order2=6)
     w = atkin_lehner_refine(g0, P2, fx)
     assert w.a2 == 6  # (2 - 1 - 1)/2 exchanged pairs + 6 new points
 

@@ -79,7 +79,7 @@ def test_cycle_unit_is_trace_of_eps_plus():
             m = [[m[0][0] * b + m[0][1], -m[0][0]],
                  [m[1][0] * b + m[1][1], -m[1][0]]]
         assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
-        assert m[0][0] + m[1][1] == eps_plus.trace(), D
+        assert m[0][0] + m[1][1] == eps_plus.u, D
         assert cycle_unit(cyc, D) == eps_plus
 
 
