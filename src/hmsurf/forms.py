@@ -1,10 +1,13 @@
-"""Class numbers by exhaustive reduction of binary quadratic forms.
+"""Class numbers by counting reduced binary quadratic forms.
 
-Two counters:
+Both counters take each admissible b and list the reduced forms (a, b, c)
+from the divisors of |ac| = |b^2 - disc|/4, not by testing every a in the
+reduction window (Buchmann & Vollmer, Binary Quadratic Forms, 2007, ch. 6;
+Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
 
 * `h_definite(N)` -- class number h(-N) of primitive positive definite forms
-  of discriminant -N, by direct enumeration of reduced forms
-  (|b| <= a <= c, with b >= 0 when |b| = a or a = c).
+  (|b| <= a <= c, with b >= 0 when |b| = a or a = c); for large N every
+  (b^2 + N)/4 is factored in one quadratic sieve over b.
 
 * `h_narrow_indefinite(D)` -- narrow class number of discriminant D > 0,
   counted as the number of cycles of reduced indefinite forms
@@ -20,36 +23,68 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .ntheory import is_fundamental_discriminant, is_square
+from .ntheory import is_fundamental_discriminant, is_square, kronecker, sqrt_mod
 from .numeric import upper_rational, sqrt_log_over_pi
+
+_SIEVE_FROM = 250_000  # h_definite: where the sieve overtakes trial division
 
 
 def h_definite(N: int) -> int:
-    """Class number h(-N) for N > 0 with -N = 0 or 1 mod 4."""
+    """Class number h(-N) for N > 0 with -N = 0 or 1 mod 4.
+
+    A reduced form has |b| <= a <= c, so 3b^2 <= N, and ac = m = (b^2 + N)/4.
+    For each b >= 0 of N's parity the forms are the divisors a of m with
+    b <= a <= sqrt(m); +-b both count unless b = 0, b = a or a = c.  Trial
+    division over these windows takes about 0.07 N steps; from N = _SIEVE_FROM
+    on the sieve of `_sieve_divisors` is cheaper.
+    """
     if N <= 0:
         raise ValueError(f"need N > 0, got {N}")
     if (-N) % 4 not in (0, 1):
         raise ValueError(f"-{N} is not a discriminant (need -N = 0,1 mod 4)")
+    bs = range(N % 2, isqrt(N // 3) + 1, 2)
+    ms = [(b * b + N) // 4 for b in bs]
+    divisors = _sieve_divisors(N, bs, ms) if N >= _SIEVE_FROM else [
+        [a for a in range(max(b, 1), isqrt(m) + 1) if m % a == 0] for b, m in zip(bs, ms)]
     count = 0
-    # reduced: |b| <= a <= c with b^2 - 4ac = -N; b parity is forced by N mod 2
-    b_start = N % 2
-    for a in range(1, isqrt(N // 3) + 1):
-        four_a = 4 * a
-        for b in range(b_start, a + 1, 2):
-            num = b * b + N
-            if num % four_a:
-                continue
-            c = num // four_a
-            if c < a:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            # b = 0: one form; |b| = a or a = c: only b >= 0 counts; else both signs
-            if b == 0 or b == a or a == c:
-                count += 1
-            else:
-                count += 2
+    for b, m, divs in zip(bs, ms, divisors):
+        for a in divs:
+            if b <= a and a * a <= m and gcd(gcd(a, b), m // a) == 1:
+                count += 1 if b == 0 or b == a or a * a == m else 2
     return count
+
+
+def _sieve_divisors(N: int, bs: range, ms: list[int]) -> list[list[int]]:
+    """All divisors of each m = (b^2 + N)/4, for b in bs (step 2 from N % 2).
+
+    An odd prime p divides m exactly when b = +-sqrt(-N) mod p; m mod 2 has
+    period 2 along bs, so 2 is tested on the first two; what is left once
+    every prime up to sqrt(max m) is divided out is 1 or a prime.
+    """
+    rest = ms[:]
+    divisors = [[1] for _ in bs]
+    top = isqrt(ms[-1])
+    composite = bytearray(top + 1)
+    for p in range(2, top + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\x01" * len(range(p * p, top + 1, p))
+        if p == 2:
+            starts = [i for i in range(min(2, len(bs))) if ms[i] % 2 == 0]
+        elif kronecker(-N, p) >= 0:
+            # b = bs[0] + 2i = +-r mod p  <=>  i = (+-r - bs[0]) (p + 1)/2 mod p
+            r = sqrt_mod(-N, p)
+            starts = {(root - bs[0]) * (p + 1) // 2 % p for root in (r, p - r)}
+        else:
+            continue
+        for start in starts:
+            for i in range(start, len(bs), p):
+                e = 0
+                while rest[i] % p == 0:
+                    rest[i] //= p
+                    e += 1
+                divisors[i] = [d * p**k for k in range(e + 1) for d in divisors[i]]
+    return [ds + [d * r for d in ds] if r > 1 else ds for ds, r in zip(divisors, rest)]
 
 
 # -- indefinite forms --------------------------------------------------------
@@ -69,23 +104,28 @@ def _is_reduced_indefinite(a: int, b: int, c: int, D: int) -> bool:
 
 
 def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
-    """All primitive reduced indefinite forms of discriminant D > 0 (nonsquare)."""
+    """All primitive reduced indefinite forms of discriminant D > 0 (nonsquare).
+
+    A reduced form has 0 < b < sqrt(D), b = D mod 2, ac = -m = (b^2 - D)/4
+    and |a|, |c| in the window (sqrt(D) - b)/2 < x < (sqrt(D) + b)/2.  The
+    endpoints multiply to m, so x is in the window exactly when m/x is: its
+    divisors of m pair up across sqrt(m), the endpoints' geometric mean.  So
+    a runs over the divisors of m from the least a with 2a + b > sqrt(D),
+    i.e. 2a + b >= isqrt(D) + 1, up to isqrt(m), and gives the forms
+    (+-a, b, -+m/a) and (+-m/a, b, -+a).
+    """
+    if D % 4 > 1:
+        raise ValueError(f"D={D} is not a discriminant (need D = 0,1 mod 4)")
     forms = []
     s = isqrt(D)
-    for b in range(1, s + 1):
-        # |a| window sqrt(D)-b < 2|a| < sqrt(D)+b, padded by 1 and verified exactly
-        lo = max(1, (s - b) // 2)
-        hi = (s + b) // 2 + 1
-        for a_abs in range(lo, hi + 1):
-            for a in (a_abs, -a_abs):
-                if (b * b - D) % (4 * a):
-                    continue
-                c = (b * b - D) // (4 * a)
-                if not _is_reduced_indefinite(a, b, c, D):
-                    continue
-                if gcd(gcd(a, b), c) != 1:
-                    continue
-                forms.append((a, b, c))
+    for b in range(2 - D % 2, s + 1, 2):
+        m = (D - b * b) // 4
+        for a in range((s + 2 - b) // 2, isqrt(m) + 1):
+            if m % a or gcd(gcd(a, b), m // a) != 1:
+                continue
+            c = m // a
+            forms += [f for f in ((a, b, -c), (-a, b, c), (c, b, -a), (-c, b, a))
+                      if _is_reduced_indefinite(*f, D)]
     return sorted(set(forms))
 
 

@@ -146,6 +146,36 @@ def normalize_centre(res):
 
 
 # ---------------------------------------------------------------------------
+# forms: reduced indefinite forms by scanning the whole window
+# ---------------------------------------------------------------------------
+
+def oracle_reduced_indefinite_forms(D):
+    """Primitive reduced forms (a, b, c) of discriminant D > 0, nonsquare.
+
+    Every b in (0, sqrt(D)), every |a| in a padded window around
+    sqrt(D) - b < 2|a| < sqrt(D) + b and both signs of a: O(D) candidates,
+    each checked against the definition with squared comparisons.
+    """
+    forms = set()
+    s = isqrt(D)
+    for b in range(1, s + 1):
+        for a_abs in range(max(1, (s - b) // 2), (s + b) // 2 + 2):
+            for a in (a_abs, -a_abs):
+                if (b * b - D) % (4 * a):
+                    continue
+                c = (b * b - D) // (4 * a)
+                two_a = 2 * a_abs
+                # sqrt(D) - b < 2|a| < sqrt(D) + b, with b^2 < D
+                if b * b >= D or (two_a + b) ** 2 <= D:
+                    continue
+                if two_a >= b and (two_a - b) ** 2 >= D:
+                    continue
+                if gcd(gcd(a, b), c) == 1:
+                    forms.add((a, b, c))
+    return sorted(forms)
+
+
+# ---------------------------------------------------------------------------
 # field elements as floats, for order and size checks
 # ---------------------------------------------------------------------------
 

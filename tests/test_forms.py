@@ -2,9 +2,11 @@ from fractions import Fraction
 from math import gcd, isqrt, log, pi, sqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hmsurf.forms import (
+    _SIEVE_FROM,
+    _sieve_divisors,
     h_bound,
     h_definite,
     h_narrow_indefinite,
@@ -12,7 +14,9 @@ from hmsurf.forms import (
     rho_step,
     unit_form_walk,
 )
-from hmsurf.ntheory import is_fundamental_discriminant
+from hmsurf.ntheory import divisors, is_fundamental_discriminant, is_square
+
+from helpers import oracle_reduced_indefinite_forms
 
 
 def oracle_h_definite(N):
@@ -56,6 +60,32 @@ def test_definite_vs_oracle_random(N):
     assert h_definite(N) == oracle_h_definite(N)
 
 
+def test_sieve_divisors_vs_trial_division():
+    # the divisors h_definite takes from the sieve at N >= _SIEVE_FROM, checked small
+    for N in range(3, 3000):
+        if (-N) % 4 not in (0, 1):
+            continue
+        bs = range(N % 2, isqrt(N // 3) + 1, 2)
+        ms = [(b * b + N) // 4 for b in bs]
+        for m, ds in zip(ms, _sieve_divisors(N, bs, ms)):
+            assert sorted(ds) == divisors(m), (N, m)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(_SIEVE_FROM, 10**6))
+def test_definite_vs_oracle_on_the_sieve_path(N):
+    assume((-N) % 4 in (0, 1))
+    assert h_definite(N) == oracle_h_definite(N)
+
+
+def test_class_numbers_at_large_discriminants():
+    # the queries pool's top decade, and h+ either side of 10^6
+    for N, h in ((1700196, 488), (6811267, 225), (9488395, 452), (9869828, 1536)):
+        assert h_definite(N) == h, N
+    assert h_narrow_indefinite(999961) == 3
+    assert h_narrow_indefinite(1000033) == 1
+
+
 def test_definite_rejects():
     with pytest.raises(ValueError):
         h_definite(0)
@@ -81,6 +111,9 @@ def test_narrow_rejections():
     for bad in (0, -5, 45, 16):
         with pytest.raises(ValueError):
             h_narrow_indefinite(bad)
+    for bad in (10, 15):
+        with pytest.raises(ValueError, match="not a discriminant"):
+            reduced_indefinite_forms(bad)
 
 
 def test_rho_step_permutes_reduced_forms():
@@ -110,6 +143,22 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
     # h+(229) = 3: no form (+-1, b, c) lies on the cycle of (-9, 7, 5)
     with pytest.raises(RuntimeError, match="cycle of"):
         unit_form_walk((-9, 7, 5), 229)
+
+
+def test_reduced_indefinite_forms_vs_oracle_sweep():
+    checked = 0
+    for D in range(5, 5001):
+        if is_fundamental_discriminant(D) and not is_square(D):
+            assert reduced_indefinite_forms(D) == oracle_reduced_indefinite_forms(D), D
+            checked += 1
+    assert checked == 1516
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(5001, 10**6))
+def test_reduced_indefinite_forms_vs_oracle_random(D):
+    assume(is_fundamental_discriminant(D) and not is_square(D))
+    assert reduced_indefinite_forms(D) == oracle_reduced_indefinite_forms(D)
 
 
 def test_reduced_forms_satisfy_window():
