@@ -12,12 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from hmsurf.chern import (
-    EXACT_C_CUTOFF,
-    c1sq_terms,
-    c2_lower_check,
-    theorem_table,
-)
+from hmsurf.chern import c1sq_terms, c2_lower_check, modes_at, theorem_table
 from hmsurf.field import FieldError, make_field
 from hmsurf.ntheory import kronecker
 from hmsurf.reference_data import published_row
@@ -32,13 +27,11 @@ def show(x: Fraction) -> str:
 
 
 def audit_degree(D: int, n: int, p_case: str) -> None:
-    c_mode = "exact_c" if D <= EXACT_C_CUTOFF else "bound_c"
+    c_mode, zeta_mode = modes_at(D)
     print(f"  n={n} [{p_case}, {c_mode}]  c2 floor check: "
           f"{'pass' if c2_lower_check(D, n) else 'FAIL'}")
-    for zmode in ("exact", "bound"):
-        if zmode == "exact" and D > EXACT_C_CUTOFF:
-            continue
-        t = c1sq_terms(D, n, p_case, c_mode, zeta_mode=zmode)
+    for zmode in ("exact", "bound") if zeta_mode == "exact" else ("bound",):
+        t = c1sq_terms(D, n, p_case, zeta_mode=zmode)
         sign = "pass" if t["lower_bound"] > 0 else "FAIL"
         print(f"    zeta={zmode:<5}  volume >= {show(t['volume_lb'])}")
         print(f"               cusp   >= {show(t['c_term_lb'])}")

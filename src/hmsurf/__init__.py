@@ -10,19 +10,14 @@ number assembly and the general-type sweep (chern), the tree-centre formalism
 from .chern import (
     ChernError,
     ChernReport,
-    HypothesisError,
     LinearForm,
     ModeMixError,
     TableRow,
-    UniquenessError,
-    adjunction_self_intersection,
     c1sq_lower_bound,
     c2_lower_check,
     chern_numbers,
     classify,
-    curve_chern_integrality,
     default_discriminants,
-    genus_gamma0_rational,
     table_diff,
     theorem_table,
 )
@@ -47,15 +42,7 @@ from .field import (
     split_prime,
 )
 from .forms import h_bound, h_definite, h_narrow_indefinite
-from .trees import (
-    CenterResult,
-    GroupAction,
-    TreeGraph,
-    sigma_primes,
-    tree_center,
-    verify_center_invariance,
-    verify_equidistance,
-)
+from .trees import CenterResult, TreeGraph, tree_center
 from .zeta import CuspCycle, cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 __version__ = "0.1.0"
@@ -63,16 +50,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ALFixedPoints", "CenterResult", "ChernError", "ChernReport",
     "ConfigError", "CuspCycle", "EllipticCounts", "EllipticError",
-    "FieldContext", "FieldElement", "GroupAction", "HypothesisError",
-    "LinearForm", "ModeMixError", "PrimeIdealData", "RunConfig", "TableRow",
-    "TreeGraph", "UniquenessError", "adjunction_self_intersection",
+    "FieldContext", "FieldElement", "LinearForm", "ModeMixError",
+    "PrimeIdealData", "RunConfig", "TableRow", "TreeGraph",
     "atkin_lehner_refine", "bounds_gamma0", "c1sq_lower_bound",
     "c2_lower_check", "chern_numbers", "classify", "counts_full_group",
-    "counts_gamma0", "curve_chern_integrality", "cusp_resolution",
-    "default_discriminants", "fundamental_unit", "genus_gamma0_rational",
-    "h_bound", "h_definite", "h_narrow_indefinite", "involution_action",
-    "load_config", "local_chern_divisor_sum", "make_field", "root_count",
-    "sigma_primes", "split_prime", "table_diff", "theorem_table",
-    "tree_center", "verify_center_invariance", "verify_equidistance",
-    "zeta_minus_one",
+    "counts_gamma0", "cusp_resolution", "default_discriminants",
+    "fundamental_unit", "h_bound", "h_definite", "h_narrow_indefinite",
+    "involution_action", "load_config", "local_chern_divisor_sum",
+    "make_field", "root_count", "split_prime", "table_diff", "theorem_table",
+    "tree_center", "zeta_minus_one",
 ]

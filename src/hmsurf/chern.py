@@ -9,15 +9,17 @@ discriminant ranges can be swept; it never reports anything stronger than
 "general type or inconclusive".
 
 The sweep itself (`theorem_table`) and the comparison against the published
-table (`table_diff`) live here too, along with the small worked-example
-helpers (modular-curve genus, integrality bookkeeping, adjunction).
+table (`table_diff`) live here too.  Which cusp term and which default
+volume term a discriminant gets is decided in one place, `modes_at`: exact c
+and exact zeta up to EXACT_C_CUTOFF, the analytic estimate and the volume
+floor above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import isqrt
 
 from mpmath import iv
 
@@ -25,7 +27,7 @@ from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
 from .field import FieldContext, make_field, split_prime
 from .forms import h_narrow_indefinite
-from .ntheory import divisors, euler_phi, is_prime, kronecker, prime_factors
+from .ntheory import is_prime, kronecker
 from .numeric import interval_fraction, interval_precision, lower_rational, upper_rational
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -35,6 +37,9 @@ EXACT_C_CUTOFF = 500
 
 P_CASES = ("generic", "p2_inert", "p3_inert")
 
+# theorem_table looks for the least passing degree n among 3..N_MAX.
+N_MAX = 200
+
 
 class ChernError(ValueError):
     pass
@@ -42,14 +47,6 @@ class ChernError(ValueError):
 
 class ModeMixError(ChernError):
     """Exact assembly fed with bound-mode counts or counts for the wrong group."""
-
-
-class HypothesisError(ChernError):
-    """A bound was requested outside the range where it holds."""
-
-
-class UniquenessError(ChernError):
-    """An integrality argument did not pin down a unique count."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class LinearForm:
 @dataclass(frozen=True)
 class ChernReport:
     D: int
-    q: "int | None"  # prime norm, n = q + 1
+    q: int  # prime norm, n = q + 1
     n: int
     mode: str  # "exact" or "bound"
     zeta: "Fraction | None"
@@ -94,31 +91,21 @@ class ChernReport:
     notes: "tuple[str, ...]" = ()
 
 
-def chern_numbers(F, P, counts, cusp, zeta, *, n: "int | None" = None) -> ChernReport:
-    """Exact ChernReport for the quotient surface of degree n = Nm(p)+1.
+def chern_numbers(F, P, counts, cusp, zeta) -> ChernReport:
+    """Exact ChernReport for the quotient surface of degree n = Nm(P)+1.
 
     Wants exact counts for the involution quotient plus the cusp cycle and
-    zeta value.  F and cusp may be None for degenerate test inputs as long
-    as n is passed explicitly.
+    zeta value of the field F.
     """
-    if n is None:
-        if P is None:
-            raise ChernError("surface degree n is undetermined (no prime, no n)")
-        n = P.q + 1
-    elif P is not None and n != P.q + 1:
-        raise ChernError(f"n={n} disagrees with the prime of norm {P.q}")
-    if counts is None or counts.mode != "exact":
+    if counts.mode != "exact":
         raise ModeMixError("exact Chern assembly requires exact counts")
     if counts.group_tag != "w_gamma0":
         raise ModeMixError(
             f"exact Chern assembly wants involution-quotient counts, got "
             f"group_tag={counts.group_tag!r}")
-    if zeta is None:
-        raise ChernError("exact assembly needs zeta_E(-1)")
+    n = P.q + 1
     zeta = Fraction(zeta)
-    c = cusp.c if cusp is not None else 0
-    l = cusp.l if cusp is not None else 0  # noqa: E741
-    D = F.D if F is not None else (cusp.D if cusp is not None else 0)
+    c, l = cusp.c, cusp.l  # noqa: E741
     a3p, a3m = counts.a3_plus, counts.a3_minus
     a4p, a4m = counts.a4_plus, counts.a4_minus
     a6p, a6m = counts.a6_plus, counts.a6_minus
@@ -141,7 +128,7 @@ def chern_numbers(F, P, counts, cusp, zeta, *, n: "int | None" = None) -> ChernR
     # chi is nondecreasing in a2, so chi(0) > 1 certifies chi > 1 whatever
     # the true (nonnegative) a2 turns out to be.
     verdict = "general_type" if (c1_sq > 0 and chi(0) > 1) else "inconclusive"
-    return ChernReport(D=D, q=(P.q if P is not None else None), n=n, mode="exact",
+    return ChernReport(D=F.D, q=P.q, n=n, mode="exact",
                        zeta=zeta, c=c, l=l, counts=counts, c1_sq=c1_sq,
                        c2=c2, chi=chi, verdict=verdict, notes=notes)
 
@@ -155,24 +142,32 @@ def c2_lower_check(D: int, n: int) -> bool:
     return n * n * D ** 3 > 4320 ** 2
 
 
-def _c1sq_intervals(D, n, p_case, c_mode, zeta_mode, precision_bits):
+def modes_at(D: int) -> "tuple[str, str]":
+    """(c_mode, default zeta_mode) at D.
+
+    The analytic cusp estimate is proved only for D > EXACT_C_CUTOFF, so up
+    to the cutoff c is exact ("exact_c"), and so is the default volume term
+    2*n*zeta_E(-1); above it the estimate ("bound_c") and the floor
+    n*D^(3/2)/180 stand in.
+    """
+    if D <= EXACT_C_CUTOFF:
+        return "exact_c", "exact"
+    return "bound_c", "bound"
+
+
+def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
     if p_case not in P_CASES:
         raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
-    if c_mode not in ("exact_c", "bound_c"):
-        raise ChernError(f"c_mode must be exact_c or bound_c, got {c_mode!r}")
     if zeta_mode not in ("exact", "bound"):
         raise ChernError(f"zeta_mode must be exact or bound, got {zeta_mode!r}")
     if D < 5:
         raise ChernError(f"discriminant {D} out of range")
-    if c_mode == "bound_c" and D <= EXACT_C_CUTOFF:
-        raise HypothesisError(
-            f"the analytic cusp estimate requires D > {EXACT_C_CUTOFF}, got D={D}")
     with interval_precision(precision_bits):
         if zeta_mode == "exact":
             vol = interval_fraction(2 * n * zeta_minus_one(D))
         else:
             vol = n * iv.sqrt(D) ** 3 / 180
-        if c_mode == "exact_c":
+        if modes_at(D)[0] == "exact_c":
             cterm = interval_fraction(Fraction(local_chern_divisor_sum(D)))
         else:
             logd = iv.log(D)
@@ -189,28 +184,26 @@ def _c1sq_intervals(D, n, p_case, c_mode, zeta_mode, precision_bits):
         return vol, cterm, pen, total
 
 
-def c1sq_lower_bound(D: int, n: int, p_case: str = "generic",
-                     c_mode: str = "exact_c", *, zeta_mode: str = "bound",
-                     precision_bits: int = 128) -> Fraction:
+def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
+                     zeta_mode: str = "bound", precision_bits: int = 128) -> Fraction:
     """Certified lower bound for c1^2: volume + cusp term - elliptic penalty.
 
     The volume term is 2*n*zeta_E(-1) (zeta_mode="exact") or its floor
-    n*D^(3/2)/180 (zeta_mode="bound").  The cusp term is the exact c
-    (c_mode="exact_c") or the analytic estimate valid for D > 500.  The
+    n*D^(3/2)/180 (zeta_mode="bound").  The cusp term is the exact c up to
+    EXACT_C_CUTOFF and the analytic estimate above it (`modes_at`).  The
     penalty covers the worst admissible elliptic-point counts: the generic
     order-3 budget, with extra terms when the prime of norm 4 (resp. 9)
     forces order-4 (resp. order-6) points.  All endpoints are rounded so the
     returned rational really is a lower bound.
     """
-    _v, _c, _p, total = _c1sq_intervals(D, n, p_case, c_mode, zeta_mode, precision_bits)
+    _v, _c, _p, total = _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits)
     return lower_rational(total)
 
 
-def c1sq_terms(D: int, n: int, p_case: str = "generic", c_mode: str = "exact_c",
-               *, zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
+def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
+               zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
     """Per-term breakdown of the c1^2 bound, for audit output."""
-    vol, cterm, pen, total = _c1sq_intervals(D, n, p_case, c_mode, zeta_mode,
-                                             precision_bits)
+    vol, cterm, pen, total = _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits)
     return {
         "volume_lb": lower_rational(vol),
         "c_term_lb": lower_rational(cterm),
@@ -227,19 +220,17 @@ def _infer_p_case(D: int, q: int) -> str:
     return "generic"
 
 
-def _bound_report(D: int, n: int, q: "int | None", *, p_case=None,
-                  zeta_mode=None, precision_bits: int = 128) -> ChernReport:
+def _bound_report(D: int, q: int, zeta_mode, precision_bits: int) -> ChernReport:
+    n = q + 1
     if n < 3:
         raise ChernError(f"surface degree n={n} below the minimum 3")
-    if p_case is None:
-        p_case = _infer_p_case(D, q if q is not None else n - 1)
-    c_mode = "exact_c" if D <= EXACT_C_CUTOFF else "bound_c"
-    if zeta_mode is None:
-        zeta_mode = "exact" if D <= EXACT_C_CUTOFF else "bound"
+    p_case = _infer_p_case(D, q)
+    c_mode, default_zeta = modes_at(D)
+    zeta_mode = zeta_mode or default_zeta
     ok2 = c2_lower_check(D, n)
     with interval_precision(precision_bits):
         c2_lb = lower_rational(n * iv.sqrt(D) ** 3 / 360)
-    c1_lb = c1sq_lower_bound(D, n, p_case, c_mode, zeta_mode=zeta_mode,
+    c1_lb = c1sq_lower_bound(D, n, p_case, zeta_mode=zeta_mode,
                              precision_bits=precision_bits)
     verdict = "general_type" if (ok2 and c1_lb > 0) else "inconclusive"
     notes = (f"p_case:{p_case}", f"c_mode:{c_mode}", f"zeta_mode:{zeta_mode}",
@@ -254,12 +245,10 @@ def _bound_report(D: int, n: int, q: "int | None", *, p_case=None,
 
 def _resolve_prime(F: FieldContext, q: int):
     """The prime ideal of norm q, or raise if no such prime exists."""
-    if q >= 2 and is_prime(q) and kronecker(F.D, q) >= 0:
-        return split_prime(F, q)[0]
-    p = isqrt(max(q, 0))
-    if p * p == q and is_prime(p) and kronecker(F.D, p) == -1:
-        return split_prime(F, p)[0]
-    raise ChernError(f"no prime of norm {q} in the field of discriminant {F.D}")
+    if not norm_achievable(F.D, q):
+        raise ChernError(f"no prime of norm {q} in the field of discriminant {F.D}")
+    p = isqrt(q)  # q = p^2 for an inert p, else q is the prime itself
+    return split_prime(F, p if p * p == q else q)[0]
 
 
 def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
@@ -276,8 +265,7 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     if isinstance(F, int):
         F = make_field(F)
     if mode == "bound":
-        return _bound_report(F.D, q + 1, q, zeta_mode=zeta_mode,
-                             precision_bits=precision_bits)
+        return _bound_report(F.D, q, zeta_mode, precision_bits)
     if mode != "exact":
         raise ChernError(f"unknown mode {mode!r}")
     P = _resolve_prime(F, q)
@@ -315,23 +303,21 @@ def norm_achievable(D: int, q: int) -> bool:
     return p * p == q and is_prime(p) and kronecker(D, p) == -1
 
 
-def _row_scan(D, n_max, strict_n, zeta_mode, precision_bits):
-    c_mode = "exact_c" if D <= EXACT_C_CUTOFF else "bound_c"
-
+def _row_scan(D, strict_n, zeta_mode, precision_bits):
     def passes(n, p_case):
         return (c2_lower_check(D, n)
-                and c1sq_lower_bound(D, n, p_case, c_mode, zeta_mode=zeta_mode,
+                and c1sq_lower_bound(D, n, p_case, zeta_mode=zeta_mode,
                                      precision_bits=precision_bits) > 0)
 
     n_min = None
-    for n in range(3, n_max + 1):
+    for n in range(3, N_MAX + 1):
         if strict_n and not norm_achievable(D, n - 1):
             continue
         if passes(n, "generic"):
             n_min = n
             break
     if n_min is None:
-        raise ChernError(f"no passing degree n <= {n_max} for D={D}")
+        raise ChernError(f"no passing degree n <= {N_MAX} for D={D}")
     exclusions = []
     if kronecker(D, 2) == -1 and not passes(5, "p2_inert"):
         exclusions.append((5, "p2_inert"))
@@ -340,14 +326,13 @@ def _row_scan(D, n_max, strict_n, zeta_mode, precision_bits):
     return n_min, tuple(exclusions)
 
 
-def theorem_table(d_list: "list[int] | None" = None, n_max: int = 200, *,
-                  dmax: int = 853, strict_n: bool = False,
-                  zeta_mode: "str | None" = None,
+def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
+                  strict_n: bool = False, zeta_mode: "str | None" = None,
                   precision_bits: int = 128) -> "list[TableRow]":
     """General-type degree ranges for a sweep of discriminants.
 
-    For each D: the least n >= 3 where both certified checks pass for a
-    generic prime, plus failures of the special norm-4 / norm-9 cases at
+    For each D: the least n in 3..N_MAX where both certified checks pass for
+    a generic prime, plus failures of the special norm-4 / norm-9 cases at
     n = 5 / n = 10 (only possible where 2 resp. 3 stays prime).  With the
     default zeta_mode (exact below the cutoff), rows also carry the values
     the floor-only zeta estimate would give, so both variants can be diffed.
@@ -356,11 +341,11 @@ def theorem_table(d_list: "list[int] | None" = None, n_max: int = 200, *,
         d_list = default_discriminants(dmax)
     rows = []
     for D in sorted(d_list):
-        zmode = zeta_mode or ("exact" if D <= EXACT_C_CUTOFF else "bound")
-        n_min, excl = _row_scan(D, n_max, strict_n, zmode, precision_bits)
+        zmode = zeta_mode or modes_at(D)[1]
+        n_min, excl = _row_scan(D, strict_n, zmode, precision_bits)
         alt = None
         if zeta_mode is None and zmode == "exact":
-            alt = _row_scan(D, n_max, strict_n, "bound", precision_bits)
+            alt = _row_scan(D, strict_n, "bound", precision_bits)
         rows.append(TableRow(
             D=D, n_min=n_min, exclusions=excl, source="computed",
             n_min_alt=alt[0] if alt else None,
@@ -401,12 +386,10 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         for n in bad:
             q = n - 1
             p_case = _infer_p_case(row.D, q)
-            c_mode = "exact_c" if row.D <= EXACT_C_CUTOFF else "bound_c"
             entry = {"c2_check": c2_lower_check(row.D, n)}
-            for zmode in ("exact", "bound"):
-                if zmode == "exact" and row.D > EXACT_C_CUTOFF:
-                    continue
-                terms = c1sq_terms(row.D, n, p_case, c_mode, zeta_mode=zmode,
+            zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
+            for zmode in zmodes:
+                terms = c1sq_terms(row.D, n, p_case, zeta_mode=zmode,
                                    precision_bits=precision_bits)
                 entry[f"c1sq_{zmode}_zeta"] = {
                     key: [val.numerator, val.denominator]
@@ -436,53 +419,3 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         "discrepancies": discrepancies,
         "unmatched": unmatched,
     }
-
-
-def genus_gamma0_rational(N: int) -> int:
-    """Genus of the compactified level-N modular curve (Hecke congruence type),
-    by the index / elliptic-count / cusp-count formula."""
-    if N < 1:
-        raise ChernError(f"level must be >= 1, got {N}")
-    ps = prime_factors(N)
-    mu = N
-    for p in ps:
-        mu = mu // p * (p + 1)
-    nu2 = 0 if N % 4 == 0 else prod(1 + kronecker(-4, p) for p in ps)
-    nu3 = 0 if N % 9 == 0 else prod(1 + kronecker(-3, p) for p in ps)
-    nuinf = sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
-    g = Fraction(12 + mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nuinf, 2)
-    if g.denominator != 1 or g < 0:
-        raise ChernError(f"genus formula broke down for N={N}: got {g}")
-    return int(g)
-
-
-def curve_chern_integrality(vol_term, cusp_term: int, avail_n3: int,
-                            avail_n4: int) -> "tuple[int, int, int]":
-    """The unique (n3, n4) with 0 <= n3 <= avail_n3, 0 <= n4 <= avail_n4 making
-
-        vol_term + cusp_term + n3/3 + n4/2
-
-    an integer; that integer (the curve's c1-pairing) is returned third.
-    Raises UniquenessError when no or several assignments work - the point of
-    the argument is being forced.
-    """
-    if avail_n3 < 0 or avail_n4 < 0:
-        raise ChernError("available point counts must be nonnegative")
-    base = Fraction(vol_term) + cusp_term
-    hits = []
-    for n3 in range(avail_n3 + 1):
-        for n4 in range(avail_n4 + 1):
-            total = base + Fraction(n3, 3) + Fraction(n4, 2)
-            if total.denominator == 1:
-                hits.append((n3, n4, int(total)))
-    if len(hits) != 1:
-        raise UniquenessError(
-            f"{len(hits)} integral (n3, n4) assignments, need exactly one")
-    return hits[0]
-
-
-def adjunction_self_intersection(c1_pairing: int, genus: int) -> int:
-    """Self-intersection from the adjunction identity: F^2 = 2g - 2 + c1.F."""
-    if genus < 0:
-        raise ChernError(f"genus must be nonnegative, got {genus}")
-    return 2 * genus - 2 + c1_pairing

@@ -151,43 +151,3 @@ def sigma1(n: int) -> int:
 
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 1, ascending."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    total = n
-    for p in prime_factors(n):
-        total = total // p * (p - 1)
-    return total
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    if n < 1:
-        raise ValueError("divisors needs n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]

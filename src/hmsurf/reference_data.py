@@ -67,11 +67,3 @@ def published_row(D: int):
     if D in PUBLISHED_SMALL:
         return PUBLISHED_SMALL[D]
     return None
-
-
-def published_discriminants() -> list:
-    """All discriminants the published table lists explicitly, ascending."""
-    ds = set(PUBLISHED_UNRESTRICTED) | set(PUBLISHED_NOT5) \
-        | set(PUBLISHED_NOT10) | set(PUBLISHED_NOT5_NOT10) \
-        | set(PUBLISHED_SMALL)
-    return sorted(ds)

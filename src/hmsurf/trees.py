@@ -1,11 +1,12 @@
-"""Finite trees, automorphism actions, and centres of vertex subsets.
+"""Finite trees and centres of vertex subsets.
 
 This is the graph layer of the isogeny-class formalism: vertices are opaque
 labels, edges unordered pairs, and the object of interest is the centre
 (middle vertex or middle edge) of a longest path between members of a chosen
 subset S.  For Galois-stable S the centre is an invariant of the action and
 every member of a transitive orbit sits at the same distance from it; both
-facts are theorems, and the verifiers here exist so tests can hammer them.
+facts are theorems, checked by the tests against random automorphism
+actions.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ class NotATreeError(TreeError):
     """Input graph is disconnected, has a cycle, loop, or repeated edge."""
 
 
-class ActionError(TreeError):
-    """A permutation is not a tree automorphism, or a precondition on the
-    action (S-stability, transitivity on S) fails."""
-
-
 def _ckey(v):
     # Canonical ordering for opaque labels: by text, with the raw repr as a
     # tiebreak so distinct labels with equal str() still order reproducibly.
@@ -37,7 +33,7 @@ class TreeGraph:
     every construction; since |E| = |V| - 1 and the graph is connected, it is
     automatically acyclic."""
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_dist")
 
     def __init__(self, vertices, edges):
         vs = set(vertices)
@@ -60,22 +56,14 @@ class TreeGraph:
         if len(eset) != len(vs) - 1:
             raise NotATreeError(
                 f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(eset)}")
+        object.__setattr__(self, "_adj", {v: frozenset(n) for v, n in adj.items()})
+        object.__setattr__(self, "_dist", {})
         # reachability from an arbitrary root; with the count right this is
         # exactly the tree test
-        root = next(iter(vs))
-        seen = {root}
-        todo = deque([root])
-        while todo:
-            x = todo.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        if seen != vs:
+        if len(self.distances(next(iter(vs)))) != len(vs):
             raise NotATreeError("graph is not connected")
         object.__setattr__(self, "vertices", frozenset(vs))
         object.__setattr__(self, "edges", frozenset(eset))
-        object.__setattr__(self, "_adj", {v: frozenset(n) for v, n in adj.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeGraph is immutable")
@@ -94,11 +82,11 @@ class TreeGraph:
     def __repr__(self):
         return f"TreeGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
-    def neighbors(self, v):
-        return self._adj[v]
-
     def distances(self, source) -> dict:
-        """BFS distance map from one vertex to every vertex."""
+        """BFS distance map from one vertex to every vertex.  Kept per source,
+        since the tree never changes; callers must not modify it."""
+        if source in self._dist:
+            return self._dist[source]
         if source not in self._adj:
             raise TreeError(f"{source!r} is not a vertex")
         dist = {source: 0}
@@ -109,74 +97,24 @@ class TreeGraph:
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     todo.append(y)
+        self._dist[source] = dist
         return dist
 
     def path(self, u, v) -> list:
-        """The unique u-v path as a vertex list (inclusive)."""
+        """The unique u-v path as a vertex list (inclusive).  Walked back from
+        v: in a tree every vertex but u has exactly one neighbour one step
+        closer to u."""
         if u not in self._adj or v not in self._adj:
             raise TreeError("path endpoints must be vertices")
-        parent = {u: None}
-        todo = deque([u])
-        while todo and v not in parent:
-            x = todo.popleft()
-            for y in self._adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    todo.append(y)
+        dist = self.distances(u)
         out = [v]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
+        while out[-1] != u:
+            x = out[-1]
+            out.append(next(y for y in self._adj[x] if dist[y] < dist[x]))
         return out[::-1]
 
     def distance(self, u, v) -> int:
         return len(self.path(u, v)) - 1
-
-
-class GroupAction:
-    """A finite list of permutations of a tree's vertices, each required to
-    send edges to edges."""
-
-    __slots__ = ("tree", "perms")
-
-    def __init__(self, tree: TreeGraph, perms):
-        maps = []
-        for i, p in enumerate(perms):
-            p = dict(p)
-            if set(p) != tree.vertices or set(p.values()) != tree.vertices:
-                raise ActionError(f"permutation #{i} is not a bijection of the vertices")
-            for e in tree.edges:
-                u, v = tuple(e)
-                if frozenset((p[u], p[v])) not in tree.edges:
-                    raise ActionError(
-                        f"permutation #{i} breaks edge {{{u!r}, {v!r}}}")
-            maps.append(p)
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "perms", tuple(maps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAction is immutable")
-
-    def __len__(self):
-        return len(self.perms)
-
-    def stabilizes(self, S) -> bool:
-        S = set(S)
-        return all({p[s] for s in S} == S for p in self.perms)
-
-    def orbit(self, v) -> frozenset:
-        """Orbit of v under the group generated by the listed permutations.
-        (Closure under the maps alone suffices: a bijection of a finite set
-        has finite order, so its inverse is one of its powers.)"""
-        seen = {v}
-        todo = [v]
-        while todo:
-            x = todo.pop()
-            for p in self.perms:
-                y = p[x]
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return frozenset(seen)
 
 
 class CenterResult:
@@ -242,7 +180,6 @@ def tree_center(T: TreeGraph, S) -> CenterResult:
     u, _ = farthest(start)
     v, diam = farthest(u)
     path = T.path(u, v)
-    assert len(path) == diam + 1
     if diam % 2 == 0:
         return CenterResult("vertex", path[diam // 2])
     return CenterResult("edge", (path[(diam - 1) // 2], path[(diam + 1) // 2]))
@@ -250,50 +187,9 @@ def tree_center(T: TreeGraph, S) -> CenterResult:
 
 def center_distance(T: TreeGraph, center: CenterResult, v) -> int:
     """Distance from v to the centre: to the vertex, or to the nearer
-    endpoint of the edge."""
-    return min(T.distance(v, w) for w in center.endpoints())
-
-
-def verify_center_invariance(T: TreeGraph, S, G: GroupAction) -> bool:
-    """Whether every permutation fixes the centre of S (an edge may be
-    flipped).  Demands that the action stabilizes S, since the statement is
-    about stable subsets."""
-    if G.tree != T:
-        raise ActionError("action belongs to a different tree")
-    if not G.stabilizes(S):
-        raise ActionError("the action does not map S onto S")
-    c = tree_center(T, S)
-    for p in G.perms:
-        if c.kind == "vertex":
-            if p[c.payload] != c.payload:
-                return False
-        else:
-            if frozenset(p[x] for x in c.payload) != c.payload:
-                return False
-    return True
-
-
-def verify_equidistance(T: TreeGraph, S, G: GroupAction) -> bool:
-    """Whether all members of S are equally far from the centre (nearer
-    endpoint for an edge centre).  Requires the action to be transitive on S
-    - the orbit setting - and raises otherwise."""
-    S = set(S)
-    if not S:
-        raise TreeError("S must be nonempty")
-    if G.tree != T:
-        raise ActionError("action belongs to a different tree")
-    some = next(iter(S))
-    if not S <= G.orbit(some):
-        raise ActionError("the action is not transitive on S")
-    c = tree_center(T, S)
-    dists = {center_distance(T, c, s) for s in S}
-    return len(dists) == 1
-
-
-def sigma_primes(orbit_degree_data: dict) -> frozenset:
-    """Primes whose local centre is an edge.  Finite by construction: the
-    input map is finite, and almost all primes report a vertex."""
-    return frozenset(lam for lam, is_edge in orbit_degree_data.items() if is_edge)
+    endpoint of the edge.  Measured from the centre, so one search per
+    endpoint serves every v."""
+    return min(T.distance(w, v) for w in center.endpoints())
 
 
 def read_edge_list(lines) -> TreeGraph:
@@ -322,13 +218,18 @@ def load_tree(path) -> TreeGraph:
         return read_edge_list(fh)
 
 
-def to_dot(T: TreeGraph, name: str = "tree") -> str:
+def _dot_id(v) -> str:
+    """v as a quoted DOT ID: backslash and double quote are escaped."""
+    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def to_dot(T: TreeGraph) -> str:
     """DOT text with canonically ordered vertices and edges."""
-    out = [f"graph {name} {{"]
+    out = ["graph tree {"]
     for v in sorted(T.vertices, key=_ckey):
-        out.append(f'  "{v}";')
+        out.append(f"  {_dot_id(v)};")
     for e in sorted(T.edges, key=lambda e: tuple(sorted((str(x) for x in e)))):
         a, b = sorted(e, key=_ckey)
-        out.append(f'  "{a}" -- "{b}";')
+        out.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
     out.append("}")
     return "\n".join(out) + "\n"

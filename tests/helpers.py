@@ -11,13 +11,18 @@ projective line, independently of the closed form they check.
 import functools
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, isqrt, sqrt
+from fractions import Fraction
+from math import gcd, isqrt, prod, sqrt
 
+import sympy
+
+from hmsurf.chern import ChernError
 from hmsurf.elliptic import EllipticCounts, EllipticError
 from hmsurf.field import FieldElement, make_field
 from hmsurf.forms import h_definite
+from hmsurf.ntheory import kronecker
 from hmsurf.reference_data import PSL_POINT_TOTALS
-from hmsurf.trees import TreeGraph
+from hmsurf.trees import TreeError, TreeGraph, center_distance, tree_center
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +148,157 @@ def normalize_centre(res):
     if res.kind == "vertex":
         return ("vertex", res.payload)
     return ("edge", frozenset(res.endpoints()))
+
+
+# ---------------------------------------------------------------------------
+# trees: automorphism actions and the two centre theorems (criterion 8)
+# ---------------------------------------------------------------------------
+
+class ActionError(TreeError):
+    """A permutation is not a tree automorphism, or a precondition on the
+    action (S-stability, transitivity on S) fails."""
+
+
+class GroupAction:
+    """A finite list of permutations of a tree's vertices, each required to
+    send edges to edges."""
+
+    __slots__ = ("tree", "perms")
+
+    def __init__(self, tree: TreeGraph, perms):
+        maps = []
+        for i, p in enumerate(perms):
+            p = dict(p)
+            if set(p) != tree.vertices or set(p.values()) != tree.vertices:
+                raise ActionError(f"permutation #{i} is not a bijection of the vertices")
+            for e in tree.edges:
+                u, v = tuple(e)
+                if frozenset((p[u], p[v])) not in tree.edges:
+                    raise ActionError(
+                        f"permutation #{i} breaks edge {{{u!r}, {v!r}}}")
+            maps.append(p)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "perms", tuple(maps))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupAction is immutable")
+
+    def __len__(self):
+        return len(self.perms)
+
+    def stabilizes(self, S) -> bool:
+        S = set(S)
+        return all({p[s] for s in S} == S for p in self.perms)
+
+    def orbit(self, v) -> frozenset:
+        """Orbit of v under the group generated by the listed permutations.
+        (Closure under the maps alone suffices: a bijection of a finite set
+        has finite order, so its inverse is one of its powers.)"""
+        seen = {v}
+        todo = [v]
+        while todo:
+            x = todo.pop()
+            for p in self.perms:
+                y = p[x]
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return frozenset(seen)
+
+
+def verify_center_invariance(T: TreeGraph, S, G: GroupAction) -> bool:
+    """Whether every permutation fixes the centre of S (an edge may be
+    flipped).  Demands that the action stabilizes S, since the statement is
+    about stable subsets."""
+    if G.tree != T:
+        raise ActionError("action belongs to a different tree")
+    if not G.stabilizes(S):
+        raise ActionError("the action does not map S onto S")
+    c = tree_center(T, S)
+    for p in G.perms:
+        if c.kind == "vertex":
+            if p[c.payload] != c.payload:
+                return False
+        else:
+            if frozenset(p[x] for x in c.payload) != c.payload:
+                return False
+    return True
+
+
+def verify_equidistance(T: TreeGraph, S, G: GroupAction) -> bool:
+    """Whether all members of S are equally far from the centre (nearer
+    endpoint for an edge centre).  Requires the action to be transitive on S
+    - the orbit setting - and raises otherwise."""
+    S = set(S)
+    if not S:
+        raise TreeError("S must be nonempty")
+    if G.tree != T:
+        raise ActionError("action belongs to a different tree")
+    some = next(iter(S))
+    if not S <= G.orbit(some):
+        raise ActionError("the action is not transitive on S")
+    c = tree_center(T, S)
+    dists = {center_distance(T, c, s) for s in S}
+    return len(dists) == 1
+
+
+# ---------------------------------------------------------------------------
+# modular curves: genus, integrality forcing, adjunction (criterion 6)
+# ---------------------------------------------------------------------------
+
+class UniquenessError(ChernError):
+    """An integrality argument did not pin down a unique count."""
+
+
+def genus_gamma0_rational(N: int) -> int:
+    """Genus of the compactified level-N modular curve (Hecke congruence type),
+    by the index / elliptic-count / cusp-count formula."""
+    if N < 1:
+        raise ChernError(f"level must be >= 1, got {N}")
+    ps = sympy.primefactors(N)
+    mu = N
+    for p in ps:
+        mu = mu // p * (p + 1)
+    nu2 = 0 if N % 4 == 0 else prod(1 + kronecker(-4, p) for p in ps)
+    nu3 = 0 if N % 9 == 0 else prod(1 + kronecker(-3, p) for p in ps)
+    nuinf = sum(sympy.totient(gcd(d, N // d)) for d in sympy.divisors(N))
+    g = (Fraction(12 + mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3)
+         - Fraction(int(nuinf), 2))
+    if g.denominator != 1 or g < 0:
+        raise ChernError(f"genus formula broke down for N={N}: got {g}")
+    return int(g)
+
+
+def curve_chern_integrality(vol_term, cusp_term: int, avail_n3: int,
+                            avail_n4: int) -> "tuple[int, int, int]":
+    """The unique (n3, n4) with 0 <= n3 <= avail_n3, 0 <= n4 <= avail_n4 making
+
+        vol_term + cusp_term + n3/3 + n4/2
+
+    an integer; that integer (the curve's c1-pairing) is returned third.
+    Raises UniquenessError when no or several assignments work - the point of
+    the argument is being forced.
+    """
+    if avail_n3 < 0 or avail_n4 < 0:
+        raise ChernError("available point counts must be nonnegative")
+    base = Fraction(vol_term) + cusp_term
+    hits = []
+    for n3 in range(avail_n3 + 1):
+        for n4 in range(avail_n4 + 1):
+            total = base + Fraction(n3, 3) + Fraction(n4, 2)
+            if total.denominator == 1:
+                hits.append((n3, n4, int(total)))
+    if len(hits) != 1:
+        raise UniquenessError(
+            f"{len(hits)} integral (n3, n4) assignments, need exactly one")
+    return hits[0]
+
+
+def adjunction_self_intersection(c1_pairing: int, genus: int) -> int:
+    """Self-intersection from the adjunction identity: F^2 = 2g - 2 + c1.F."""
+    if genus < 0:
+        raise ChernError(f"genus must be nonnegative, got {genus}")
+    return 2 * genus - 2 + c1_pairing
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,8 @@ from fractions import Fraction
 from hmsurf.chern import (
     c1sq_lower_bound,
     c2_lower_check,
-    adjunction_self_intersection,
     classify,
-    curve_chern_integrality,
     default_discriminants,
-    genus_gamma0_rational,
     table_diff,
     theorem_table,
 )
@@ -33,19 +30,25 @@ from hmsurf.field import make_field, split_prime
 from hmsurf.forms import h_definite
 from hmsurf.ntheory import is_fundamental_discriminant
 from hmsurf.reference_data import published_row
-from hmsurf.trees import GroupAction, tree_center, verify_center_invariance, verify_equidistance
+from hmsurf.trees import tree_center
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 from helpers import (
+    GroupAction,
+    adjunction_self_intersection,
     brute_centres,
     counts_gamma0_from_reps,
+    curve_chern_integrality,
     enumerate_elliptic_reps,
+    genus_gamma0_rational,
     normalize_centre,
     p1_fixed_count,
     rand_elliptic,
     random_subset,
     random_tree,
     symmetric_tree,
+    verify_center_invariance,
+    verify_equidistance,
 )
 from test_forms import oracle_h_definite
 
@@ -148,7 +151,7 @@ def test_criterion_5_theorem_table():
     assert by_d[853].n_min == 3 and by_d[853].exclusions == ()
     # the norm-4 prime of the largest field, checked head on
     assert c2_lower_check(853, 5)
-    assert c1sq_lower_bound(853, 5, "p2_inert", "bound_c") > 0
+    assert c1sq_lower_bound(853, 5, "p2_inert") > 0  # analytic cusp estimate
     assert classify(853, 4, mode="bound").verdict == "general_type"
 
     # residual disagreements are reported, never silently dropped

@@ -10,20 +10,16 @@ from hmsurf.chern import (
     EXACT_C_CUTOFF,
     ChernError,
     ChernReport,
-    HypothesisError,
     LinearForm,
     ModeMixError,
     TableRow,
-    UniquenessError,
-    adjunction_self_intersection,
     c1sq_lower_bound,
     c1sq_terms,
     c2_lower_check,
     chern_numbers,
     classify,
-    curve_chern_integrality,
     default_discriminants,
-    genus_gamma0_rational,
+    modes_at,
     norm_achievable,
     table_diff,
     theorem_table,
@@ -32,14 +28,22 @@ from hmsurf.elliptic import (
     EllipticCounts,
     EllipticError,
     atkin_lehner_refine,
+    bounds_gamma0,
     counts_gamma0,
     involution_action,
 )
 from hmsurf.field import UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_prime
-from hmsurf.reference_data import published_discriminants, published_row
+from hmsurf.reference_data import published_row
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
+
+from helpers import (
+    UniquenessError,
+    adjunction_self_intersection,
+    curve_chern_integrality,
+    genus_gamma0_rational,
+)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -132,23 +136,30 @@ def test_classify_input_errors():
 
 
 def test_chern_numbers_mode_mixing():
-    bound_counts = EllipticCounts(a2=Fraction(3, 2), mode="upper_bound",
-                                  group_tag="w_gamma0")
+    F = make_field(13)
+    (P,) = split_prime(F, 2)  # the norm-4 prime
+    cusp, zeta = cusp_resolution(F), zeta_minus_one(13)
+    bound_counts = atkin_lehner_refine(bounds_gamma0(F, P), P)
+    assert bound_counts.group_tag == "w_gamma0"
     with pytest.raises(ModeMixError):
-        chern_numbers(None, None, bound_counts, None, Fraction(1, 6), n=5)
-    wrong_level = EllipticCounts(a2=1, a3_plus=2, a3_minus=2,
-                                 mode="exact", group_tag="gamma0")
+        chern_numbers(F, P, bound_counts, cusp, zeta)
+    wrong_level = counts_gamma0(F, P)
+    assert wrong_level.mode == "exact"
     with pytest.raises(ModeMixError):
-        chern_numbers(None, None, wrong_level, None, Fraction(1, 6), n=5)
+        chern_numbers(F, P, wrong_level, cusp, zeta)
 
 
 def test_chern_numbers_trivial_zero_counts():
+    F = make_field(13)
+    (P,) = split_prime(F, 2)
+    cusp = cusp_resolution(F)
     zero = EllipticCounts(a2=0, a3_plus=0, a3_minus=0, a4_plus=0, a4_minus=0,
                           a6_plus=0, a6_minus=0, mode="exact",
                           group_tag="w_gamma0")
-    rep = chern_numbers(None, None, zero, None, Fraction(1, 6), n=5)
-    assert rep.c1_sq == 2 * 5 * Fraction(1, 6)  # no cusp, no elliptic terms
-    assert rep.c2.is_constant and rep.c2.as_fraction() == Fraction(5, 6)
+    rep = chern_numbers(F, P, zero, cusp, Fraction(1, 6))
+    assert rep.n == 5 and (cusp.c, cusp.l) == (-3, 3)
+    assert rep.c1_sq == 2 * 5 * Fraction(1, 6) - 3  # no elliptic terms
+    assert rep.c2.is_constant and rep.c2.as_fraction() == 5 * Fraction(1, 6) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +208,17 @@ def test_c1sq_terms_identity():
     assert t["penalty_ub"] > 0 and t["c_term_lb"] < 0
 
 
-def test_c_mode_hypothesis_gate():
-    with pytest.raises(HypothesisError):
-        c1sq_lower_bound(109, 5, c_mode="bound_c")
-    assert c1sq_lower_bound(853, 5, c_mode="bound_c") > 0
+def test_modes_at_cutoff():
     assert EXACT_C_CUTOFF == 500
+    assert modes_at(13) == modes_at(500) == ("exact_c", "exact")
+    assert modes_at(501) == modes_at(853) == ("bound_c", "bound")
 
 
 def test_exact_c_dominates_estimated_c():
+    # above the cutoff the bound takes the analytic estimate, which sits
+    # below the exact c
     for n in (3, 5, 10):
-        assert (c1sq_lower_bound(853, n, c_mode="exact_c")
-                >= c1sq_lower_bound(853, n, c_mode="bound_c"))
+        assert c1sq_terms(853, n)["c_term_lb"] <= local_chern_divisor_sum(853)
 
 
 def test_c_term_estimate_is_valid_for_table():
@@ -221,8 +232,6 @@ def test_c_term_estimate_is_valid_for_table():
 def test_c1sq_argument_validation():
     with pytest.raises(ChernError):
         c1sq_lower_bound(109, 5, "banana")
-    with pytest.raises(ChernError):
-        c1sq_lower_bound(109, 5, c_mode="banana")
     with pytest.raises(ChernError):
         c1sq_lower_bound(109, 5, zeta_mode="banana")
     with pytest.raises(ChernError, match="minimum 3"):
@@ -360,7 +369,8 @@ def test_published_rows_cover_table():
         n_min, excl = published_row(D)
         assert n_min >= 3
         assert set(excl) <= {5, 10}
-    assert published_discriminants() == default_discriminants(852)
+    # below 853 the published table lists exactly the computed discriminants
+    assert [D for D in range(853) if published_row(D)] == default_discriminants(852)
 
 
 def test_table_diff_frozen_observations():

@@ -1,10 +1,12 @@
-"""Every import in src/, tests/ and scripts/ is used.
+"""Every import in src/, tests/ and scripts/ is used, and every public name in
+src/hmsurf has a reader outside the tests.
 
 A name counts as used when the module reads it, lists it in `__all__`, or
 names it inside a string annotation such as "EllipticCounts | None".
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,73 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text(encoding="utf-8")):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+
+def _defined(node):
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _reads(node):
+    """Names a statement reads: loaded names, attribute names, imported names
+    and names inside string annotations."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    for annotation in _annotations(node):
+        out.update(_names(annotation))
+    return out
+
+
+def unreferenced(modules, callers=(), roots=()):
+    """Public module-level names in `modules` (module name -> source) that no
+    other top-level statement of theirs, no `callers` source and no entry
+    point in `roots` reads.  A definition's own body does not count, and
+    names match by name alone."""
+    statements = [(mod, node, _reads(node))
+                  for mod, source in modules.items() for node in ast.parse(source).body]
+    outside = set(roots).union(*(_reads(ast.parse(source)) for source in callers))
+    return sorted(
+        f"{mod}.{name}" for mod, node, _ in statements for name in _defined(node)
+        if not name.startswith("_") and name not in outside
+        and not any(name in reads for _, other, reads in statements if other is not node))
+
+
+def test_unreferenced_checker_on_synthetic_source():
+    modules = {
+        "a": "import b\nLIMIT = 3\n_hidden = 1\ndef run():\n    return b.helper(LIMIT)\n"
+             "def dead(n):\n    return dead(n - 1)\nclass Shape:\n    pass\n",
+        "b": "def helper(x: 'Shape | None'):\n    return x\ndef scripted():\n    pass\n"
+             "def orphan():\n    pass\n",
+    }
+    script = "from b import scripted\nscripted()\n"
+    assert unreferenced(modules, [script], {"run"}) == ["a.dead", "b.orphan"]
+    assert unreferenced(modules, [script]) == ["a.dead", "a.run", "b.orphan"]
+
+
+def test_every_public_name_has_a_runtime_reader():
+    # only the CLI entry point, scripts/ and src/ itself count as readers; the
+    # package __init__ just re-exports
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "hmsurf").glob("*.py")
+               if path.stem != "__init__"}
+    scripts = [path.read_text(encoding="utf-8")
+               for path in (ROOT / "scripts").rglob("*.py")]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    entry = pyproject.split("[project.scripts]", 1)[1].split("\n[")[0]
+    roots = set(re.findall(r':(\w+)"', entry))
+    assert roots == {"main"}
+    found = unreferenced(modules, scripts, roots)
+    assert not found, "public names nothing outside the tests reads:\n" + "\n".join(found)

@@ -1,18 +1,14 @@
 import math
-import random
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
 from hmsurf.ntheory import (
-    divisors,
-    euler_phi,
     is_fundamental_discriminant,
     is_prime,
     is_square,
     kronecker,
-    prime_factors,
     sigma0,
     sigma1,
     sqrt_mod,
@@ -98,15 +94,6 @@ def test_sigma_vs_sympy():
 @given(st.integers(min_value=1, max_value=10**9))
 def test_sigma1_random(n):
     assert sigma1(n) == sympy.divisor_sigma(n, 1)
-
-
-def test_prime_factors_phi_divisors():
-    rnd = random.Random(7)
-    samples = list(range(1, 300)) + [rnd.randrange(1, 10**7) for _ in range(60)]
-    for n in samples:
-        assert prime_factors(n) == sorted(sympy.factorint(n)), n
-        assert euler_phi(n) == sympy.totient(n), n
-        assert divisors(n) == sympy.divisors(n), n
 
 
 def test_squarefree():

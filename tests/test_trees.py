@@ -5,23 +5,28 @@ import networkx as nx
 import pytest
 
 from hmsurf.trees import (
-    ActionError,
     CenterResult,
-    GroupAction,
     NotATreeError,
     TreeError,
     TreeGraph,
     center_distance,
     load_tree,
     read_edge_list,
-    sigma_primes,
     to_dot,
     tree_center,
+)
+
+from helpers import (
+    ActionError,
+    GroupAction,
+    brute_centres,
+    normalize_centre,
+    random_subset,
+    random_tree,
+    symmetric_tree,
     verify_center_invariance,
     verify_equidistance,
 )
-
-from helpers import brute_centres, normalize_centre, random_subset, random_tree, symmetric_tree
 
 
 def path_tree(labels):
@@ -51,7 +56,7 @@ def test__tree_construction_rejections():
 def test__tree_basics():
     T = path_tree("abcde")
     assert len(T) == 5
-    assert T.neighbors("c") == frozenset({"b", "d"})
+    assert {v for e in T.edges if "c" in e for v in e} == {"b", "c", "d"}
     assert T.distances("a") == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
     assert T.path("b", "e") == ["b", "c", "d", "e"]
     assert T.path("d", "d") == ["d"]
@@ -237,12 +242,6 @@ def test__identity_action_always_invariant():
         assert verify_center_invariance(T, S, ident)
 
 
-def test__sigma_primes():
-    assert sigma_primes({}) == frozenset()
-    assert sigma_primes({2: True, 3: False, 5: True}) == frozenset({2, 5})
-    assert sigma_primes({7: False, 11: False}) == frozenset()
-
-
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
@@ -278,3 +277,9 @@ def test__to_dot_deterministic():
     assert dot == to_dot(b)
     assert dot.startswith("graph tree {") and dot.endswith("}\n")
     assert dot.count("--") == 3 and '"a" -- "b";' in dot
+
+
+def test__to_dot_escapes_labels():
+    T = read_edge_list(['a"x b', 'b c\\d'])
+    assert to_dot(T) == ('graph tree {\n  "a\\"x";\n  "b";\n  "c\\\\d";\n'
+                         '  "a\\"x" -- "b";\n  "b" -- "c\\\\d";\n}\n')
