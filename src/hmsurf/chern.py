@@ -37,8 +37,10 @@ EXACT_C_CUTOFF = 500
 
 P_CASES = ("generic", "p2_inert", "p3_inert")
 
-# theorem_table looks for the least passing degree n among 3..N_MAX.
+# theorem_table looks for the least passing degree n among 3..N_MAX; from TAIL_D
+# on, the tail lemma at _c1sq_intervals gives the row without a scan.
 N_MAX = 200
+TAIL_D = 853
 
 
 class ChernError(ValueError):
@@ -62,11 +64,6 @@ class LinearForm:
     @property
     def is_constant(self) -> bool:
         return self.a2_coeff == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant:
-            raise ChernError(f"form '{self}' still depends on the unknown a2")
-        return self.const
 
     def __str__(self) -> str:
         if self.is_constant:
@@ -156,6 +153,37 @@ def modes_at(D: int) -> "tuple[str, str]":
 
 
 def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
+    """Intervals (volume, cusp term, penalty, total) of the c1^2 bound f(D, n).
+
+    Tail lemma: for every D >= TAIL_D = 853 and n >= 3, f(D, n) > 0 in each
+    p_case at every degree where the table tests it, and c2_lower_check holds.
+    Above EXACT_C_CUTOFF, with the volume floor,
+        f(D, n) = n*D^(3/2)/180 - sqrt(D)*(3 log^2 D/(4 pi^2) + (21/40) log D)
+                  - pen(D),
+    where pen(D)/sqrt(D) is sqrt(3) log(3D)/(4 pi) (generic), that plus
+    6 log(4D)/pi (p2_inert) or 4 sqrt(3) log(3D)/pi (p3_inert).
+    - Base case.  f(853, n) > 0 at each case's least degree: generic at
+      n = 3 (+179), p2_inert at n = 5 (+2.10), p3_inert at n = 10 (+674).
+      f grows with n, and the table tests p2_inert only at n = 5 and
+      p3_inert only at n = 10.  (At 849, the fundamental discriminant below,
+      the p2_inert value is -0.65, so the base case cannot move down.)
+    - Monotonicity.  d/dD (f/sqrt D) = n/180 - 3 log D/(2 pi^2 D) - 21/(40 D)
+      - pen', with pen' = sqrt(3)/(4 pi D), that plus 6/(pi D), or
+      4 sqrt(3)/(pi D).  Every subtracted term decreases for D > e, so the
+      derivative increases there; it is positive at 853 (certified with iv
+      in the tests), hence on all of [853, oo), and f(D) >= f(853)*sqrt(D/853).
+    - Exact zeta (D fundamental).  zeta_E(2) = zeta(2)*L(2, chi_D) >= zeta(4)
+      = pi^4/90, since L(2, chi_D) >= prod_p (1 + p^-2)^-1 = zeta(4)/zeta(2).
+      With zeta_E(-1) = D^(3/2)*zeta_E(2)/(4 pi^4) that gives
+      2*n*zeta_E(-1) >= n*D^(3/2)/180: the exact volume term only adds.
+    - Rounding.  f/(n D^(3/2)/180) is at least 0.003 on [853, oo) and grows
+      with D, while the enclosures at >= 128 bits are relatively ~2^-120
+      wide, so the scan's interval decisions agree with the lemma.
+    - c2.  n^2 D^3 > 4320^2 already at n = 3, D = 853.
+    So every row with D >= 853 has n_min = 3 (with strict_n, the least n >= 3
+    with an achievable norm n - 1, at most 5 since q = 4 is one when 2 is
+    inert) and no exclusions.
+    """
     if p_case not in P_CASES:
         raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
     if zeta_mode not in ("exact", "bound"):
@@ -336,13 +364,18 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
     n = 5 / n = 10 (only possible where 2 resp. 3 stays prime).  With the
     default zeta_mode (exact below the cutoff), rows also carry the values
     the floor-only zeta estimate would give, so both variants can be diffed.
+    Rows with D >= TAIL_D come from the tail lemma at _c1sq_intervals, unscanned.
     """
     if d_list is None:
         d_list = default_discriminants(dmax)
     rows = []
     for D in sorted(d_list):
         zmode = zeta_mode or modes_at(D)[1]
-        n_min, excl = _row_scan(D, strict_n, zmode, precision_bits)
+        if D >= TAIL_D:
+            excl = ()
+            n_min = next(n for n in (3, 4, 5) if not strict_n or norm_achievable(D, n - 1))
+        else:
+            n_min, excl = _row_scan(D, strict_n, zmode, precision_bits)
         alt = None
         if zeta_mode is None and zmode == "exact":
             alt = _row_scan(D, strict_n, "bound", precision_bits)

@@ -242,7 +242,6 @@ def involution_action(P: PrimeIdealData, g0: EllipticCounts) -> ALFixedPoints:
 
 
 def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
-                        fixed: ALFixedPoints | None = None,
                         precision_bits: int = MIN_PRECISION_BITS) -> EllipticCounts:
     """Counts for W.Gamma0(P) from Gamma0(P) counts.
 
@@ -250,9 +249,8 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
     points become order-6 points (possible only when P = (3) with 3 inert),
     fixed order-2 points become order-4 points (only when P = (2) with 2
     inert), and exchanged pairs descend to single points.  Exact mode
-    takes the action from involution_action(P, counts_gamma0) unless `fixed`
-    is given, and enforces 2*a3_plus(W) + a6_plus(W) = a3_plus(Gamma0) and
-    a4_plus + a4_minus <= a2(Gamma0).
+    takes the action from involution_action(P, counts_gamma0) and enforces
+    2*a3_plus(W) + a6_plus(W) = a3_plus(Gamma0), a4_plus + a4_minus <= a2(Gamma0).
     """
     if counts_gamma0.group_tag != "gamma0":
         raise ValueError("input counts must be tagged gamma0")
@@ -261,7 +259,7 @@ def atkin_lehner_refine(counts_gamma0: EllipticCounts, P: PrimeIdealData,
     g0 = counts_gamma0
 
     if g0.mode == "exact":
-        fx = involution_action(P, g0) if fixed is None else fixed
+        fx = involution_action(P, g0)
         if not is_p3 and (fx.order3_fixed_plus or fx.order3_fixed_minus):
             raise InconsistentCountsError(
                 "order-3 points can only be fixed when P = (3) is inert"

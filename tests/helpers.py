@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod, sqrt
 
+import pytest
 import sympy
 
+from hmsurf import elliptic
 from hmsurf.chern import ChernError
 from hmsurf.elliptic import EllipticCounts, EllipticError
 from hmsurf.field import FieldElement, make_field
@@ -905,3 +907,16 @@ def atkin_lehner_fixed_classes(F, P, w, reps):
             if j == i and same_line(bottom(delta.inverse()), line):
                 fixed[rep.rtype] = fixed.get(rep.rtype, 0) + 1
     return fixed
+
+
+# ---------------------------------------------------------------------------
+# elliptic: the refine bookkeeping driven by an injected involution action
+# ---------------------------------------------------------------------------
+
+def refine_with_action(g0, P, action):
+    """atkin_lehner_refine(g0, P) with involution_action patched to return
+    `action`, so the bookkeeping checks can be fed actions the lemma never
+    produces."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "involution_action", lambda _P, _g0: action)
+        return elliptic.atkin_lehner_refine(g0, P)

@@ -46,6 +46,7 @@ from helpers import (
     rand_elliptic,
     random_subset,
     random_tree,
+    refine_with_action,
     symmetric_tree,
     verify_center_invariance,
     verify_equidistance,
@@ -223,7 +224,7 @@ def test_criterion_7_elliptic_counts():
                             a3_minus=a6m + 2 * rng.randint(0, 5),
                             mode="exact", group_tag="gamma0")
         try:
-            w = atkin_lehner_refine(g0, P, fx)
+            w = refine_with_action(g0, P, fx)
         except InconsistentCountsError:
             continue
         tried += 1

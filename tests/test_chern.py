@@ -5,14 +5,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import iv
 
 from hmsurf.chern import (
     EXACT_C_CUTOFF,
+    TAIL_D,
     ChernError,
     ChernReport,
     LinearForm,
     ModeMixError,
     TableRow,
+    _c1sq_intervals,
+    _row_scan,
     c1sq_lower_bound,
     c1sq_terms,
     c2_lower_check,
@@ -34,7 +38,8 @@ from hmsurf.elliptic import (
 )
 from hmsurf.field import UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
-from hmsurf.ntheory import is_prime
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime
+from hmsurf.numeric import interval_precision, lower_rational, upper_rational
 from hmsurf.reference_data import published_row
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -43,6 +48,7 @@ from helpers import (
     adjunction_self_intersection,
     curve_chern_integrality,
     genus_gamma0_rational,
+    refine_with_action,
 )
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -57,10 +63,8 @@ def test_linear_form():
     assert f(0) == 18 and f(6) == 27 and f(Fraction(1, 3)) == Fraction(37, 2)
     assert not f.is_constant
     assert str(f) == "18 + 3/2*a2"
-    with pytest.raises(ChernError):
-        f.as_fraction()
     g = LinearForm(Fraction(-3))
-    assert g.is_constant and g.as_fraction() == -3 and str(g) == "-3"
+    assert g.is_constant and g.const == -3 and str(g) == "-3"
 
 
 def test_exact_pipeline_d13_norm4():
@@ -103,11 +107,11 @@ def test_classify_with_new_order2_is_constant():
     F = make_field(13)
     (P,) = split_prime(F, 2)
     g0 = counts_gamma0(F, P)
-    fixed = replace(involution_action(P, g0), new_order2=6)
-    rep = chern_numbers(F, P, atkin_lehner_refine(g0, P, fixed=fixed),
+    action = replace(involution_action(P, g0), new_order2=6)
+    rep = chern_numbers(F, P, refine_with_action(g0, P, action),
                         cusp_resolution(F), zeta_minus_one(F.D))
-    assert rep.chi.is_constant and rep.chi.as_fraction() == 2
-    assert rep.c2.as_fraction() == 27
+    assert rep.chi.is_constant and rep.chi.const == 2
+    assert rep.c2.is_constant and rep.c2.const == 27
     assert rep.verdict == "inconclusive"  # c1^2 is still negative
 
 
@@ -159,7 +163,7 @@ def test_chern_numbers_trivial_zero_counts():
     rep = chern_numbers(F, P, zero, cusp, Fraction(1, 6))
     assert rep.n == 5 and (cusp.c, cusp.l) == (-3, 3)
     assert rep.c1_sq == 2 * 5 * Fraction(1, 6) - 3  # no elliptic terms
-    assert rep.c2.is_constant and rep.c2.as_fraction() == 5 * Fraction(1, 6) + 3
+    assert rep.c2.is_constant and rep.c2.const == 5 * Fraction(1, 6) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,7 @@ def test_classify_bound_mode():
     rep = classify(13, 103, mode="bound")
     assert rep.mode == "bound" and rep.n == 104
     assert rep.verdict == "general_type"
-    assert rep.c1_sq > 0 and rep.c2.as_fraction() > 0
+    assert rep.c1_sq > 0 and rep.c2.is_constant and rep.c2.const > 0
     assert "c2_check:pass" in rep.notes and "p_case:generic" in rep.notes
 
     rep2 = classify(13, 4, mode="bound")
@@ -351,6 +355,68 @@ def test_theorem_table_exclusion_logic():
 def test_theorem_table_small_window():
     rows = theorem_table(dmax=100)
     assert [r.D for r in rows] == [13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+
+
+# ---------------------------------------------------------------------------
+# the tail lemma: rows with D >= TAIL_D need no scan
+# ---------------------------------------------------------------------------
+
+# Each p_case with the least degree at which the table tests it.
+TAIL_CASES = (("generic", 3), ("p2_inert", 5), ("p3_inert", 10))
+
+
+def _tail_slope(D, n, p_case):
+    """d/dD (f/sqrt D) of the analytic-estimate bound, as an interval."""
+    pen_slope = {"generic": iv.sqrt(3) / (4 * iv.pi),
+                 "p2_inert": iv.sqrt(3) / (4 * iv.pi) + 6 / iv.pi,
+                 "p3_inert": 4 * iv.sqrt(3) / iv.pi}[p_case]
+    D = iv.mpf(D)
+    return (iv.mpf(n) / 180 - 3 * iv.log(D) / (2 * iv.pi ** 2 * D)
+            - iv.mpf(21) / (40 * D) - pen_slope / D)
+
+
+def _f_over_sqrt(D, n, p_case):
+    """f(D, n)/sqrt(D) from the code's own floor-zeta intervals."""
+    return _c1sq_intervals(D, n, p_case, "bound", iv.prec)[3] / iv.sqrt(D)
+
+
+def test_tail_lemma_base_case_and_slope():
+    assert TAIL_D > EXACT_C_CUTOFF  # the bound takes the analytic c estimate
+    assert c2_lower_check(TAIL_D, 3)
+    for p_case, n in TAIL_CASES:
+        assert c1sq_lower_bound(TAIL_D, n, p_case) > 0, p_case
+        with interval_precision(256):
+            lo, hi = _tail_slope(TAIL_D, n, p_case), _tail_slope(TAIL_D + 1, n, p_case)
+            step = _f_over_sqrt(TAIL_D + 1, n, p_case) - _f_over_sqrt(TAIL_D, n, p_case)
+            assert lower_rational(lo) > 0, p_case
+            # the slope formula is the derivative of the code's f/sqrt(D):
+            # it increases, so by the mean value theorem it brackets the step
+            assert upper_rational(lo) < lower_rational(step), p_case
+            assert upper_rational(step) < lower_rational(hi), p_case
+
+
+def test_exact_volume_dominates_the_floor():
+    # zeta_E(2) >= zeta(4), i.e. 360*zeta_E(-1) >= D^(3/2), for fundamental D
+    for D in default_discriminants() + [857, 865, 1000033]:
+        assert (360 * zeta_minus_one(D)) ** 2 >= D ** 3, D
+
+
+def test_tail_rows_match_the_scan():
+    sample = [D for D in range(TAIL_D, 3000) if is_fundamental_discriminant(D)][::9]
+    strict_n_mins = set()
+    for D in sample + [1000033]:
+        (row,) = theorem_table([D])
+        assert (row.n_min, row.exclusions, row.n_min_alt) == (3, (), None), D
+        for strict in (False, True):
+            for zeta_mode in ("exact", "bound"):
+                for bits in (128, 512):
+                    (row,) = theorem_table([D], strict_n=strict, zeta_mode=zeta_mode,
+                                           precision_bits=bits)
+                    want = _row_scan(D, strict, zeta_mode, bits)
+                    assert (row.n_min, row.exclusions) == want, (D, strict, zeta_mode, bits)
+                    if strict:
+                        strict_n_mins.add(row.n_min)
+    assert strict_n_mins == {3, 4, 5}
 
 
 def test_audit_row_script_refuses_what_classify_refuses(capsys):

@@ -37,6 +37,7 @@ from helpers import (
     p1_fixed_count,
     psl_canonical_tuple,
     rand_sl2,
+    refine_with_action,
     rotation_type,
 )
 
@@ -283,20 +284,20 @@ def test_refine_exact_fixtures():
     reps13 = certified_reps(13)
     (P2,) = split_prime(F13, 2)
     P3 = split_prime(F13, 3)[0]
-    w2 = atkin_lehner_refine(counts_gamma0_from_reps(F13, P2, reps13), P2,
-                             ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1))
+    w2 = refine_with_action(counts_gamma0_from_reps(F13, P2, reps13), P2,
+                            ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1))
     assert w2.group_tag == "w_gamma0" and w2.mode == "exact"
     assert (w2.a3_plus, w2.a3_minus, w2.a4_plus, w2.a4_minus) == (2, 2, 1, 1)
     assert w2.a2 is None and w2.a6_plus == 0
 
-    w3 = atkin_lehner_refine(counts_gamma0_from_reps(F13, P3, reps13), P3,
-                             ALFixedPoints())
+    w3 = refine_with_action(counts_gamma0_from_reps(F13, P3, reps13), P3,
+                            ALFixedPoints())
     assert (w3.a3_plus, w3.a3_minus, w3.a4_plus, w3.a4_minus) == (1, 1, 0, 0)
 
     reps5 = certified_reps(5)
     (P2_5,) = split_prime(F5, 2)
-    w5 = atkin_lehner_refine(counts_gamma0_from_reps(F5, P2_5, reps5), P2_5,
-                             ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1))
+    w5 = refine_with_action(counts_gamma0_from_reps(F5, P2_5, reps5), P2_5,
+                            ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1))
     assert (w5.a3_plus, w5.a3_minus, w5.a4_plus, w5.a4_minus) == (1, 1, 1, 1)
 
 
@@ -379,7 +380,7 @@ def test_refine_relation_on_exact_inputs():
         g0 = EllipticCounts(a2=a2, a3_plus=a3p, a3_minus=a3m,
                             mode="exact", group_tag="gamma0")
         try:
-            w = atkin_lehner_refine(g0, P, fx)
+            w = refine_with_action(g0, P, fx)
         except InconsistentCountsError:
             continue  # randomized bookkeeping can be infeasible; that is fine
         assert 2 * w.a3_plus + w.a6_plus == g0.a3_plus
@@ -391,7 +392,7 @@ def test_refine_new_order2_bookkeeping():
     (P2,) = split_prime(F13, 2)
     g0 = counts_gamma0_from_reps(F13, P2, reps)
     fx = ALFixedPoints(order2_to_4_plus=1, order2_to_4_minus=1, new_order2=6)
-    w = atkin_lehner_refine(g0, P2, fx)
+    w = refine_with_action(g0, P2, fx)
     assert w.a2 == 6  # (2 - 1 - 1)/2 exchanged pairs + 6 new points
 
 
@@ -403,21 +404,21 @@ def test_refine_error_paths():
     # odd pairing
     odd = EllipticCounts(a2=0, a3_plus=3, a3_minus=3, mode="exact", group_tag="gamma0")
     with pytest.raises(InconsistentCountsError):
-        atkin_lehner_refine(odd, P3_split, ALFixedPoints())
+        refine_with_action(odd, P3_split, ALFixedPoints())
     # order-3 fixed points on a prime that is not (3) inert
     with pytest.raises(InconsistentCountsError):
-        atkin_lehner_refine(good, P2, ALFixedPoints(order3_fixed_plus=1))
+        refine_with_action(good, P2, ALFixedPoints(order3_fixed_plus=1))
     # order-2 fixed points on a prime that is not (2) inert
     with pytest.raises(InconsistentCountsError):
-        atkin_lehner_refine(good, P3_split, ALFixedPoints(order2_to_4_plus=1))
+        refine_with_action(good, P3_split, ALFixedPoints(order2_to_4_plus=1))
     # more fixed points than there are points
     with pytest.raises(InconsistentCountsError):
-        atkin_lehner_refine(good, P2, ALFixedPoints(order2_to_4_plus=2,
-                                                    order2_to_4_minus=1))
+        refine_with_action(good, P2, ALFixedPoints(order2_to_4_plus=2,
+                                                   order2_to_4_minus=1))
     # negative after removing fixed ones
     skimpy = EllipticCounts(a2=0, a3_plus=2, a3_minus=2, mode="exact", group_tag="gamma0")
     with pytest.raises(InconsistentCountsError):
-        atkin_lehner_refine(skimpy, P3_inert, ALFixedPoints(order3_fixed_plus=4))
+        refine_with_action(skimpy, P3_inert, ALFixedPoints(order3_fixed_plus=4))
     # wrong input tag
     with pytest.raises(ValueError):
         atkin_lehner_refine(counts_full_group(F13), P2)

@@ -1,5 +1,5 @@
-"""Every import in src/, tests/ and scripts/ is used, and every public name in
-src/hmsurf has a reader outside the tests.
+"""Every import in src/, tests/ and scripts/ is used, and every public name and
+public method in src/hmsurf has a reader outside the tests.
 
 A name counts as used when the module reads it, lists it in `__all__`, or
 names it inside a string annotation such as "EllipticCounts | None".
@@ -7,6 +7,7 @@ names it inside a string annotation such as "EllipticCounts | None".
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,6 +140,49 @@ def test_unreferenced_checker_on_synthetic_source():
     assert unreferenced(modules, [script]) == ["a.dead", "a.run", "b.orphan"]
 
 
+def _attribute_reads(tree):
+    return Counter(sub.attr for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def unread_methods(modules, callers=()):
+    """Public methods (properties too) of the top-level classes in `modules`
+    whose name no `modules` or `callers` source reads as an attribute outside
+    the method's own body.  Names match by name alone."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    reads = Counter()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        reads.update(_attribute_reads(tree))
+    return sorted(
+        f"{mod}.{cls.name}.{fn.name}"
+        for mod, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and reads[fn.name] == _attribute_reads(fn)[fn.name])
+
+
+def test_unread_methods_checker_on_synthetic_source():
+    modules = {
+        "a": "class Form:\n"
+             "    def used(self):\n        return self.helper()\n"
+             "    def helper(self):\n        return 1\n"
+             "    def scripted(self):\n        pass\n"
+             "    def recursive(self, n):\n        return self.recursive(n - 1)\n"
+             "    def orphan(self):\n        pass\n"
+             "    def _private(self):\n        pass\n"
+             "    @property\n    def shown(self):\n        return 1\n"
+             "    def __str__(self):\n        return ''\n"
+             "def orphan():\n    pass\n",
+        "b": "from a import Form\nprint(Form().used(), Form().shown)\n",
+    }
+    script = "from a import Form\nForm().scripted()\n"
+    assert unread_methods(modules, [script]) == ["a.Form.orphan", "a.Form.recursive"]
+    assert unread_methods(modules) == ["a.Form.orphan", "a.Form.recursive",
+                                       "a.Form.scripted"]
+
+
 def test_every_public_name_has_a_runtime_reader():
     # only the CLI entry point, scripts/ and src/ itself count as readers; the
     # package __init__ just re-exports
@@ -151,5 +195,5 @@ def test_every_public_name_has_a_runtime_reader():
     entry = pyproject.split("[project.scripts]", 1)[1].split("\n[")[0]
     roots = set(re.findall(r':(\w+)"', entry))
     assert roots == {"main"}
-    found = unreferenced(modules, scripts, roots)
+    found = unreferenced(modules, scripts, roots) + unread_methods(modules, scripts)
     assert not found, "public names nothing outside the tests reads:\n" + "\n".join(found)
