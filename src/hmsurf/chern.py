@@ -309,7 +309,6 @@ class TableRow:
     D: int
     n_min: int
     exclusions: "tuple[tuple[int, str], ...]"
-    source: str = "computed"
     n_min_alt: "int | None" = None
     exclusions_alt: "tuple[tuple[int, str], ...] | None" = None
 
@@ -380,7 +379,7 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
         if zeta_mode is None and zmode == "exact":
             alt = _row_scan(D, strict_n, "bound", precision_bits)
         rows.append(TableRow(
-            D=D, n_min=n_min, exclusions=excl, source="computed",
+            D=D, n_min=n_min, exclusions=excl,
             n_min_alt=alt[0] if alt else None,
             exclusions_alt=alt[1] if alt else None))
     return rows
@@ -409,8 +408,7 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
             continue
         compared += 1
         pub_row = TableRow(D=row.D, n_min=pub[0],
-                           exclusions=tuple((n, "published") for n in sorted(pub[1])),
-                           source="published")
+                           exclusions=tuple((n, "published") for n in sorted(pub[1])))
         hi = max(row.n_min, pub_row.n_min, 10) + 2
         bad = [n for n in range(3, hi + 1) if row.allows(n) != pub_row.allows(n)]
         if not bad:

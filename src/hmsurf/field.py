@@ -13,28 +13,25 @@ norm -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
-from .forms import h_narrow_indefinite, unit_form_walk
+from .forms import h_narrow_indefinite, principal_form, unit_form_walk
 from .ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
 
 class FieldError(ValueError):
     """Base class for field construction/usage errors."""
 
-    code = "field_error"
-
 
 class NotFundamentalError(FieldError):
-    code = "not_fundamental"
+    """D is not a fundamental discriminant."""
 
 
 class UnsupportedShapeError(FieldError):
-    code = "unsupported_shape"
+    """D is not of a supported shape (a prime = 1 mod 4, or 8)."""
 
 
 class NarrowClassError(FieldError):
-    code = "narrow_class_not_one"
+    """The narrow class number of D is not one."""
 
 
 @dataclass(frozen=True)
@@ -168,14 +165,11 @@ class FieldElement:
 def fundamental_unit(D: int) -> FieldElement:
     """Fundamental unit eps > 1 of O_E, from the cycle of the principal form.
 
-    The principal reduced form is (1, b, (b^2 - D)/4) with b the largest
-    b < sqrt(D), b = D mod 2.  The walk stops at the first form of leading
+    The walk from the principal form stops at the first form of leading
     coefficient +-1, and the unit eta it gives generates the units modulo -1
     (Buchmann & Vollmer ch. 6); eps is the largest of +-eta and +-eta'.
     """
-    s = isqrt(D)
-    b = s - (s - D) % 2
-    eta = FieldElement(*unit_form_walk((1, b, (b * b - D) // 4), D), D)
+    eta = FieldElement(*unit_form_walk(principal_form(D), D)[0], D)
     return max((eta, -eta, eta.conjugate(), -eta.conjugate()))
 
 
@@ -202,8 +196,8 @@ class FieldContext:
 def make_field(D: int) -> FieldContext:
     """Validate D and build the field context.
 
-    Raises NotFundamentalError / UnsupportedShapeError / NarrowClassError with
-    distinct codes for the three rejection reasons.
+    Raises NotFundamentalError, UnsupportedShapeError or NarrowClassError,
+    one for each of the three rejection reasons.
     """
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
@@ -286,7 +280,7 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
                                generator=FieldElement.from_int(p, D), omega_image=None),)
     b = sqrt_mod(D, p)
     b += p * ((b - D) % 2)
-    x = FieldElement(*unit_form_walk((p, b, (b * b - D) // (4 * p)), D), D)
+    x = FieldElement(*unit_form_walk((p, b, (b * b - D) // (4 * p)), D)[0], D)
     gens = [_positive_generator(x, F)]
     if sym == 1:
         gens.append(_positive_generator(gens[0].conjugate(), F))

@@ -153,7 +153,16 @@ def rho_step(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:
     return (c, b1, c1)
 
 
-def unit_form_walk(form: tuple[int, int, int], D: int) -> tuple[int, int]:
+def principal_form(D: int) -> tuple[int, int, int]:
+    """The principal reduced form (1, b, (b^2 - D)/4), b the largest b < sqrt(D)
+    with b = D mod 2."""
+    s = isqrt(D)
+    b = s - (s - D) % 2
+    return (1, b, (b * b - D) // 4)
+
+
+def unit_form_walk(form: tuple[int, int, int],
+                   D: int) -> tuple[tuple[int, int], list[int]]:
     """Walk rho steps from (a0, b, c) to a form (a', b', c') with a' = +-1.
 
     A step is the substitution (x, y) -> (-y, x + t*y), t = (b + b')/(2c);
@@ -162,17 +171,21 @@ def unit_form_walk(form: tuple[int, int, int], D: int) -> tuple[int, int]:
     (2a'x + b'y, y) is an element (u + v*sqrt(D))/2 of norm a' * a0 = +-a0.
     From the principal form this gives the fundamental unit; from (p, b, c)
     it is the principal-ideal test by reduction (Buchmann & Vollmer ch. 6).
-    RuntimeError if a reduced form comes round again first.
+    Returns ((u, v), the step quotients t in walk order).  RuntimeError if a
+    reduced form comes round again first.
     """
     seen: set[tuple[int, int, int]] = set()
+    quotients = []
     m10, m11 = 0, 1
     while True:
         _, b, c = form
         form = rho_step(form, D)
-        m10, m11 = m11, (b + form[1]) // (2 * c) * m11 - m10
+        t = (b + form[1]) // (2 * c)
+        quotients.append(t)
+        m10, m11 = m11, t * m11 - m10
         a1, b1, _ = form
         if abs(a1) == 1:
-            return (2 * a1 * m11 - b1 * m10, -m10)
+            return (2 * a1 * m11 - b1 * m10, -m10), quotients
         if _is_reduced_indefinite(*form, D):
             if form in seen:
                 raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")

@@ -13,10 +13,12 @@ self-intersection number of the local Chern cycle of the (single) cusp:
 values c(5) = -1, c(13) = -3 pin the sign convention).
 
 The resolution cycle itself is the period of the negative-regular ("minus")
-continued fraction of omega: w_{k+1} = 1/(b_k - w_k) with b_k = ceil(w_k),
-run in exact (P, Q) state form until the state repeats.  One period of that
-expansion corresponds to the fundamental totally positive unit, which for
-narrow class number one is eps^2.
+continued fraction of omega: w_{k+1} = 1/(b_k - w_k) with b_k = ceil(w_k).
+It is not expanded on its own: the rho walk of `forms.unit_form_walk` from
+the principal form runs through the period of omega's regular continued
+fraction, and Hirzebruch's rule turns that into the minus period (see
+`minus_cf_cycle`).  One period of the minus expansion corresponds to the
+fundamental totally positive unit, which for narrow class number one is eps^2.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .field import FieldContext, FieldElement
+from .forms import principal_form, unit_form_walk
 from .ntheory import sigma0, sigma1
 
 
@@ -34,15 +37,18 @@ class InternalCheckError(RuntimeError):
 
 
 def _summands(D: int):
-    """Yield (D - x^2)/4 over all x (both signs) with x^2 < D, x^2 = D mod 4."""
-    for x in range(-isqrt(D - 1), isqrt(D - 1) + 1):
-        if (D - x * x) % 4 == 0:
-            yield (D - x * x) // 4
+    """Yield (weight, (D - x^2)/4) over x >= 0 with x^2 < D, x = D mod 2.
+
+    x^2 = D mod 4 exactly when x = D mod 2, and x > 0 stands for +-x, so it
+    has weight 2.
+    """
+    for x in range(D % 2, isqrt(D - 1) + 1, 2):
+        yield 2 if x else 1, (D - x * x) // 4
 
 
 def zeta_minus_one(D: int) -> Fraction:
     """zeta_E(-1) for E = Q(sqrt(D)), D a fundamental discriminant > 0."""
-    total = sum(sigma1(k) for k in _summands(D))
+    total = sum(w * sigma1(k) for w, k in _summands(D))
     return Fraction(total, 60)
 
 
@@ -52,72 +58,50 @@ def local_chern_divisor_sum(D: int) -> int:
     The defining sum is half the count of divisors sum; for our discriminants
     the full divisor-count total is always even, so c is an integer.
     """
-    total = sum(sigma0(k) for k in _summands(D))
+    total = sum(w * sigma0(k) for w, k in _summands(D))
     if total % 2:
         raise InternalCheckError(f"odd divisor-count total {total} for D={D}")
     return -(total // 2)
-
-
-# ---------------------------------------------------------------------------
-# minus continued fractions in exact (P, Q) state form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadIrrational:
-    """(P + sqrt(D))/Q with Q | D - P^2 (so the expansion stays integral)."""
-
-    P: int
-    Q: int
-    D: int
-
-    def __post_init__(self):
-        if self.Q == 0 or (self.D - self.P * self.P) % self.Q != 0:
-            raise ValueError(f"invalid state ({self.P}+sqrt{self.D})/{self.Q}")
-
-    def floor(self) -> int:
-        """Exact floor((P + sqrt(D))/Q) for nonsquare D > 0."""
-        s = isqrt(self.D)
-        return (self.P + s) // self.Q if self.Q > 0 else (-self.P - s - 1) // -self.Q
-
-    def ceil(self) -> int:
-        # never an integer for nonsquare D
-        return self.floor() + 1
-
-    def minus_step(self) -> tuple[int, "QuadIrrational"]:
-        """(b, w') with w' = 1/(b - w), b = ceil(w)."""
-        b = self.ceil()
-        P1 = b * self.Q - self.P
-        Q1 = (P1 * P1 - self.D) // self.Q
-        return b, QuadIrrational(P1, Q1, self.D)
 
 
 def minus_cf_cycle(D: int) -> tuple[int, ...]:
     """Primitive period of the minus continued fraction of omega.
 
     Returned in a canonical rotation (lexicographically greatest), so D = 13
-    comes out as (5, 2, 2).
+    comes out as (5, 2, 2).  It is read off the rho walk from the principal
+    form (1, b, c), for D of narrow class number one:
+
+    * A rho step (a, b, c) -> (c, b', c') from a reduced form is one regular
+      continued-fraction step of its reduced irrational x = (b + sqrt(D))/(2|c|),
+      with partial quotient |t| (Buchmann & Vollmer 2007, ch. 6): b' =
+      2|c||t| - b lies in (sqrt(D) - 2|c|, sqrt(D)), so |t| = floor(x), and
+      1/(x - |t|) = (b' + sqrt(D))/(2|c'|) as |c c'| = (D - b'^2)/4.
+    * At (1, b, c), x = 1/(omega - floor(omega)), so the |t| are omega's
+      partial quotients a_1, a_2, ..., purely periodic from a_1.  Only
+      (1, b, c) and (-1, b, -c) have this x, so the walk, which stops at the
+      first form (+-1, b', c'), covers one period (a_1, ..., a_m).  The
+      leading coefficient changes sign at each step, and N(eps) = -1 puts
+      (-1, b, -c) on the cycle before (1, b, c) comes round: m is odd.  (For
+      N(eps) = +1 the walk closes at (1, b, c) after an even period.)
+    * Hirzebruch's rule (Hilbert modular surfaces, 1973, section 2):
+      [a_0; a_1, a_2, ...] = ((a_0 + 1; 2^(a_1 - 1), a_2 + 2, 2^(a_3 - 1),
+      a_4 + 2, ...)), 2^k a run of k twos.  It takes the quotients in pairs,
+      so it needs a period of even length; the doubled period belongs to
+      eps^2 = eps_plus.  Doubling an odd period also makes the pairing
+      irrelevant: the other parity is the shift by m, which fixes the period.
+
+    Each head a + 2 is >= 3 and every other entry is 2, so the greatest
+    rotation starts at a greatest head; only rotations there are compared.
     """
-    if D % 2 == 1:
-        w = QuadIrrational(1, 2, D)
-    else:
-        w = QuadIrrational(0, 2, D)  # sqrt(2) over the sqrt(8) surd
-    seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    for k in range(10 ** 6):
-        key = (w.P, w.Q)
-        if key in seen:
-            cycle = tuple(digits[seen[key]:])
-            return _canonical_rotation(cycle)
-        seen[key] = k
-        b, w = w.minus_step()
-        digits.append(b)
-    raise InternalCheckError(f"minus continued fraction did not cycle for D={D}")
-
-
-def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-    return max(rotations)
+    _, quotients = unit_form_walk(principal_form(D), D)
+    a = [abs(t) for t in quotients]
+    if len(a) % 2:
+        a += a
+    cycle = []
+    for run, head in zip(a[::2], a[1::2]):
+        cycle += [2] * (run - 1) + [head + 2]
+    top = max(cycle)
+    return max(tuple(cycle[i:] + cycle[:i]) for i, b in enumerate(cycle) if b == top)
 
 
 def cycle_unit(cycle: tuple[int, ...], D: int) -> FieldElement:

@@ -334,6 +334,51 @@ def oracle_reduced_indefinite_forms(D):
 
 
 # ---------------------------------------------------------------------------
+# zeta: the minus continued fraction of omega, expanded step by step
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QuadIrrational:
+    """(P + sqrt(D))/Q with Q | D - P^2 (so the expansion stays integral)."""
+
+    P: int
+    Q: int
+    D: int
+
+    def __post_init__(self):
+        if self.Q == 0 or (self.D - self.P * self.P) % self.Q != 0:
+            raise ValueError(f"invalid state ({self.P}+sqrt{self.D})/{self.Q}")
+
+    def floor(self):
+        """Exact floor((P + sqrt(D))/Q) for nonsquare D > 0."""
+        s = isqrt(self.D)
+        return (self.P + s) // self.Q if self.Q > 0 else (-self.P - s - 1) // -self.Q
+
+    def ceil(self):
+        return self.floor() + 1  # never an integer for nonsquare D
+
+    def minus_step(self):
+        """(b, w') with w' = 1/(b - w), b = ceil(w)."""
+        b = self.ceil()
+        P1 = b * self.Q - self.P
+        return b, QuadIrrational(P1, (P1 * P1 - self.D) // self.Q, self.D)
+
+
+def oracle_minus_cf_period(D):
+    """Period of the minus continued fraction of omega, as the expansion
+    meets it: run the minus steps w -> 1/(ceil(w) - w) in (P, Q) state form
+    until a state repeats."""
+    w = QuadIrrational(1, 2, D) if D % 2 else QuadIrrational(0, 2, D)
+    seen = {}
+    digits = []
+    while (w.P, w.Q) not in seen:
+        seen[w.P, w.Q] = len(digits)
+        b, w = w.minus_step()
+        digits.append(b)
+    return tuple(digits[seen[w.P, w.Q]:])
+
+
+# ---------------------------------------------------------------------------
 # field elements as floats, for order and size checks
 # ---------------------------------------------------------------------------
 

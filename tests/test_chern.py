@@ -333,7 +333,6 @@ def test_theorem_table_spot_rows():
     assert by_d[89].n_min_alt == 7
     assert by_d[97].n_min_alt == 7
     for r in rows:
-        assert r.source == "computed"
         for n, case in r.exclusions:
             assert n in (5, 10) and case in ("p2_inert", "p3_inert")
 

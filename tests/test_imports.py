@@ -1,5 +1,5 @@
 """Every import in src/, tests/ and scripts/ is used, and every public name and
-public method in src/hmsurf has a reader outside the tests.
+public class member in src/hmsurf has a reader outside the tests.
 
 A name counts as used when the module reads it, lists it in `__all__`, or
 names it inside a string annotation such as "EllipticCounts | None".
@@ -145,22 +145,34 @@ def _attribute_reads(tree):
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
 
 
-def unread_methods(modules, callers=()):
-    """Public methods (properties too) of the top-level classes in `modules`
-    whose name no `modules` or `callers` source reads as an attribute outside
-    the method's own body.  Names match by name alone."""
+def _members(cls):
+    """(name, node) for the methods, properties, class-body attributes and
+    dataclass fields a class body defines."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def unread_members(modules, callers=()):
+    """Public members (methods, properties, class-body attributes, dataclass
+    fields) of the top-level classes in `modules` whose name no `modules` or
+    `callers` source reads as an attribute outside the member's own body.
+    Names match by name alone, so a member that shares its name with an
+    attribute read elsewhere escapes."""
     trees = {mod: ast.parse(source) for mod, source in modules.items()}
     reads = Counter()
     for tree in [*trees.values(), *map(ast.parse, callers)]:
         reads.update(_attribute_reads(tree))
     return sorted(
-        f"{mod}.{cls.name}.{fn.name}"
+        f"{mod}.{cls.name}.{name}"
         for mod, tree in trees.items() for cls in tree.body
         if isinstance(cls, ast.ClassDef)
-        for fn in cls.body
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not fn.name.startswith("_")
-        and reads[fn.name] == _attribute_reads(fn)[fn.name])
+        for name, node in _members(cls)
+        if not name.startswith("_") and reads[name] == _attribute_reads(node)[name])
 
 
 def test_unread_methods_checker_on_synthetic_source():
@@ -178,9 +190,23 @@ def test_unread_methods_checker_on_synthetic_source():
         "b": "from a import Form\nprint(Form().used(), Form().shown)\n",
     }
     script = "from a import Form\nForm().scripted()\n"
-    assert unread_methods(modules, [script]) == ["a.Form.orphan", "a.Form.recursive"]
-    assert unread_methods(modules) == ["a.Form.orphan", "a.Form.recursive",
+    assert unread_members(modules, [script]) == ["a.Form.orphan", "a.Form.recursive"]
+    assert unread_members(modules) == ["a.Form.orphan", "a.Form.recursive",
                                        "a.Form.scripted"]
+
+
+def test_unread_attributes_checker_on_synthetic_source():
+    modules = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass\nclass Row:\n"
+             "    D: int\n    tag: str = 'x'\n    shown: int = 0\n    _cache: int = 0\n"
+             "class Error(ValueError):\n    code = 'e'\n    kind = 'k'\n    __slots__ = ()\n"
+             "def make():\n    return Row(D=1, tag='y')\n",
+        "b": "from a import Row, Error\nprint(Row(D=2).D, Error.kind)\n",
+    }
+    script = "from a import Row\nprint(Row(D=3).shown)\n"
+    assert unread_members(modules, [script]) == ["a.Error.code", "a.Row.tag"]
+    assert unread_members(modules) == ["a.Error.code", "a.Row.shown", "a.Row.tag"]
 
 
 def test_every_public_name_has_a_runtime_reader():
@@ -195,5 +221,5 @@ def test_every_public_name_has_a_runtime_reader():
     entry = pyproject.split("[project.scripts]", 1)[1].split("\n[")[0]
     roots = set(re.findall(r':(\w+)"', entry))
     assert roots == {"main"}
-    found = unreferenced(modules, scripts, roots) + unread_methods(modules, scripts)
+    found = unreferenced(modules, scripts, roots) + unread_members(modules, scripts)
     assert not found, "public names nothing outside the tests reads:\n" + "\n".join(found)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import isqrt, sqrt
 
@@ -6,15 +7,18 @@ import sympy
 
 from hmsurf.chern import default_discriminants
 from hmsurf.field import fundamental_unit, make_field
+from hmsurf.forms import h_narrow_indefinite
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime, is_square
 from hmsurf.zeta import (
     CuspCycle,
-    QuadIrrational,
     cusp_resolution,
     cycle_unit,
     local_chern_divisor_sum,
     minus_cf_cycle,
     zeta_minus_one,
 )
+
+from helpers import QuadIrrational, oracle_minus_cf_period
 
 
 def oracle_zeta(D):
@@ -67,8 +71,9 @@ def test_minus_cf_cycles_small():
 
 
 def test_cycle_unit_is_trace_of_eps_plus():
-    # independent identity: the minus continued fraction's period matrix has
-    # the trace of eps_plus = eps^2, for the unit walk's eps of norm -1
+    # the cycle and eps come from one rho walk, but this identity reads them
+    # differently: the period matrix of the minus cycle has the trace of
+    # eps_plus = eps^2, and eps (from the walk's product matrix) has norm -1
     for D in [5, 8] + default_discriminants():
         eps = fundamental_unit(D)
         assert eps.norm() == -1, D
@@ -81,6 +86,30 @@ def test_cycle_unit_is_trace_of_eps_plus():
         assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
         assert m[0][0] + m[1][1] == eps_plus.u, D
         assert cycle_unit(cyc, D) == eps_plus
+
+
+def test_minus_cf_cycle_vs_oracle():
+    # exact, greatest rotation included, where trying all m rotations is cheap
+    small = [D for D in range(5, 5001) if is_fundamental_discriminant(D)
+             and not is_square(D) and h_narrow_indefinite(D) == 1]
+    assert len(small) == 283
+    for D in small:
+        period = oracle_minus_cf_period(D)
+        rotations = [period[i:] + period[:i] for i in range(len(period))]
+        assert minus_cf_cycle(D) == max(rotations), D
+    # as cyclic sequences (a comma-bounded substring of the oracle's period
+    # read twice) at seeded primes D = 1 mod 4 with h+ = 1 up to 3 * 10^6
+    rng = random.Random(15)
+    drawn = 0
+    while drawn < 12:
+        D = 4 * rng.randrange(2, 750_000) + 1
+        if not is_prime(D) or h_narrow_indefinite(D) != 1:
+            continue
+        drawn += 1
+        cycle, period = minus_cf_cycle(D), oracle_minus_cf_period(D)
+        text = "," + ",".join(map(str, cycle)) + ","
+        assert len(cycle) == len(period), D
+        assert text in "," + ",".join(map(str, period * 2)) + ",", D
 
 
 def test_quad_irrational_steps():
