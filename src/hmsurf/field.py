@@ -162,14 +162,13 @@ class FieldElement:
         return f"({self.u}{self.v:+d}*sqrt{self.D})/2"
 
 
-def fundamental_unit(D: int) -> FieldElement:
-    """Fundamental unit eps > 1 of O_E, from the cycle of the principal form.
+def fundamental_unit(eta: FieldElement) -> FieldElement:
+    """Fundamental unit eps > 1 of O_E, from the unit eta of the principal walk.
 
     The walk from the principal form stops at the first form of leading
     coefficient +-1, and the unit eta it gives generates the units modulo -1
     (Buchmann & Vollmer ch. 6); eps is the largest of +-eta and +-eta'.
     """
-    eta = FieldElement(*unit_form_walk(principal_form(D), D)[0], D)
     return max((eta, -eta, eta.conjugate(), -eta.conjugate()))
 
 
@@ -180,13 +179,16 @@ def fundamental_unit(D: int) -> FieldElement:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """A certified field: discriminant, fundamental unit, narrow class data."""
+    """A certified field: discriminant, fundamental unit, narrow class data,
+    and the step quotients of the rho walk from the principal form that gave
+    eps (they are omega's partial quotients, see zeta.minus_cf_cycle)."""
 
     D: int
     eps: FieldElement
     eps_norm: int
     eps_plus: FieldElement  # fundamental totally positive unit
     h_plus: int
+    quotients: tuple[int, ...]
 
     @property
     def omega(self) -> FieldElement:
@@ -210,10 +212,12 @@ def make_field(D: int) -> FieldContext:
     h_plus = h_narrow_indefinite(D)
     if h_plus != 1:
         raise NarrowClassError(f"D={D} has narrow class number {h_plus}, need 1")
-    eps = fundamental_unit(D)
+    eta, quotients = unit_form_walk(principal_form(D), D)
+    eps = fundamental_unit(FieldElement(*eta, D))
     n = eps.norm()
     eps_plus = eps * eps if n == -1 else eps
-    return FieldContext(D=D, eps=eps, eps_norm=n, eps_plus=eps_plus, h_plus=h_plus)
+    return FieldContext(D=D, eps=eps, eps_norm=n, eps_plus=eps_plus, h_plus=h_plus,
+                        quotients=tuple(quotients))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
 
 * `h_definite(N)` -- class number h(-N) of primitive positive definite forms
   (|b| <= a <= c, with b >= 0 when |b| = a or a = c); for large N every
-  (b^2 + N)/4 is factored in one quadratic sieve over b.
+  (b^2 + N)/4 is factored in one quadratic sieve over b, the sieve that also
+  factors the (D - x^2)/4 of `zeta`'s divisor sums.
 
 * `h_narrow_indefinite(D)` -- narrow class number of discriminant D > 0,
   counted as the number of cycles of reduced indefinite forms
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .ntheory import is_fundamental_discriminant, is_square, kronecker, sqrt_mod
+from .ntheory import is_fundamental_discriminant, is_square, sqrt_mod
 from .numeric import upper_rational, sqrt_log_over_pi
 
 _SIEVE_FROM = 250_000  # h_definite: where the sieve overtakes trial division
@@ -44,7 +45,7 @@ def h_definite(N: int) -> int:
         raise ValueError(f"-{N} is not a discriminant (need -N = 0,1 mod 4)")
     bs = range(N % 2, isqrt(N // 3) + 1, 2)
     ms = [(b * b + N) // 4 for b in bs]
-    divisors = _sieve_divisors(N, bs, ms) if N >= _SIEVE_FROM else [
+    divisors = _sieve_divisors(-N, bs, ms) if N >= _SIEVE_FROM else [
         [a for a in range(max(b, 1), isqrt(m) + 1) if m % a == 0] for b, m in zip(bs, ms)]
     count = 0
     for b, m, divs in zip(bs, ms, divisors):
@@ -54,16 +55,17 @@ def h_definite(N: int) -> int:
     return count
 
 
-def _sieve_divisors(N: int, bs: range, ms: list[int]) -> list[list[int]]:
-    """All divisors of each m = (b^2 + N)/4, for b in bs (step 2 from N % 2).
+def _sieve_divisors(d: int, bs: range, ms: list[int]) -> list[list[int]]:
+    """All divisors of each m = |b^2 - d|/4, for b in bs (step 2 from d % 2).
 
-    An odd prime p divides m exactly when b = +-sqrt(-N) mod p; m mod 2 has
-    period 2 along bs, so 2 is tested on the first two; what is left once
-    every prime up to sqrt(max m) is divided out is 1 or a prime.
+    d is a discriminant of either sign.  An odd prime p divides m exactly
+    when b = +-sqrt(d) mod p; m mod 2 has period 2 along bs, so 2 is tested
+    on the first two; what is left once every prime up to sqrt(max m) is
+    divided out is 1 or a prime.  (For d > 0 the m fall as b grows.)
     """
     rest = ms[:]
     divisors = [[1] for _ in bs]
-    top = isqrt(ms[-1])
+    top = isqrt(max(ms))
     composite = bytearray(top + 1)
     for p in range(2, top + 1):
         if composite[p]:
@@ -71,20 +73,24 @@ def _sieve_divisors(N: int, bs: range, ms: list[int]) -> list[list[int]]:
         composite[p * p::p] = b"\x01" * len(range(p * p, top + 1, p))
         if p == 2:
             starts = [i for i in range(min(2, len(bs))) if ms[i] % 2 == 0]
-        elif kronecker(-N, p) >= 0:
+        elif pow(d, (p - 1) // 2, p) != p - 1:  # Euler: d is 0 or a square mod p
             # b = bs[0] + 2i = +-r mod p  <=>  i = (+-r - bs[0]) (p + 1)/2 mod p
-            r = sqrt_mod(-N, p)
+            r = sqrt_mod(d, p)
             starts = {(root - bs[0]) * (p + 1) // 2 % p for root in (r, p - r)}
         else:
             continue
         for start in starts:
             for i in range(start, len(bs), p):
-                e = 0
-                while rest[i] % p == 0:
-                    rest[i] //= p
-                    e += 1
-                divisors[i] = [d * p**k for k in range(e + 1) for d in divisors[i]]
-    return [ds + [d * r for d in ds] if r > 1 else ds for ds, r in zip(divisors, rest)]
+                ds = step = divisors[i]
+                m = rest[i] // p
+                while True:  # append ds*p, ds*p^2, ... for each factor p of m
+                    step = [x * p for x in step]
+                    ds += step
+                    if m % p:
+                        break
+                    m //= p
+                rest[i] = m
+    return [ds + [x * r for x in ds] if r > 1 else ds for ds, r in zip(divisors, rest)]
 
 
 # -- indefinite forms --------------------------------------------------------

@@ -76,8 +76,11 @@ def sqrt_mod(a: int, p: int) -> int:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:  # r^2 = a * a^q = a already (always so when p = 3 mod 4)
+        return r
     z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    c = pow(z, q, p)
     while t != 1:
         i, t2 = 1, t * t % p
         while t2 != 1:
@@ -109,44 +112,6 @@ def is_fundamental_discriminant(d: int) -> bool:
         m = d // 4
         return m % 4 in (2, 3) and squarefree(m)
     return False
-
-
-def sigma0(n: int) -> int:
-    """Number of positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("sigma0 needs n >= 1")
-    total = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            total *= e + 1
-        d += 1
-    if n > 1:
-        total *= 2
-    return total
-
-
-def sigma1(n: int) -> int:
-    """Sum of positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("sigma1 needs n >= 1")
-    total = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            total *= (d ** (e + 1) - 1) // (d - 1)
-        d += 1
-    if n > 1:
-        total *= n + 1
-    return total
 
 
 def is_square(n: int) -> bool:

@@ -10,46 +10,55 @@ self-intersection number of the local Chern cycle of the (single) cusp:
     c = -(1/2) * sum_{x^2 < D, x^2 = D mod 4} sigma_0((D - x^2)/4)
 
 (the cycle is a sum of negative curves, so the total is negative; the spot
-values c(5) = -1, c(13) = -3 pin the sign convention).
+values c(5) = -1, c(13) = -3 pin the sign convention).  Both sums come from
+one pass over the divisors of every (D - x^2)/4, listed by the quadratic
+sieve that h(-N) uses (Hirzebruch 1973, section 3; Cohen 1993, 5.3).
 
 The resolution cycle itself is the period of the negative-regular ("minus")
 continued fraction of omega: w_{k+1} = 1/(b_k - w_k) with b_k = ceil(w_k).
 It is not expanded on its own: the rho walk of `forms.unit_form_walk` from
-the principal form runs through the period of omega's regular continued
-fraction, and Hirzebruch's rule turns that into the minus period (see
-`minus_cf_cycle`).  One period of the minus expansion corresponds to the
-fundamental totally positive unit, which for narrow class number one is eps^2.
+the principal form, which `make_field` runs for eps and whose quotients it
+keeps, runs through the period of omega's regular continued fraction, and
+Hirzebruch's rule turns that into the minus period (see `minus_cf_cycle`).
+One period of the minus expansion corresponds to the fundamental totally
+positive unit, which for narrow class number one is eps^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .field import FieldContext, FieldElement
-from .forms import principal_form, unit_form_walk
-from .ntheory import sigma0, sigma1
+from .forms import _sieve_divisors
 
 
 class InternalCheckError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-def _summands(D: int):
-    """Yield (weight, (D - x^2)/4) over x >= 0 with x^2 < D, x = D mod 2.
+@lru_cache(maxsize=1)
+def _divisor_sums(D: int) -> tuple[int, int]:
+    """(sum sigma_1, sum sigma_0) of (D - x^2)/4 over x^2 < D, x^2 = D mod 4.
 
-    x^2 = D mod 4 exactly when x = D mod 2, and x > 0 stands for +-x, so it
-    has weight 2.
+    x^2 = D mod 4 exactly when x = D mod 2, and x > 0 stands for +-x, so each
+    term counts twice, except that of x = 0 when D is even.  The divisors of
+    every (D - x^2)/4 come from one sieve.  Callers ask for zeta and c at one
+    D in turn (classify, the table sweep), so the last D's pair is kept.
     """
-    for x in range(D % 2, isqrt(D - 1) + 1, 2):
-        yield 2 if x else 1, (D - x * x) // 4
+    xs = range(D % 2, isqrt(D - 1) + 1, 2)
+    divisors = _sieve_divisors(D, xs, [(D - x * x) // 4 for x in xs])
+    s1, s0 = 2 * sum(map(sum, divisors)), 2 * sum(map(len, divisors))
+    if D % 2 == 0:
+        s1, s0 = s1 - sum(divisors[0]), s0 - len(divisors[0])
+    return s1, s0
 
 
 def zeta_minus_one(D: int) -> Fraction:
     """zeta_E(-1) for E = Q(sqrt(D)), D a fundamental discriminant > 0."""
-    total = sum(w * sigma1(k) for w, k in _summands(D))
-    return Fraction(total, 60)
+    return Fraction(_divisor_sums(D)[0], 60)
 
 
 def local_chern_divisor_sum(D: int) -> int:
@@ -58,18 +67,19 @@ def local_chern_divisor_sum(D: int) -> int:
     The defining sum is half the count of divisors sum; for our discriminants
     the full divisor-count total is always even, so c is an integer.
     """
-    total = sum(w * sigma0(k) for w, k in _summands(D))
+    total = _divisor_sums(D)[1]
     if total % 2:
         raise InternalCheckError(f"odd divisor-count total {total} for D={D}")
     return -(total // 2)
 
 
-def minus_cf_cycle(D: int) -> tuple[int, ...]:
+def minus_cf_cycle(F: FieldContext) -> tuple[int, ...]:
     """Primitive period of the minus continued fraction of omega.
 
     Returned in a canonical rotation (lexicographically greatest), so D = 13
-    comes out as (5, 2, 2).  It is read off the rho walk from the principal
-    form (1, b, c), for D of narrow class number one:
+    comes out as (5, 2, 2).  It is read off the quotients F.quotients of the
+    rho walk from the principal form (1, b, c), for D of narrow class number
+    one:
 
     * A rho step (a, b, c) -> (c, b', c') from a reduced form is one regular
       continued-fraction step of its reduced irrational x = (b + sqrt(D))/(2|c|),
@@ -93,8 +103,7 @@ def minus_cf_cycle(D: int) -> tuple[int, ...]:
     Each head a + 2 is >= 3 and every other entry is 2, so the greatest
     rotation starts at a greatest head; only rotations there are compared.
     """
-    _, quotients = unit_form_walk(principal_form(D), D)
-    a = [abs(t) for t in quotients]
+    a = [abs(t) for t in F.quotients]
     if len(a) % 2:
         a += a
     cycle = []
@@ -151,7 +160,7 @@ def cusp_resolution(F: FieldContext) -> CuspCycle:
     Cross-checks that one period of the expansion matches the fundamental
     totally positive unit and that c agrees with the divisor-sum formula.
     """
-    cycle = minus_cf_cycle(F.D)
+    cycle = minus_cf_cycle(F)
     unit = cycle_unit(cycle, F.D)
     if unit.as_pair() != F.eps_plus.as_pair():
         raise InternalCheckError(

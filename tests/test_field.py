@@ -12,7 +12,6 @@ from hmsurf.field import (
     NarrowClassError,
     NotFundamentalError,
     UnsupportedShapeError,
-    fundamental_unit,
     make_field,
     split_prime,
 )
@@ -100,7 +99,7 @@ def test_fundamental_units_frozen():
     expected = {5: (1, 1), 8: (2, 1), 13: (3, 1), 17: (8, 2), 29: (5, 1),
                 769: (32734748155099080, 1180445209689554)}
     for D, pair in expected.items():
-        eps = fundamental_unit(D)
+        eps = make_field(D).eps
         assert eps.as_pair() == pair, D
         assert eps.norm() == -1, D
         assert eps.sign_at(0) > 0 and real(eps) > 1
@@ -109,7 +108,7 @@ def test_fundamental_units_frozen():
 def test_fundamental_unit_is_smallest():
     # no unit strictly between 1 and eps: scan norm equations by brute force
     for D in DISCS:
-        eps = fundamental_unit(D)
+        eps = make_field(D).eps
         top = real(eps)
         lim = int(2 * top) + 3
         for u in range(-lim, lim + 1):

@@ -3,7 +3,7 @@ from math import gcd, isqrt, log, pi, sqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hmsurf.forms import (
     _SIEVE_FROM,
@@ -68,14 +68,29 @@ def test_sieve_divisors_vs_trial_division():
             continue
         bs = range(N % 2, isqrt(N // 3) + 1, 2)
         ms = [(b * b + N) // 4 for b in bs]
-        for m, ds in zip(ms, _sieve_divisors(N, bs, ms)):
+        for m, ds in zip(ms, _sieve_divisors(-N, bs, ms)):
             assert sorted(ds) == sympy.divisors(m), (N, m)
 
 
+def test_sieve_divisors_at_positive_discriminants():
+    # the divisors of (D - x^2)/4 behind zeta_E(-1) and c: D = 5 has one
+    # value, and at D = 8 the values (2, 1) do not increase
+    checked = 0
+    for D in range(5, 3001):
+        if not is_fundamental_discriminant(D):
+            continue
+        xs = range(D % 2, isqrt(D - 1) + 1, 2)
+        ms = [(D - x * x) // 4 for x in xs]
+        for m, ds in zip(ms, _sieve_divisors(D, xs, ms)):
+            assert sorted(ds) == sympy.divisors(m), (D, m)
+        checked += 1
+    assert checked == 909
+
+
 @settings(max_examples=6, deadline=None)
-@given(st.integers(_SIEVE_FROM, 10**6))
-def test_definite_vs_oracle_on_the_sieve_path(N):
-    assume((-N) % 4 in (0, 1))
+@given(st.integers(-(-_SIEVE_FROM // 4), (10**6 - 3) // 4), st.sampled_from((0, 3)))
+def test_definite_vs_oracle_on_the_sieve_path(k, r):
+    N = 4 * k + r  # -N = 0, 1 mod 4, in [_SIEVE_FROM, 10^6]
     assert h_definite(N) == oracle_h_definite(N)
 
 
@@ -155,10 +170,15 @@ def test_reduced_indefinite_forms_vs_oracle_sweep():
     assert checked == 1516
 
 
+def _fundamental_at_or_below(n):
+    """The greatest fundamental discriminant <= n (5001 is one, so from n >= 5001
+    this stays above 5000; a fundamental D > 1 is never a square)."""
+    return next(D for D in range(n, 0, -1) if is_fundamental_discriminant(D))
+
+
 @settings(max_examples=12, deadline=None)
-@given(st.integers(5001, 10**6))
+@given(st.integers(5001, 10**6).map(_fundamental_at_or_below))
 def test_reduced_indefinite_forms_vs_oracle_random(D):
-    assume(is_fundamental_discriminant(D) and not is_square(D))
     assert reduced_indefinite_forms(D) == oracle_reduced_indefinite_forms(D)
 
 

@@ -9,8 +9,6 @@ from hmsurf.ntheory import (
     is_prime,
     is_square,
     kronecker,
-    sigma0,
-    sigma1,
     sqrt_mod,
     squarefree,
 )
@@ -85,17 +83,6 @@ def test_kronecker_multiplicative_on_top(a, b, n):
     assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
-def test_sigma_vs_sympy():
-    for n in range(1, 2000):
-        assert sigma0(n) == sympy.divisor_sigma(n, 0), n
-        assert sigma1(n) == sympy.divisor_sigma(n, 1), n
-
-
-@given(st.integers(min_value=1, max_value=10**9))
-def test_sigma1_random(n):
-    assert sigma1(n) == sympy.divisor_sigma(n, 1)
-
-
 def test_squarefree():
     for n in range(1, 500):
         want = all(e == 1 for e in sympy.factorint(n).values())
@@ -128,11 +115,3 @@ def test_fundamental_discriminants():
 def test_is_square_and_primes_upto():
     for n in range(-10, 5000):
         assert is_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n), n
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_sigma_rejects_nonpositive(n):
-    with pytest.raises(ValueError):
-        sigma0(n)
-    with pytest.raises(ValueError):
-        sigma1(n)

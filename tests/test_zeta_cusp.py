@@ -6,8 +6,9 @@ import pytest
 import sympy
 
 from hmsurf.chern import default_discriminants
-from hmsurf.field import fundamental_unit, make_field
-from hmsurf.forms import h_narrow_indefinite
+from hmsurf import field, forms, zeta
+from hmsurf.field import NarrowClassError, make_field
+from hmsurf.forms import h_narrow_indefinite, unit_form_walk
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime, is_square
 from hmsurf.zeta import (
     CuspCycle,
@@ -30,6 +31,14 @@ def oracle_zeta(D):
     return Fraction(int(total), 60)
 
 
+def oracle_chern(D):
+    """-1/2 sigma_0 sum over (D - x^2)/4, written against sympy."""
+    total = sum(sympy.divisor_sigma((D - x * x) // 4, 0)
+                for x in range(-isqrt(D), isqrt(D) + 1) if x * x < D and (D - x * x) % 4 == 0)
+    assert total % 2 == 0, D
+    return -int(total) // 2
+
+
 def test_zeta_spot_values():
     assert zeta_minus_one(5) == Fraction(1, 30)
     assert zeta_minus_one(13) == Fraction(1, 6)
@@ -41,6 +50,19 @@ def test_zeta_spot_values():
 def test_zeta_vs_oracle_all_table_discs():
     for D in [5, 8] + default_discriminants():
         assert zeta_minus_one(D) == oracle_zeta(D), D
+
+
+def test_local_chern_sum_vs_oracle_all_table_discs():
+    for D in [5, 8] + default_discriminants():
+        assert local_chern_divisor_sum(D) == oracle_chern(D), D
+
+
+def test_divisor_sums_at_large_discriminants():
+    # primes with h+ = 1, past the table; the values trial division gave
+    assert zeta_minus_one(1000033) == Fraction(18127006, 3)
+    assert local_chern_divisor_sum(1000033) == -10373
+    assert zeta_minus_one(40000021) == Fraction(5865320459, 6)
+    assert local_chern_divisor_sum(40000021) == -35589
 
 
 def test_zeta_positive_and_growing():
@@ -58,12 +80,12 @@ def test_local_chern_sum_spots():
 
 
 def test_minus_cf_cycles_small():
-    assert minus_cf_cycle(5) == (3,)
-    assert minus_cf_cycle(8) == (4, 2)
-    assert minus_cf_cycle(13) == (5, 2, 2)
+    assert minus_cf_cycle(make_field(5)) == (3,)
+    assert minus_cf_cycle(make_field(8)) == (4, 2)
+    assert minus_cf_cycle(make_field(13)) == (5, 2, 2)
     # canonical rotation puts the lexicographically greatest first
     for D in (5, 8, 13, 17, 29, 37):
-        cyc = minus_cf_cycle(D)
+        cyc = minus_cf_cycle(make_field(D))
         assert all(b >= 2 for b in cyc)
         assert any(b >= 3 for b in cyc)  # all-2 cycles cannot close for D > 0
         rots = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
@@ -75,10 +97,11 @@ def test_cycle_unit_is_trace_of_eps_plus():
     # differently: the period matrix of the minus cycle has the trace of
     # eps_plus = eps^2, and eps (from the walk's product matrix) has norm -1
     for D in [5, 8] + default_discriminants():
-        eps = fundamental_unit(D)
+        F = make_field(D)
+        eps = F.eps
         assert eps.norm() == -1, D
         eps_plus = eps * eps
-        cyc = minus_cf_cycle(D)
+        cyc = minus_cf_cycle(F)
         m = [[1, 0], [0, 1]]
         for b in cyc:
             m = [[m[0][0] * b + m[0][1], -m[0][0]],
@@ -96,17 +119,21 @@ def test_minus_cf_cycle_vs_oracle():
     for D in small:
         period = oracle_minus_cf_period(D)
         rotations = [period[i:] + period[:i] for i in range(len(period))]
-        assert minus_cf_cycle(D) == max(rotations), D
+        assert minus_cf_cycle(make_field(D)) == max(rotations), D
     # as cyclic sequences (a comma-bounded substring of the oracle's period
     # read twice) at seeded primes D = 1 mod 4 with h+ = 1 up to 3 * 10^6
     rng = random.Random(15)
     drawn = 0
     while drawn < 12:
         D = 4 * rng.randrange(2, 750_000) + 1
-        if not is_prime(D) or h_narrow_indefinite(D) != 1:
+        if not is_prime(D):
+            continue
+        try:
+            F = make_field(D)
+        except NarrowClassError:
             continue
         drawn += 1
-        cycle, period = minus_cf_cycle(D), oracle_minus_cf_period(D)
+        cycle, period = minus_cf_cycle(F), oracle_minus_cf_period(D)
         text = "," + ",".join(map(str, cycle)) + ","
         assert len(cycle) == len(period), D
         assert text in "," + ",".join(map(str, period * 2)) + ",", D
@@ -148,6 +175,24 @@ def test_cusp_resolution_cross_checks():
         assert cc.c == local_chern_divisor_sum(D)
         assert cc.c < 0
         assert cycle_unit(cc.cycle, D) == F.eps_plus
+
+
+def test_cusp_resolution_walks_the_rho_cycle_once(monkeypatch):
+    # make_field walks from the principal form for eps; the cusp reads the
+    # quotients it kept instead of walking again
+    calls = []
+
+    def counted(form, D):
+        calls.append(D)
+        return unit_form_walk(form, D)
+
+    for module in (forms, field, zeta):
+        if hasattr(module, "unit_form_walk"):
+            monkeypatch.setattr(module, "unit_form_walk", counted)
+    for D in (5, 8, 13, 1000033):
+        calls.clear()
+        cusp_resolution(make_field(D))
+        assert calls == [D], D
 
 
 def test_volume_floor():
