@@ -26,7 +26,7 @@ from mpmath import iv
 from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
 from .field import FieldContext, make_field, split_prime
-from .forms import h_narrow_indefinite
+from .forms import narrow_class_one
 from .ntheory import is_prime, kronecker
 from .numeric import interval_fraction, interval_precision, lower_rational, upper_rational
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
@@ -319,7 +319,7 @@ class TableRow:
 def default_discriminants(dmax: int = 853) -> "list[int]":
     """Primes D = 1 mod 4 with narrow class number one, 13 <= D <= dmax."""
     return [D for D in range(13, dmax + 1)
-            if D % 4 == 1 and is_prime(D) and h_narrow_indefinite(D) == 1]
+            if D % 4 == 1 and is_prime(D) and narrow_class_one(D)]
 
 
 def norm_achievable(D: int, q: int) -> bool:

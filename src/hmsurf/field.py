@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forms import h_narrow_indefinite, principal_form, unit_form_walk
+from .forms import h_narrow_indefinite, narrow_class_one, principal_form, unit_form_walk
 from .ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
 
@@ -199,24 +199,27 @@ def make_field(D: int) -> FieldContext:
     """Validate D and build the field context.
 
     Raises NotFundamentalError, UnsupportedShapeError or NarrowClassError,
-    one for each of the three rejection reasons.
+    one for each of the three rejection reasons.  A D of the supported shape
+    is fundamental, so the squarefree test runs only to pick the error; h+ is
+    counted only for the NarrowClassError message.
     """
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
-    if not is_fundamental_discriminant(D):
-        raise NotFundamentalError(f"D={D} is not a fundamental discriminant")
     if not (D == 8 or (D % 4 == 1 and is_prime(D))):
+        if not is_fundamental_discriminant(D):
+            raise NotFundamentalError(f"D={D} is not a fundamental discriminant")
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)"
         )
-    h_plus = h_narrow_indefinite(D)
-    if h_plus != 1:
-        raise NarrowClassError(f"D={D} has narrow class number {h_plus}, need 1")
-    eta, quotients = unit_form_walk(principal_form(D), D)
+    walk = unit_form_walk(principal_form(D), D)
+    if not narrow_class_one(D, walk):
+        raise NarrowClassError(
+            f"D={D} has narrow class number {h_narrow_indefinite(D)}, need 1")
+    eta, quotients, _ = walk
     eps = fundamental_unit(FieldElement(*eta, D))
     n = eps.norm()
     eps_plus = eps * eps if n == -1 else eps
-    return FieldContext(D=D, eps=eps, eps_norm=n, eps_plus=eps_plus, h_plus=h_plus,
+    return FieldContext(D=D, eps=eps, eps_norm=n, eps_plus=eps_plus, h_plus=1,
                         quotients=tuple(quotients))
 
 

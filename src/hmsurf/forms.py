@@ -15,6 +15,9 @@ Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
   (0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b) under the usual
   neighboring step.
 
+* `narrow_class_one(D)` -- whether h+(D) = 1, certified from the one walk
+  round the principal cycle (Minkowski's bound), without listing the forms.
+
 All comparisons against sqrt(D) are done by squaring, so the routines are
 exact for every nonsquare discriminant.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .ntheory import is_fundamental_discriminant, is_square, sqrt_mod
+from .ntheory import is_fundamental_discriminant, is_square, kronecker, sqrt_mod
 from .numeric import upper_rational, sqrt_log_over_pi
 
 _SIEVE_FROM = 250_000  # h_definite: where the sieve overtakes trial division
@@ -65,12 +68,7 @@ def _sieve_divisors(d: int, bs: range, ms: list[int]) -> list[list[int]]:
     """
     rest = ms[:]
     divisors = [[1] for _ in bs]
-    top = isqrt(max(ms))
-    composite = bytearray(top + 1)
-    for p in range(2, top + 1):
-        if composite[p]:
-            continue
-        composite[p * p::p] = b"\x01" * len(range(p * p, top + 1, p))
+    for p in _primes(isqrt(max(ms))):
         if p == 2:
             starts = [i for i in range(min(2, len(bs))) if ms[i] % 2 == 0]
         elif pow(d, (p - 1) // 2, p) != p - 1:  # Euler: d is 0 or a square mod p
@@ -91,6 +89,15 @@ def _sieve_divisors(d: int, bs: range, ms: list[int]) -> list[list[int]]:
                     m //= p
                 rest[i] = m
     return [ds + [x * r for x in ds] if r > 1 else ds for ds, r in zip(divisors, rest)]
+
+
+def _primes(top: int):
+    """The primes p <= top in increasing order (sieve of Eratosthenes)."""
+    composite = bytearray(top + 1)
+    for p in range(2, top + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, top + 1, p))
+            yield p
 
 
 # -- indefinite forms --------------------------------------------------------
@@ -168,7 +175,7 @@ def principal_form(D: int) -> tuple[int, int, int]:
 
 
 def unit_form_walk(form: tuple[int, int, int],
-                   D: int) -> tuple[tuple[int, int], list[int]]:
+                   D: int) -> tuple[tuple[int, int], list[int], list[int]]:
     """Walk rho steps from (a0, b, c) to a form (a', b', c') with a' = +-1.
 
     A step is the substitution (x, y) -> (-y, x + t*y), t = (b + b')/(2c);
@@ -177,25 +184,68 @@ def unit_form_walk(form: tuple[int, int, int],
     (2a'x + b'y, y) is an element (u + v*sqrt(D))/2 of norm a' * a0 = +-a0.
     From the principal form this gives the fundamental unit; from (p, b, c)
     it is the principal-ideal test by reduction (Buchmann & Vollmer ch. 6).
-    Returns ((u, v), the step quotients t in walk order).  RuntimeError if a
-    reduced form comes round again first.
+    Returns ((u, v), the step quotients t, the leading coefficients of the
+    forms reached), both lists in walk order.  RuntimeError if the first
+    reduced form reached comes round again first (rho permutes the reduced
+    forms, so that is the first repeat).
     """
-    seen: set[tuple[int, int, int]] = set()
-    quotients = []
+    first = None
+    quotients, leads = [], []
     m10, m11 = 0, 1
     while True:
         _, b, c = form
         form = rho_step(form, D)
         t = (b + form[1]) // (2 * c)
         quotients.append(t)
+        leads.append(c)
         m10, m11 = m11, t * m11 - m10
         a1, b1, _ = form
         if abs(a1) == 1:
-            return (2 * a1 * m11 - b1 * m10, -m10), quotients
-        if _is_reduced_indefinite(*form, D):
-            if form in seen:
-                raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
-            seen.add(form)
+            return (2 * a1 * m11 - b1 * m10, -m10), quotients, leads
+        if first is None:
+            if _is_reduced_indefinite(*form, D):
+                first = form
+        elif form == first:
+            raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
+
+
+def narrow_class_one(D: int, walk=None) -> bool:
+    """Whether h+(D) = 1, for a fundamental discriminant D > 0.
+
+    walk is `unit_form_walk(principal_form(D), D)`, run here if not given.
+    h+(D) = 1 exactly when the walk ends at leading coefficient -1 and every
+    prime p with 4p^2 < D and (D/p) >= 0 is some |a| along it.  Proof:
+
+    * The walk stops at the first form (+-1, b, c) on the principal cycle,
+      and its unit eta, of norm that leading coefficient, generates the
+      units modulo -1.  If the norm is +1, h+ = 2h > 1.  If it is -1,
+      h+ = h: narrow and wide classes agree.
+    * A reduced form with |a| = 1 has its b in (sqrt(D) - 2, sqrt(D)), so it
+      is (1, b0, c0), the principal form, or (-1, b0, -c0).  rho commutes
+      with (a, b, c) -> (-a, b, -c), so when the walk ends at -1 the
+      principal cycle is the walk and then the walk negated: the cycle is
+      closed under negation and the walk meets every |a| on it.
+    * Minkowski's bound for a real quadratic field is sqrt(D)/2: every ideal
+      class holds an integral ideal of smaller norm, so the primes of norm
+      p < sqrt(D)/2 (4p^2 < D; sqrt(D)/2 is irrational) generate the class
+      group.  An inert p has norm p^2 and is principal.  A split or ramified
+      p, (D/p) >= 0, lies under a prime P of norm p whose conjugate is its
+      inverse, so h = 1 exactly when every such P is principal.
+    * P or its conjugate has the form (p, b, (b^2 - D)/4p), b = D mod 2 and
+      b^2 = D mod 4p, with b the one member of its class mod 2p in
+      (sqrt(D) - 2p, sqrt(D)); as 2p < sqrt(D) this form is reduced.
+      Reduced forms are equivalent exactly when they share a cycle, so P is
+      principal exactly when this form is on the principal cycle.
+    * Conversely a reduced form (+-p, b', c') has b' in the same window and
+      b'^2 = D mod 4p, so b' = +-b mod 2p: on the principal cycle, negated if
+      need be, it is the form of P or of its conjugate, so P is principal.
+    """
+    _, _, leads = walk or unit_form_walk(principal_form(D), D)
+    if leads[-1] != -1:
+        return False
+    met = {abs(a) for a in leads}
+    # 4p^2 < D  <=>  p <= isqrt((D - 1)/4)
+    return all(p in met or kronecker(D, p) < 0 for p in _primes(isqrt((D - 1) // 4)))
 
 
 def h_narrow_indefinite(D: int) -> int:

@@ -310,6 +310,9 @@ def test_default_discriminants():
         assert h_narrow_indefinite(D) == 1
     assert 229 not in ds and 257 not in ds
     assert default_discriminants(100) == [13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+    # the walk's certificate picks the D that counting cycles picks
+    assert default_discriminants(30000) == [
+        D for D in range(13, 30001) if D % 4 == 1 and is_prime(D) and h_narrow_indefinite(D) == 1]
 
 
 def test_table_row_allows():

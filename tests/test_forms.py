@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, isqrt, log, pi, sqrt
 
@@ -11,11 +12,12 @@ from hmsurf.forms import (
     h_bound,
     h_definite,
     h_narrow_indefinite,
+    narrow_class_one,
     reduced_indefinite_forms,
     rho_step,
     unit_form_walk,
 )
-from hmsurf.ntheory import is_fundamental_discriminant, is_square
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime, is_square
 
 from helpers import oracle_reduced_indefinite_forms
 
@@ -130,6 +132,22 @@ def test_narrow_rejections():
     for bad in (10, 15):
         with pytest.raises(ValueError, match="not a discriminant"):
             reduced_indefinite_forms(bad)
+
+
+def test_narrow_class_one_vs_oracle():
+    # every fundamental D <= 20000 (every shape, both signs of N(eps); D = 12
+    # and 21 have h+ = 2 and no prime below sqrt(D)/2 to test), and seeded
+    # primes D = 1 mod 4 up to 10^7
+    rng = random.Random(17)
+    primes = []
+    while len(primes) < 12:
+        D = 4 * rng.randrange(25_000, 2_500_000) + 1
+        if is_prime(D):
+            primes.append(D)
+    discs = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
+    assert len(discs) == 6081
+    for D in discs + primes:
+        assert narrow_class_one(D) == (h_narrow_indefinite(D) == 1), D
 
 
 def test_rho_step_permutes_reduced_forms():

@@ -178,17 +178,24 @@ def test_cusp_resolution_cross_checks():
 
 
 def test_cusp_resolution_walks_the_rho_cycle_once(monkeypatch):
-    # make_field walks from the principal form for eps; the cusp reads the
-    # quotients it kept instead of walking again
+    # make_field walks from the principal form once, for eps and for the h+ = 1
+    # certificate, and lists no reduced forms; the cusp reads the quotients it
+    # kept instead of walking again
     calls = []
 
     def counted(form, D):
         calls.append(D)
         return unit_form_walk(form, D)
 
+    def forbidden(D):
+        raise AssertionError(f"counted the reduced forms of {D}")
+
     for module in (forms, field, zeta):
-        if hasattr(module, "unit_form_walk"):
-            monkeypatch.setattr(module, "unit_form_walk", counted)
+        for name, stand_in in (("unit_form_walk", counted),
+                               ("reduced_indefinite_forms", forbidden),
+                               ("h_narrow_indefinite", forbidden)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stand_in)
     for D in (5, 8, 13, 1000033):
         calls.clear()
         cusp_resolution(make_field(D))
