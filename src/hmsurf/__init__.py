@@ -37,7 +37,6 @@ from .field import (
     FieldContext,
     FieldElement,
     PrimeIdealData,
-    fundamental_unit,
     make_field,
     split_prime,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "atkin_lehner_refine", "bounds_gamma0", "c1sq_lower_bound",
     "c2_lower_check", "chern_numbers", "classify", "counts_full_group",
     "counts_gamma0", "cusp_resolution", "default_discriminants",
-    "fundamental_unit", "h_bound", "h_definite", "h_narrow_indefinite",
+    "h_bound", "h_definite", "h_narrow_indefinite",
     "involution_action", "load_config", "local_chern_divisor_sum",
     "make_field", "root_count", "split_prime", "table_diff", "theorem_table",
     "tree_center", "zeta_minus_one",

@@ -26,9 +26,10 @@ from mpmath import iv
 from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
 from .field import FieldContext, make_field, split_prime
-from .forms import narrow_class_one
+from .forms import _primes, narrow_class_one
 from .ntheory import is_prime, kronecker
-from .numeric import interval_fraction, interval_precision, lower_rational, upper_rational
+from .numeric import (check_precision, interval_fraction, interval_precision, lower_rational,
+                      upper_rational)
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 # The analytic estimate for the cusp contribution c is only proved for large
@@ -186,8 +187,7 @@ def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
     """
     if p_case not in P_CASES:
         raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
-    if zeta_mode not in ("exact", "bound"):
-        raise ChernError(f"zeta_mode must be exact or bound, got {zeta_mode!r}")
+    _check_zeta_mode(zeta_mode)
     if D < 5:
         raise ChernError(f"discriminant {D} out of range")
     with interval_precision(precision_bits):
@@ -210,6 +210,11 @@ def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
             pen = pen3 / (4 * iv.pi) + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi
         total = vol + cterm - pen
         return vol, cterm, pen, total
+
+
+def _check_zeta_mode(zeta_mode: str) -> None:
+    if zeta_mode not in ("exact", "bound"):
+        raise ChernError(f"zeta_mode must be exact or bound, got {zeta_mode!r}")
 
 
 def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
@@ -318,8 +323,8 @@ class TableRow:
 
 def default_discriminants(dmax: int = 853) -> "list[int]":
     """Primes D = 1 mod 4 with narrow class number one, 13 <= D <= dmax."""
-    return [D for D in range(13, dmax + 1)
-            if D % 4 == 1 and is_prime(D) and narrow_class_one(D)]
+    return [D for D in _primes(max(dmax, 0))
+            if D >= 13 and D % 4 == 1 and narrow_class_one(D)]
 
 
 def norm_achievable(D: int, q: int) -> bool:
@@ -363,8 +368,12 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
     n = 5 / n = 10 (only possible where 2 resp. 3 stays prime).  With the
     default zeta_mode (exact below the cutoff), rows also carry the values
     the floor-only zeta estimate would give, so both variants can be diffed.
-    Rows with D >= TAIL_D come from the tail lemma at _c1sq_intervals, unscanned.
+    Rows with D >= TAIL_D come from the tail lemma at _c1sq_intervals,
+    unscanned, so zeta_mode and precision_bits are checked here on entry.
     """
+    if zeta_mode is not None:
+        _check_zeta_mode(zeta_mode)
+    check_precision(precision_bits)
     if d_list is None:
         d_list = default_discriminants(dmax)
     rows = []

@@ -134,9 +134,9 @@ def _cmd_field(args, cfg):
         "D": F.D,
         "omega": _element_json(F.omega),
         "eps": _element_json(F.eps),
-        "eps_norm": F.eps_norm,
+        "eps_norm": F.eps.norm(),
         "eps_plus": _element_json(F.eps_plus),
-        "h_plus": F.h_plus,
+        "h_plus": 1,  # make_field certifies it
         "provenance": {
             "eps": "continued fraction of omega, convergent closing identity",
             "h_plus": "cycles of reduced indefinite forms",
@@ -400,8 +400,13 @@ def main(argv=None) -> int:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         return 0 if not exc.code else 2
+    # eps at D = 10^9 + 9 has ~30,000 digits: lift Python's int-to-str digit
+    # limit once the arguments and the config file are parsed, until return.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         cfg = _build_config(args)
+        if digits:
+            sys.set_int_max_str_digits(0)
         payload = HANDLERS[args.cmd](args, cfg)
         _emit(payload, cfg, sys.stdout)
     except (ValueError, OSError) as exc:
@@ -412,6 +417,9 @@ def main(argv=None) -> int:
         sys.stderr.write(_dumps({"error": {"type": type(exc).__name__,
                                            "message": str(exc)}}))
         return 3
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     return 0
 
 

@@ -146,9 +146,6 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     (van der Geer, Hilbert Modular Surfaces, 1988, ch. I; Hirzebruch,
     Hilbert modular surfaces, Enseign. Math. 19 (1973), sec. 3).
     """
-    if F.eps_norm != -1:
-        raise InconsistentCountsError(
-            f"D={F.D} has no unit of norm -1: the a3 plus/minus split is unproved")
     if F.D == 5:
         if P.q % 5 in (0, 1):
             raise EllipticError(

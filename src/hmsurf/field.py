@@ -162,16 +162,6 @@ class FieldElement:
         return f"({self.u}{self.v:+d}*sqrt{self.D})/2"
 
 
-def fundamental_unit(eta: FieldElement) -> FieldElement:
-    """Fundamental unit eps > 1 of O_E, from the unit eta of the principal walk.
-
-    The walk from the principal form stops at the first form of leading
-    coefficient +-1, and the unit eta it gives generates the units modulo -1
-    (Buchmann & Vollmer ch. 6); eps is the largest of +-eta and +-eta'.
-    """
-    return max((eta, -eta, eta.conjugate(), -eta.conjugate()))
-
-
 # ---------------------------------------------------------------------------
 # field context and prime splitting
 # ---------------------------------------------------------------------------
@@ -179,15 +169,13 @@ def fundamental_unit(eta: FieldElement) -> FieldElement:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """A certified field: discriminant, fundamental unit, narrow class data,
-    and the step quotients of the rho walk from the principal form that gave
-    eps (they are omega's partial quotients, see zeta.minus_cf_cycle)."""
+    """A field make_field certified to have h+ = 1: D, the fundamental unit
+    eps (of norm -1), eps^2 and the step quotients of the rho walk that gave
+    eps (omega's partial quotients, see zeta.minus_cf_cycle)."""
 
     D: int
     eps: FieldElement
-    eps_norm: int
-    eps_plus: FieldElement  # fundamental totally positive unit
-    h_plus: int
+    eps_plus: FieldElement  # fundamental totally positive unit, eps^2
     quotients: tuple[int, ...]
 
     @property
@@ -202,6 +190,11 @@ def make_field(D: int) -> FieldContext:
     one for each of the three rejection reasons.  A D of the supported shape
     is fundamental, so the squarefree test runs only to pick the error; h+ is
     counted only for the NarrowClassError message.
+
+    The walk's unit eta = (u + v*sqrt(D))/2 generates the units modulo -1, so
+    +-eta and +-eta' = (+-u +- v*sqrt(D))/2 are +-eps and +-1/eps (N(eta) = -1).
+    As eps > 1 > -eps' = 1/eps > 0, u = eps + eps' and v*sqrt(D) = eps - eps'
+    are positive at eps: eps = (|u| + |v|*sqrt(D))/2, and eps_plus = eps^2.
     """
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
@@ -215,12 +208,9 @@ def make_field(D: int) -> FieldContext:
     if not narrow_class_one(D, walk):
         raise NarrowClassError(
             f"D={D} has narrow class number {h_narrow_indefinite(D)}, need 1")
-    eta, quotients, _ = walk
-    eps = fundamental_unit(FieldElement(*eta, D))
-    n = eps.norm()
-    eps_plus = eps * eps if n == -1 else eps
-    return FieldContext(D=D, eps=eps, eps_norm=n, eps_plus=eps_plus, h_plus=1,
-                        quotients=tuple(quotients))
+    (u, v), quotients, _ = walk
+    eps = FieldElement(abs(u), abs(v), D)
+    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients))
 
 
 @dataclass(frozen=True)
@@ -259,8 +249,6 @@ def _positive_generator(x: FieldElement, F: FieldContext) -> FieldElement:
     0: N(y) = p is not a square).
     """
     if x.norm() < 0:
-        if F.eps_norm != -1:
-            raise FieldError("cannot fix the norm sign without a norm -1 unit")
         x = x * F.eps
     y = x if x.u > 0 else -x
     while y.v > 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .ntheory import is_fundamental_discriminant, is_square, kronecker, sqrt_mod
+from .ntheory import is_fundamental_discriminant, kronecker, sqrt_mod
 from .numeric import upper_rational, sqrt_log_over_pi
 
 _SIEVE_FROM = 250_000  # h_definite: where the sieve overtakes trial division
@@ -249,13 +249,11 @@ def narrow_class_one(D: int, walk=None) -> bool:
 
 
 def h_narrow_indefinite(D: int) -> int:
-    """Narrow class number h+(D): number of cycles of reduced forms."""
+    """Narrow class number h+(D) of fundamental (so nonsquare) D: cycles of reduced forms."""
     if D <= 0:
         raise ValueError(f"need D > 0, got {D}")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"D={D} is not a fundamental discriminant")
-    if is_square(D):
-        raise ValueError(f"D={D} is a square")
     forms = reduced_indefinite_forms(D)
     seen: set[tuple[int, int, int]] = set()
     cycles = 0

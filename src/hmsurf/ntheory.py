@@ -5,8 +5,6 @@ Everything here is exact integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from math import isqrt
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (trial division + Miller-Rabin witnesses).
@@ -112,7 +110,3 @@ def is_fundamental_discriminant(d: int) -> bool:
         m = d // 4
         return m % 4 in (2, 3) and squarefree(m)
     return False
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n

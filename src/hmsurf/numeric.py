@@ -16,8 +16,8 @@ from fractions import Fraction
 from mpmath import iv
 
 MIN_PRECISION_BITS = 128
-# Well under the ~14,000 bits at which exact endpoints outgrow Python's
-# 4300-digit int-to-str limit and can no longer be printed as JSON.
+# A cap on the cost of one certified evaluation, which grows about like
+# bits^2 (mpmath's log, sqrt and pi enclosures); the table runs at the floor.
 MAX_PRECISION_BITS = 8192
 
 
@@ -25,13 +25,18 @@ class PrecisionError(ValueError):
     pass
 
 
-@contextmanager
-def interval_precision(bits: int):
-    """Temporarily set the shared iv context precision (128 to 8192 bits)."""
+def check_precision(bits: int) -> None:
+    """PrecisionError unless bits lies in the 128 to 8192 bit range."""
     if bits < MIN_PRECISION_BITS:
         raise PrecisionError(f"precision {bits} below the {MIN_PRECISION_BITS}-bit floor")
     if bits > MAX_PRECISION_BITS:
         raise PrecisionError(f"precision {bits} above the {MAX_PRECISION_BITS}-bit ceiling")
+
+
+@contextmanager
+def interval_precision(bits: int):
+    """Temporarily set the shared iv context precision (128 to 8192 bits)."""
+    check_precision(bits)
     saved = iv.prec
     iv.prec = bits
     try:

@@ -716,7 +716,7 @@ def _conj_generators(F):
         Mat2(zero, -one, one, zero),           # inversion
         Mat2(one, one, zero, one),             # translation by 1
         Mat2(one, F.omega, zero, one),         # translation by omega
-        Mat2(F.eps, zero, zero, F.eps.conjugate() * F.eps_norm),  # unit scaling
+        Mat2(F.eps, zero, zero, F.eps.conjugate() * F.eps.norm()),  # unit scaling
     ]
     gens += [g.inverse() for g in gens]
     return [(g, g.inverse()) for g in gens]

@@ -39,7 +39,7 @@ from hmsurf.elliptic import (
 from hmsurf.field import UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
-from hmsurf.numeric import interval_precision, lower_rational, upper_rational
+from hmsurf.numeric import PrecisionError, interval_precision, lower_rational, upper_rational
 from hmsurf.reference_data import published_row
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -352,6 +352,15 @@ def test_theorem_table_exclusion_logic():
                 assert n == 5 and r.D % 8 == 5
             else:
                 assert n == 10 and r.D % 3 == 2
+
+
+def test_theorem_table_checks_its_arguments_on_entry():
+    # D = 853 is a tail row, which evaluates no bound; D = 13 is scanned
+    for D in (853, 13):
+        with pytest.raises(ChernError, match="zeta_mode"):
+            theorem_table([D], zeta_mode="bogus")
+        with pytest.raises(PrecisionError, match="floor"):
+            theorem_table([D], precision_bits=5)
 
 
 def test_theorem_table_small_window():

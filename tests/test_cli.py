@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -282,6 +283,21 @@ def test_cli_exit_codes(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == {"type": "RuntimeError",
                                         "message": "internal cross-check failed"}
+
+
+def test_cli_field_prints_eps_of_any_size(capsys):
+    # eps at D = 10^9 + 9 has ~30,000 digits, past Python's int-to-str limit
+    code, out, err = run(capsys, "field", "--disc", "1000000009")
+    assert code == 0 and err == ""
+    data = json.loads(out, parse_int=str)  # int() would meet the limit here
+    assert len(data["eps"]["u"]) > 4300 and data["eps_norm"] == "-1"
+    if hasattr(sys, "get_int_max_str_digits"):
+        # lifted only for the run: argument parsing and the caller keep it
+        limit = sys.get_int_max_str_digits()
+        assert limit
+        code, out, err = run(capsys, "field", "--disc", "9" * (limit + 1))
+        assert code == 2 and out == "" and "invalid int value" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_cli_precision_floor(capsys):

@@ -15,6 +15,7 @@ from hmsurf.field import (
     make_field,
     split_prime,
 )
+from hmsurf.forms import principal_form, unit_form_walk
 from hmsurf.ntheory import is_prime
 
 from helpers import ResidueField, divide_exact, real
@@ -124,10 +125,25 @@ def test_fundamental_unit_is_smallest():
                 assert not (1.000001 < val < top * 0.999999), (D, u, v)
 
 
+def test_eps_is_the_largest_walk_unit():
+    # make_field reads eps = (|u| + |v|*sqrt(D))/2 off the walk's unit eta;
+    # the oracle is the largest of +-eta and +-eta', at every supported D
+    checked = 0
+    for D in [8] + [D for D in range(5, 20001, 4) if is_prime(D)]:
+        try:
+            F = make_field(D)
+        except NarrowClassError:
+            continue
+        eta = FieldElement(*unit_form_walk(principal_form(D), D)[0], D)
+        assert F.eps == max((eta, -eta, eta.conjugate(), -eta.conjugate())), D
+        checked += 1
+    assert checked == 2 + len(default_discriminants(20000))
+
+
 def test_make_field_contents():
     F = make_field(13)
     assert isinstance(F, FieldContext)
-    assert F.D == 13 and F.h_plus == 1 and F.eps_norm == -1
+    assert F.D == 13 and F.eps.norm() == -1
     assert F.eps_plus == F.eps * F.eps
     assert F.eps_plus.sign_at(0) > 0 and F.eps_plus.sign_at(1) > 0
     assert FieldElement(3, 1, F.D) == F.eps

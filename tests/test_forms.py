@@ -17,7 +17,7 @@ from hmsurf.forms import (
     rho_step,
     unit_form_walk,
 )
-from hmsurf.ntheory import is_fundamental_discriminant, is_prime, is_square
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 
 from helpers import oracle_reduced_indefinite_forms
 
@@ -182,7 +182,7 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
 def test_reduced_indefinite_forms_vs_oracle_sweep():
     checked = 0
     for D in range(5, 5001):
-        if is_fundamental_discriminant(D) and not is_square(D):
+        if is_fundamental_discriminant(D) and isqrt(D) ** 2 != D:
             assert reduced_indefinite_forms(D) == oracle_reduced_indefinite_forms(D), D
             checked += 1
     assert checked == 1516

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -7,7 +5,6 @@ from hypothesis import given, strategies as st
 from hmsurf.ntheory import (
     is_fundamental_discriminant,
     is_prime,
-    is_square,
     kronecker,
     sqrt_mod,
     squarefree,
@@ -110,8 +107,3 @@ def test_fundamental_discriminants():
         assert is_fundamental_discriminant(d), d
     for d in (9, 25, -12, -9, 16, 45):
         assert not is_fundamental_discriminant(d), d
-
-
-def test_is_square_and_primes_upto():
-    for n in range(-10, 5000):
-        assert is_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n), n

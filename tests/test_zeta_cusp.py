@@ -9,7 +9,7 @@ from hmsurf.chern import default_discriminants
 from hmsurf import field, forms, zeta
 from hmsurf.field import NarrowClassError, make_field
 from hmsurf.forms import h_narrow_indefinite, unit_form_walk
-from hmsurf.ntheory import is_fundamental_discriminant, is_prime, is_square
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 from hmsurf.zeta import (
     CuspCycle,
     cusp_resolution,
@@ -114,7 +114,7 @@ def test_cycle_unit_is_trace_of_eps_plus():
 def test_minus_cf_cycle_vs_oracle():
     # exact, greatest rotation included, where trying all m rotations is cheap
     small = [D for D in range(5, 5001) if is_fundamental_discriminant(D)
-             and not is_square(D) and h_narrow_indefinite(D) == 1]
+             and isqrt(D) ** 2 != D and h_narrow_indefinite(D) == 1]
     assert len(small) == 283
     for D in small:
         period = oracle_minus_cf_period(D)
