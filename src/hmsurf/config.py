@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
+from .numeric import MIN_PRECISION_BITS, PrecisionError, check_precision
 
 MODES = ("exact", "bound")
 FORMATS = ("json", "csv", "pretty")
@@ -32,12 +32,10 @@ class RunConfig:
             raise ConfigError(f"output must be one of {FORMATS}, got {self.output!r}")
         if not isinstance(self.precision_bits, int) or isinstance(self.precision_bits, bool):
             raise ConfigError("precision_bits must be an integer")
-        if self.precision_bits < MIN_PRECISION_BITS:
-            raise ConfigError(
-                f"precision_bits below the {MIN_PRECISION_BITS}-bit floor")
-        if self.precision_bits > MAX_PRECISION_BITS:
-            raise ConfigError(
-                f"precision_bits above the {MAX_PRECISION_BITS}-bit ceiling")
+        try:
+            check_precision(self.precision_bits)
+        except PrecisionError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(self.strict_n, bool):
             raise ConfigError("strict_n must be a boolean")
 

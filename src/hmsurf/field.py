@@ -14,16 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forms import h_narrow_indefinite, narrow_class_one, principal_form, unit_form_walk
-from .ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
+from .forms import narrow_class_one, principal_form, unit_form_walk
+from .ntheory import is_prime, kronecker, sqrt_mod
 
 
 class FieldError(ValueError):
     """Base class for field construction/usage errors."""
-
-
-class NotFundamentalError(FieldError):
-    """D is not a fundamental discriminant."""
 
 
 class UnsupportedShapeError(FieldError):
@@ -186,10 +182,9 @@ class FieldContext:
 def make_field(D: int) -> FieldContext:
     """Validate D and build the field context.
 
-    Raises NotFundamentalError, UnsupportedShapeError or NarrowClassError,
-    one for each of the three rejection reasons.  A D of the supported shape
-    is fundamental, so the squarefree test runs only to pick the error; h+ is
-    counted only for the NarrowClassError message.
+    Raises UnsupportedShapeError unless D = 8 or D is a prime = 1 (mod 4),
+    and NarrowClassError unless the principal walk certifies h+ = 1; neither
+    refusal factors D or counts its classes.
 
     The walk's unit eta = (u + v*sqrt(D))/2 generates the units modulo -1, so
     +-eta and +-eta' = (+-u +- v*sqrt(D))/2 are +-eps and +-1/eps (N(eta) = -1).
@@ -199,15 +194,12 @@ def make_field(D: int) -> FieldContext:
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
     if not (D == 8 or (D % 4 == 1 and is_prime(D))):
-        if not is_fundamental_discriminant(D):
-            raise NotFundamentalError(f"D={D} is not a fundamental discriminant")
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)"
         )
     walk = unit_form_walk(principal_form(D), D)
     if not narrow_class_one(D, walk):
-        raise NarrowClassError(
-            f"D={D} has narrow class number {h_narrow_indefinite(D)}, need 1")
+        raise NarrowClassError(f"D={D} does not have narrow class number 1")
     (u, v), quotients, _ = walk
     eps = FieldElement(abs(u), abs(v), D)
     return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients))

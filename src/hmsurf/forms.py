@@ -71,7 +71,7 @@ def _sieve_divisors(d: int, bs: range, ms: list[int]) -> list[list[int]]:
     for p in _primes(isqrt(max(ms))):
         if p == 2:
             starts = [i for i in range(min(2, len(bs))) if ms[i] % 2 == 0]
-        elif pow(d, (p - 1) // 2, p) != p - 1:  # Euler: d is 0 or a square mod p
+        elif kronecker(d, p) >= 0:  # d is 0 or a square mod p
             # b = bs[0] + 2i = +-r mod p  <=>  i = (+-r - bs[0]) (p + 1)/2 mod p
             r = sqrt_mod(d, p)
             starts = {(root - bs[0]) * (p + 1) // 2 % p for root in (r, p - r)}

@@ -9,12 +9,14 @@ from __future__ import annotations
 def is_prime(n: int) -> bool:
     """Deterministic primality test (trial division + Miller-Rabin witnesses).
 
-    The Miller-Rabin base set is provably correct for n < 3.3 * 10^24,
-    far beyond anything this package handles.
+    A failed base proves n composite.  Passing the prime bases 2..41 proves n
+    prime below psi_13 = 3317044064679887385961981 (Sorenson & Webster, Math.
+    Comp. 86, 2017); from psi_13 up a pass proves nothing: ValueError.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for p in bases:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -22,7 +24,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -32,36 +34,20 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin bases 2..41 are "
+                         f"proved only below 3317044064679887385961981")
     return True
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), fully general (n may be 0, negative, even)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    k = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -1
-    # factor out twos from n
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            k = -k
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                k = -k
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a %= n
-    return k if n == 1 else 0
+def kronecker(a: int, p: int) -> int:
+    """Kronecker symbol (a|p) at a prime p, which the caller has proved prime:
+    Euler's criterion for odd p (Cohen 1993, 1.4); (a|2) = 0 for even a, +1
+    for a = +-1 mod 8, -1 for a = +-3 mod 8."""
+    if p == 2:
+        return 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -69,7 +55,7 @@ def sqrt_mod(a: int, p: int) -> int:
     a %= p
     if a == 0 or p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
+    if kronecker(a, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -77,7 +63,7 @@ def sqrt_mod(a: int, p: int) -> int:
     r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
     if t == 1:  # r^2 = a * a^q = a already (always so when p = 3 mod 4)
         return r
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    z = next(z for z in range(2, p) if kronecker(z, p) == -1)
     c = pow(z, q, p)
     while t != 1:
         i, t2 = 1, t * t % p

@@ -435,7 +435,7 @@ def test_audit_row_script_refuses_what_classify_refuses(capsys):
     audit_row = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(audit_row)
     assert audit_row.main(["--disc", "109"]) == 0 and "c1^2" in capsys.readouterr().out
-    for D, reason in ((12, "supported shape"), (229, "narrow class number 3")):
+    for D, reason in ((12, "supported shape"), (229, "does not have narrow class number 1")):
         assert audit_row.main(["--disc", str(D)]) == 2, D
         out, err = capsys.readouterr()
         assert out == "" and reason in err, D

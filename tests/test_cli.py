@@ -300,6 +300,18 @@ def test_cli_field_prints_eps_of_any_size(capsys):
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_cli_refuses_an_unproved_prime(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at 2..37;
+    # psi_13 passes at 2..41, beyond which a pass proves nothing
+    for argv in (("field", "--disc", "318665857834031151167461"),
+                 ("classify", "--disc", "13", "--prime-norm", "318665857834031151167461"),
+                 ("field", "--disc", "3317044064679887385961981"),
+                 ("classify", "--disc", "13", "--prime-norm", "3317044064679887385961981")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+    assert "3317044064679887385961981" in json.loads(err)["error"]["message"]
+
+
 def test_cli_precision_floor(capsys):
     code, _, err = run(capsys, "--precision", "64", "zeta", "--disc", "13")
     assert code == 2 and "floor" in json.loads(err)["error"]["message"]

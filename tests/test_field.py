@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hmsurf import forms, ntheory
 from hmsurf.chern import default_discriminants
 from hmsurf.field import (
     FieldContext,
     FieldElement,
     FieldError,
     NarrowClassError,
-    NotFundamentalError,
     UnsupportedShapeError,
     make_field,
     split_prime,
@@ -154,8 +154,8 @@ def test_make_field_contents():
     [
         (12, UnsupportedShapeError),   # fundamental but even, not 8
         (21, UnsupportedShapeError),   # fundamental but composite
-        (10, NotFundamentalError),     # 2 mod 4: not a discriminant
-        (9, NotFundamentalError),      # square
+        (10, UnsupportedShapeError),   # 2 mod 4: not a discriminant
+        (9, UnsupportedShapeError),    # square
         (4, UnsupportedShapeError),    # below the supported range
         (-7, UnsupportedShapeError),
         (229, NarrowClassError),       # prime 1 mod 4 but class number 3
@@ -164,6 +164,23 @@ def test_make_field_contents():
 def test_make_field_rejections(D, exc):
     with pytest.raises(exc):
         make_field(D)
+
+
+def test_make_field_refuses_without_factoring_or_counting(monkeypatch):
+    # the shape test is a primality test and h+ != 1 is read off the
+    # certificate: no squarefree test and no list of reduced forms
+    def forbidden(D):
+        raise AssertionError(f"factored or counted the classes of {D}")
+
+    monkeypatch.setattr(ntheory, "squarefree", forbidden)
+    monkeypatch.setattr(forms, "reduced_indefinite_forms", forbidden)
+    monkeypatch.setattr(forms, "h_narrow_indefinite", forbidden)
+    for D, exc in ((9, UnsupportedShapeError), (45, UnsupportedShapeError),
+                   (1000000000102000000002457, UnsupportedShapeError),
+                   (318665857834031151167461, UnsupportedShapeError),
+                   (229, NarrowClassError), (10000000061, NarrowClassError)):
+        with pytest.raises(exc, match=f"D={D} "):
+            make_field(D)
 
 
 def test_split_prime_frozen():

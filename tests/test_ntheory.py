@@ -24,6 +24,19 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_answers_only_what_its_bases_prove():
+    # psi_12, the least strong pseudoprime to the bases 2..37, is composite
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 and not is_prime(psi12)
+    # psi_13, the least one to the bases 2..41, is where a pass stops proving
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+    # a witness or a small factor still proves a large n composite
+    assert not is_prime((2**61 - 1) * (2**31 - 1)) and not is_prime(2**100)
+
+
 @given(st.integers(min_value=2, max_value=2**62))
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
@@ -40,44 +53,23 @@ def test_sqrt_mod_matches_brute_force():
                     sqrt_mod(a, p)
 
 
-def test_kronecker_odd_positive_vs_jacobi():
-    for n in range(1, 200, 2):
-        for a in range(-60, 60):
-            assert kronecker(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+def test_kronecker_at_odd_primes_vs_legendre():
+    for p in filter(is_prime, range(3, 500)):
+        for a in range(-2 * p, 2 * p):
+            want = sympy.legendre_symbol(a % p, p) if a % p else 0
+            assert kronecker(a, p) == want, (a, p)
 
 
-def test_kronecker_even_and_negative_modulus():
-    # (a|2) depends on a mod 8
-    for a, want in [(1, 1), (7, 1), (3, -1), (5, -1), (2, 0), (-1, 1), (-3, -1)]:
-        assert kronecker(a, 2) == want, a
-    # (a|-1) is the sign of a
-    assert kronecker(5, -1) == 1
-    assert kronecker(-5, -1) == -1
-    assert kronecker(0, -1) == 1
-    # negative modulus factors through (a|-1)
-    assert kronecker(-1, -5) == -1
-    assert kronecker(3, -5) == kronecker(3, 5)
-    # (a|0) detects units
-    assert kronecker(1, 0) == 1
-    assert kronecker(-1, 0) == 1
-    assert kronecker(7, 0) == 0
-    # spot values with even modulus
-    assert kronecker(5, 12) == -1
-    assert kronecker(13, 8) == -1
-    assert kronecker(17, 8) == 1
-    assert kronecker(6, 12) == 0
+def test_kronecker_at_two_mod_8_table():
+    table = {0: 0, 1: 1, 2: 0, 3: -1, 4: 0, 5: -1, 6: 0, 7: 1}
+    for a in range(-40, 40):
+        assert kronecker(a, 2) == table[a % 8], a
 
 
-# the degenerate bottom conventions (0, negatives) are checked by spot values
-# above; full multiplicativity is only promised over positive moduli
-@given(st.integers(-80, 80), st.integers(1, 60), st.integers(1, 60))
-def test_kronecker_multiplicative_in_modulus(a, m, n):
-    assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
-
-
-@given(st.integers(-80, 80), st.integers(-80, 80), st.integers(1, 60))
-def test_kronecker_multiplicative_on_top(a, b, n):
-    assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+@given(st.integers(-80, 80), st.integers(-80, 80),
+       st.sampled_from([p for p in range(2, 60) if sympy.isprime(p)]))
+def test_kronecker_multiplicative_on_top(a, b, p):
+    assert kronecker(a * b, p) == kronecker(a, p) * kronecker(b, p)
 
 
 def test_squarefree():
