@@ -12,9 +12,9 @@ import argparse
 import sys
 from fractions import Fraction
 
-from hmsurf.chern import c1sq_terms, c2_lower_check, modes_at, theorem_table
+from hmsurf.chern import (ChernError, _inert_cases, c1sq_terms, c2_lower_check, modes_at,
+                          theorem_table)
 from hmsurf.field import FieldError, make_field
-from hmsurf.ntheory import kronecker
 from hmsurf.reference_data import published_row
 
 
@@ -48,11 +48,11 @@ def main(argv=None) -> int:
     D = args.disc
     try:
         make_field(D)  # the domain of `classify`: the table does not check it
-    except FieldError as exc:
+        (row,) = theorem_table([D])
+    except (FieldError, ChernError) as exc:
         print(exc, file=sys.stderr)
         return 2
 
-    (row,) = theorem_table([D])
     print(f"D={D}: computed n_min={row.n_min}, "
           f"exclusions={list(row.exclusions)}")
     if row.n_min_alt is not None:
@@ -70,10 +70,8 @@ def main(argv=None) -> int:
         degrees = sorted({3, row.n_min - 1, row.n_min} - {2})
     for n in degrees:
         audit_degree(D, n, "generic")
-    if kronecker(D, 2) == -1:
-        audit_degree(D, 5, "p2_inert")
-    if kronecker(D, 3) == -1:
-        audit_degree(D, 10, "p3_inert")
+    for q, p_case in _inert_cases(D).items():
+        audit_degree(D, q + 1, p_case)
     return 0
 
 

@@ -38,10 +38,7 @@ EXACT_C_CUTOFF = 500
 
 P_CASES = ("generic", "p2_inert", "p3_inert")
 
-# theorem_table looks for the least passing degree n among 3..N_MAX; from TAIL_D
-# on, the tail lemma at _c1sq_intervals gives the row without a scan.
-N_MAX = 200
-TAIL_D = 853
+TAIL_D = 853  # from here on, the tail lemma at _c1sq_intervals gives the table rows
 
 
 class ChernError(ValueError):
@@ -137,7 +134,23 @@ def c2_lower_check(D: int, n: int) -> bool:
         raise ChernError(f"positive discriminant required, got {D}")
     if n < 0:
         raise ChernError(f"nonnegative n required, got {n}")
-    return n * n * D ** 3 > 4320 ** 2
+    return n >= _c2_degree(D)
+
+
+def _c2_degree(D: int) -> int:
+    """The least n with n^2 D^3 > 4320^2, i.e. n * D^(3/2) / 360 > 12."""
+    return isqrt(4320 ** 2 // D ** 3) + 1
+
+
+def _check_bound_domain(D: int, q: "int | None" = None) -> None:
+    """ChernError unless the bound penalty, which counts elliptic points of
+    orders 2 and 3 (4 and 6 at an inert 2 or 3), covers every type Gamma0(P)
+    has: so for D > 12, and for D = 5 away from q = 0, 1 mod 5, where its
+    order-5 points meet Gamma0(P) (counts_gamma0).  q=None is every degree."""
+    if not (D > 12 or D == 5 and q is not None and q % 5 not in (0, 1)):
+        at = "" if q is None else f", norm {q}"
+        raise ChernError(f"the bound penalty counts elliptic points of orders 2 and 3 only: "
+                         f"it needs D > 12, or D = 5 at a norm q = 2, 3, 4 mod 5 (D={D}{at})")
 
 
 def modes_at(D: int) -> "tuple[str, str]":
@@ -179,7 +192,7 @@ def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
       2*n*zeta_E(-1) >= n*D^(3/2)/180: the exact volume term only adds.
     - Rounding.  f/(n D^(3/2)/180) is at least 0.003 on [853, oo) and grows
       with D, while the enclosures at >= 128 bits are relatively ~2^-120
-      wide, so the scan's interval decisions agree with the lemma.
+      wide, so the certified decisions agree with the lemma.
     - c2.  n^2 D^3 > 4320^2 already at n = 3, D = 853.
     So every row with D >= 853 has n_min = 3 (with strict_n, the least n >= 3
     with an achievable norm n - 1, at most 5 since q = 4 is one when 2 is
@@ -245,19 +258,19 @@ def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
     }
 
 
-def _infer_p_case(D: int, q: int) -> str:
-    if q == 4 and kronecker(D, 2) == -1:
-        return "p2_inert"
-    if q == 9 and kronecker(D, 3) == -1:
-        return "p3_inert"
-    return "generic"
+def _inert_cases(D: int) -> "dict[int, str]":
+    """p_case at the norm q = 4 of an inert 2 and q = 9 of an inert 3; every
+    other prime is generic."""
+    return {p * p: case for p, case in ((2, "p2_inert"), (3, "p3_inert"))
+            if kronecker(D, p) == -1}
 
 
 def _bound_report(D: int, q: int, zeta_mode, precision_bits: int) -> ChernReport:
     n = q + 1
     if n < 3:
         raise ChernError(f"surface degree n={n} below the minimum 3")
-    p_case = _infer_p_case(D, q)
+    _check_bound_domain(D, q)
+    p_case = _inert_cases(D).get(q, "generic")
     c_mode, default_zeta = modes_at(D)
     zeta_mode = zeta_mode or default_zeta
     ok2 = c2_lower_check(D, n)
@@ -335,27 +348,27 @@ def norm_achievable(D: int, q: int) -> bool:
     return p * p == q and is_prime(p) and kronecker(D, p) == -1
 
 
-def _row_scan(D, strict_n, zeta_mode, precision_bits):
-    def passes(n, p_case):
-        return (c2_lower_check(D, n)
-                and c1sq_lower_bound(D, n, p_case, zeta_mode=zeta_mode,
-                                     precision_bits=precision_bits) > 0)
+def _row(D, strict_n, zeta_mode, precision_bits):
+    """(n_min, exclusions) of D's table row, in closed form.  The c1^2 bound
+    f(D, n) = n*vol_1 + c - pen has vol_1 > 0 and c, pen free of n, so a case
+    passes from n = floor((pen_hi - c_lo)/vol_1_lo) + 1 on, certified by
+    n*vol_1_lo + c_lo - pen_hi <= f(D, n); c2 passes from _c2_degree(D) on.
+    An inert case is evaluated only where c2 passes.  From TAIL_D on the
+    tail lemma gives n_min = 3 and no exclusions, unevaluated."""
+    _check_bound_domain(D)
 
-    n_min = None
-    for n in range(3, N_MAX + 1):
-        if strict_n and not norm_achievable(D, n - 1):
-            continue
-        if passes(n, "generic"):
-            n_min = n
-            break
-    if n_min is None:
-        raise ChernError(f"no passing degree n <= {N_MAX} for D={D}")
-    exclusions = []
-    if kronecker(D, 2) == -1 and not passes(5, "p2_inert"):
-        exclusions.append((5, "p2_inert"))
-    if kronecker(D, 3) == -1 and not passes(10, "p3_inert"):
-        exclusions.append((10, "p3_inert"))
-    return n_min, tuple(exclusions)
+    def least(p_case):
+        vol, cterm, pen, _ = _c1sq_intervals(D, 1, p_case, zeta_mode, precision_bits)
+        return (upper_rational(pen) - lower_rational(cterm)) // lower_rational(vol) + 1
+
+    n_min, exclusions = 3, ()
+    if D < TAIL_D:
+        n_min = max(3, _c2_degree(D), least("generic"))
+        exclusions = tuple((q + 1, case) for q, case in _inert_cases(D).items()
+                           if not (c2_lower_check(D, q + 1) and q + 1 >= least(case)))
+    while strict_n and not norm_achievable(D, n_min - 1):
+        n_min += 1
+    return n_min, exclusions
 
 
 def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
@@ -363,13 +376,13 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
                   precision_bits: int = 128) -> "list[TableRow]":
     """General-type degree ranges for a sweep of discriminants.
 
-    For each D: the least n in 3..N_MAX where both certified checks pass for
+    For each D > 12: the least n >= 3 where both certified checks pass for
     a generic prime, plus failures of the special norm-4 / norm-9 cases at
-    n = 5 / n = 10 (only possible where 2 resp. 3 stays prime).  With the
-    default zeta_mode (exact below the cutoff), rows also carry the values
-    the floor-only zeta estimate would give, so both variants can be diffed.
-    Rows with D >= TAIL_D come from the tail lemma at _c1sq_intervals,
-    unscanned, so zeta_mode and precision_bits are checked here on entry.
+    n = 5 / n = 10 (only possible where 2 resp. 3 stays prime), from _row.
+    With the default zeta_mode (exact below the cutoff), rows also carry the
+    values the floor-only zeta estimate would give, so both variants can be
+    diffed.  Rows with D >= TAIL_D are not evaluated, so zeta_mode and
+    precision_bits are checked here on entry.
     """
     if zeta_mode is not None:
         _check_zeta_mode(zeta_mode)
@@ -379,18 +392,10 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
     rows = []
     for D in sorted(d_list):
         zmode = zeta_mode or modes_at(D)[1]
-        if D >= TAIL_D:
-            excl = ()
-            n_min = next(n for n in (3, 4, 5) if not strict_n or norm_achievable(D, n - 1))
-        else:
-            n_min, excl = _row_scan(D, strict_n, zmode, precision_bits)
-        alt = None
+        alt = (None, None)
         if zeta_mode is None and zmode == "exact":
-            alt = _row_scan(D, strict_n, "bound", precision_bits)
-        rows.append(TableRow(
-            D=D, n_min=n_min, exclusions=excl,
-            n_min_alt=alt[0] if alt else None,
-            exclusions_alt=alt[1] if alt else None))
+            alt = _row(D, strict_n, "bound", precision_bits)
+        rows.append(TableRow(D, *_row(D, strict_n, zmode, precision_bits), *alt))
     return rows
 
 
@@ -425,7 +430,7 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         breakdown = {}
         for n in bad:
             q = n - 1
-            p_case = _infer_p_case(row.D, q)
+            p_case = _inert_cases(row.D).get(q, "generic")
             entry = {"c2_check": c2_lower_check(row.D, n)}
             zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
             for zmode in zmodes:

@@ -24,6 +24,11 @@ from . import chern, config, elliptic, forms, trees, zeta
 from .field import make_field
 from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
+# classnumber's limits, each under 1 s and 80 MB cold (Python 3.11, one core):
+# h(-N) sieves about sqrt(N/3)/2 integers, h+(D) does about 0.07*D divisions.
+MAX_DEFINITE_N = 10 ** 10
+MAX_NARROW_D = 10 ** 8
+
 
 def frac(x) -> "list[int]":
     q = Fraction(x)
@@ -148,6 +153,9 @@ def _cmd_classnumber(args, cfg):
     N = args.disc
     if N == 0:
         raise config.ConfigError("discriminant must be nonzero")
+    if not -MAX_DEFINITE_N <= N <= MAX_NARROW_D:
+        raise config.ConfigError(f"classnumber takes -{MAX_DEFINITE_N} <= disc <= "
+                                 f"{MAX_NARROW_D}, got {N}")
     if N < 0:
         h = forms.h_definite(-N)
         kind = "definite"
@@ -293,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="field constants for a discriminant")
     p.add_argument("--disc", type=int, required=True)
 
-    p = sub.add_parser("classnumber", help="class numbers (negative disc: "
-                       "definite; positive: narrow)")
+    p = sub.add_parser("classnumber", help="class numbers (negative disc: definite, "
+                       f"down to -{MAX_DEFINITE_N}; positive: narrow, up to {MAX_NARROW_D})")
     p.add_argument("--disc", type=int, required=True)
 
     p = sub.add_parser("zeta", help="exact zeta value at -1")

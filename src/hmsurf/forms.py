@@ -137,9 +137,8 @@ def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
             if m % a or gcd(gcd(a, b), m // a) != 1:
                 continue
             c = m // a
-            forms += [f for f in ((a, b, -c), (-a, b, c), (c, b, -a), (-c, b, a))
-                      if _is_reduced_indefinite(*f, D)]
-    return sorted(set(forms))
+            forms += [(a, b, -c), (-a, b, c), (c, b, -a), (-c, b, a)]
+    return sorted(set(forms))  # a = c lists each form twice
 
 
 def rho_step(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:

@@ -47,12 +47,10 @@ def interval_precision(bits: int):
 
 def _raw_to_fraction(raw) -> Fraction:
     sign, man, exp, _bc = raw
-    man = int(man)
+    man, exp = -int(man) if sign else int(man), int(exp)
     if man == 0 and exp != 0:
         raise ArithmeticError("non-finite interval endpoint")
-    mag = Fraction(man, 1)
-    mag = mag * Fraction(2) ** int(exp) if exp else mag
-    return -mag if sign else mag
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def lower_rational(x) -> Fraction:

@@ -18,7 +18,7 @@ import pytest
 import sympy
 
 from hmsurf import elliptic
-from hmsurf.chern import ChernError
+from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, norm_achievable
 from hmsurf.elliptic import EllipticCounts, EllipticError
 from hmsurf.field import FieldElement, make_field
 from hmsurf.forms import h_definite
@@ -301,6 +301,35 @@ def adjunction_self_intersection(c1_pairing: int, genus: int) -> int:
     if genus < 0:
         raise ChernError(f"genus must be nonnegative, got {genus}")
     return 2 * genus - 2 + c1_pairing
+
+
+# ---------------------------------------------------------------------------
+# table rows: the degree scan
+# ---------------------------------------------------------------------------
+
+SCAN_N_MAX = 200
+
+
+def row_scan(D, strict_n, zeta_mode, precision_bits):
+    """(n_min, exclusions) of D's table row by trying n = 3 .. SCAN_N_MAX in
+    turn, one certified c1^2 evaluation per degree, for the closed form in
+    chern._row to match."""
+    def passes(n, p_case):
+        return (c2_lower_check(D, n)
+                and c1sq_lower_bound(D, n, p_case, zeta_mode=zeta_mode,
+                                     precision_bits=precision_bits) > 0)
+
+    n_min = next((n for n in range(3, SCAN_N_MAX + 1)
+                  if (not strict_n or norm_achievable(D, n - 1)) and passes(n, "generic")),
+                 None)
+    if n_min is None:
+        raise ChernError(f"no passing degree n <= {SCAN_N_MAX} for D={D}")
+    exclusions = []
+    if kronecker(D, 2) == -1 and not passes(5, "p2_inert"):
+        exclusions.append((5, "p2_inert"))
+    if kronecker(D, 3) == -1 and not passes(10, "p3_inert"):
+        exclusions.append((10, "p3_inert"))
+    return n_min, tuple(exclusions)
 
 
 # ---------------------------------------------------------------------------

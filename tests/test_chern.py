@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 from dataclasses import replace
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from mpmath import iv
 
+from hmsurf import chern
 from hmsurf.chern import (
     EXACT_C_CUTOFF,
     TAIL_D,
@@ -16,7 +18,6 @@ from hmsurf.chern import (
     ModeMixError,
     TableRow,
     _c1sq_intervals,
-    _row_scan,
     c1sq_lower_bound,
     c1sq_terms,
     c2_lower_check,
@@ -49,6 +50,7 @@ from helpers import (
     curve_chern_integrality,
     genus_gamma0_rational,
     refine_with_action,
+    row_scan,
 )
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -423,11 +425,65 @@ def test_tail_rows_match_the_scan():
                 for bits in (128, 512):
                     (row,) = theorem_table([D], strict_n=strict, zeta_mode=zeta_mode,
                                            precision_bits=bits)
-                    want = _row_scan(D, strict, zeta_mode, bits)
+                    want = row_scan(D, strict, zeta_mode, bits)
                     assert (row.n_min, row.exclusions) == want, (D, strict, zeta_mode, bits)
                     if strict:
                         strict_n_mins.add(row.n_min)
     assert strict_n_mins == {3, 4, 5}
+
+
+class _MemoIV:
+    """mpmath's iv, with sqrt and log of an integer memoised per precision."""
+
+    def __getattr__(self, name):
+        return getattr(iv, name)
+
+    @staticmethod
+    @functools.cache
+    def _call(name, x, prec):
+        return getattr(iv, name)(x)
+
+    def sqrt(self, x):
+        return self._call("sqrt", x, iv.prec)
+
+    def log(self, x):
+        return self._call("log", x, iv.prec)
+
+
+@pytest.mark.parametrize("bits", (128, 129, 8192))
+def test_closed_form_rows_match_the_scan(bits, monkeypatch):
+    # The closed form and the scan round differently, so their rows must be
+    # shown equal, not assumed so.  Both sides take roots and logs of the
+    # same few integers (a log costs ~10 ms at 8192 bits), so they share a memo.
+    monkeypatch.setattr(chern, "iv", _MemoIV())
+    d_list = [D for D in range(13, TAIL_D) if is_fundamental_discriminant(D)]
+    for strict in (False, True):
+        for zeta_mode in ("exact", "bound"):
+            rows = theorem_table(d_list, strict_n=strict, zeta_mode=zeta_mode,
+                                 precision_bits=bits)
+            for row in rows:
+                want = row_scan(row.D, strict, zeta_mode, bits)
+                assert (row.n_min, row.exclusions) == want, (row.D, strict, zeta_mode)
+
+
+def test_table_refuses_outside_the_bound_lemmas():
+    for D in (5, 8, 12):
+        with pytest.raises(ChernError, match="D > 12"):
+            theorem_table([D])
+
+
+def test_bound_classify_refuses_d8():
+    for q in (2, 4, 7, 9, 1009):
+        with pytest.raises(ChernError, match="D > 12"):
+            classify(8, q, mode="bound")
+
+
+def test_bound_classify_refuses_d5_order5_levels():
+    for q in (5, 11, 31, 1021):
+        with pytest.raises(ChernError, match="D > 12"):
+            classify(5, q, mode="bound")
+    for q in (4, 9, 19, 29):  # order-5 points miss Gamma0(P)
+        assert classify(5, q, mode="bound").mode == "bound"
 
 
 def test_audit_row_script_refuses_what_classify_refuses(capsys):
@@ -435,7 +491,8 @@ def test_audit_row_script_refuses_what_classify_refuses(capsys):
     audit_row = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(audit_row)
     assert audit_row.main(["--disc", "109"]) == 0 and "c1^2" in capsys.readouterr().out
-    for D, reason in ((12, "supported shape"), (229, "does not have narrow class number 1")):
+    for D, reason in ((12, "supported shape"), (229, "does not have narrow class number 1"),
+                      (5, "D > 12"), (8, "D > 12")):
         assert audit_row.main(["--disc", str(D)]) == 2, D
         out, err = capsys.readouterr()
         assert out == "" and reason in err, D

@@ -57,6 +57,16 @@ def test_cli_classnumber(capsys):
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+def test_cli_classnumber_refuses_above_its_limits(capsys):
+    for disc in (-cli.MAX_DEFINITE_N - 3, cli.MAX_NARROW_D + 1, -(10 ** 18) - 3):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classnumber", "--disc", str(disc))
+        assert time.perf_counter() - start < 1, disc
+        assert code == 2 and out == "", disc
+        message = json.loads(err)["error"]["message"]
+        assert str(cli.MAX_DEFINITE_N) in message and str(cli.MAX_NARROW_D) in message
+
+
 def test_cli_zeta_and_cusp(capsys):
     z = run_json(capsys, "zeta", "--disc", "13")
     assert z["zeta"] == [1, 6]
