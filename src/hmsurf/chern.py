@@ -303,10 +303,10 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
 
     F may be a FieldContext or a discriminant.  q is the norm of the prime.
     mode="exact" runs the closed-form Gamma0(P) counts + involution refinement
-    (the action in closed form, see involution_action); it covers every
-    prime except D=5's order-5 levels, q = 0 or 1 mod 5.  mode="bound" runs
-    the certified estimates (there q need not be an achievable norm - degrees
-    are swept formally).
+    (the action in closed form, see involution_action); it refuses D=5's
+    order-5 levels, q = 0 or 1 mod 5, and D=8 at every level (the count
+    formulas need D > 12).  mode="bound" runs the certified estimates (there
+    q need not be an achievable norm - degrees are swept formally).
     """
     if isinstance(F, int):
         F = make_field(F)

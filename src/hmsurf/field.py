@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forms import narrow_class_one, principal_form, unit_form_walk
+from .forms import narrow_class_one, principal_form, unit_form_walk, walk_element
 from .ntheory import is_prime, kronecker, sqrt_mod
 
 
@@ -116,23 +116,13 @@ class FieldElement:
         return not self.is_zero()
 
     def sign_at(self, place: int) -> int:
-        """Exact sign of the real embedding (place 0: sqrt(D) > 0, place 1: < 0)."""
-        u, v = self.u, (self.v if place == 0 else -self.v)
-        # sign of u + v*sqrt(D)
-        if v == 0:
-            return 0 if u == 0 else (1 if u > 0 else -1)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: compare u^2 with v^2 D
-        lhs, rhs = u * u, v * v * self.D
-        if lhs == rhs:  # impossible for nonsquare D, kept for safety
-            return 0
-        bigger_rational = lhs > rhs
-        return (1 if bigger_rational else -1) if u > 0 else (-1 if bigger_rational else 1)
+        """Exact sign of the real embedding (place 0: sqrt(D) > 0, place 1: < 0).
+
+        x|x| is odd and increasing, so u + w has the sign of u|u| + w|w|, and
+        w = v*sqrt(D) has w|w| = v|v|D."""
+        v = self.v if place == 0 else -self.v
+        s = self.u * abs(self.u) + v * abs(v) * self.D
+        return (s > 0) - (s < 0)
 
     def compare(self, other) -> int:
         """Exact comparison under the first embedding."""
@@ -200,7 +190,8 @@ def make_field(D: int) -> FieldContext:
     walk = unit_form_walk(principal_form(D), D)
     if not narrow_class_one(D, walk):
         raise NarrowClassError(f"D={D} does not have narrow class number 1")
-    (u, v), quotients, _ = walk
+    end, quotients, _ = walk
+    u, v = walk_element(end, quotients)
     eps = FieldElement(abs(u), abs(v), D)
     return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients))
 
@@ -267,7 +258,8 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
                                generator=FieldElement.from_int(p, D), omega_image=None),)
     b = sqrt_mod(D, p)
     b += p * ((b - D) % 2)
-    x = FieldElement(*unit_form_walk((p, b, (b * b - D) // (4 * p)), D)[0], D)
+    end, quotients, _ = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
+    x = FieldElement(*walk_element(end, quotients), D)
     gens = [_positive_generator(x, F)]
     if sym == 1:
         gens.append(_positive_generator(gens[0].conjugate(), F))

@@ -30,7 +30,8 @@ from math import gcd, isqrt
 from .ntheory import is_fundamental_discriminant, kronecker, sqrt_mod
 from .numeric import upper_rational, sqrt_log_over_pi
 
-_SIEVE_FROM = 250_000  # h_definite: where the sieve overtakes trial division
+_SIEVE_FROM = 125_000  # h_definite: where the sieve overtakes trial division
+_RUN = 64  # step_product: factors taken one at a time before the balanced pairs
 
 
 def h_definite(N: int) -> int:
@@ -174,38 +175,62 @@ def principal_form(D: int) -> tuple[int, int, int]:
 
 
 def unit_form_walk(form: tuple[int, int, int],
-                   D: int) -> tuple[tuple[int, int], list[int], list[int]]:
-    """Walk rho steps from (a0, b, c) to a form (a', b', c') with a' = +-1.
+                   D: int) -> tuple[tuple[int, int, int], list[int], list[int]]:
+    """Walk rho steps from (a0, b, c) to the first form (a', b', c') with a' = +-1.
 
-    A step is the substitution (x, y) -> (-y, x + t*y), t = (b + b')/(2c);
-    only the bottom row of their product M is kept.  (x, y) = (m11, -m10),
-    the first column of M^-1, has a'x^2 + b'xy + c'y^2 = a0, so (u, v) =
-    (2a'x + b'y, y) is an element (u + v*sqrt(D))/2 of norm a' * a0 = +-a0.
-    From the principal form this gives the fundamental unit; from (p, b, c)
-    it is the principal-ideal test by reduction (Buchmann & Vollmer ch. 6).
-    Returns ((u, v), the step quotients t, the leading coefficients of the
-    forms reached), both lists in walk order.  RuntimeError if the first
-    reduced form reached comes round again first (rho permutes the reduced
-    forms, so that is the first repeat).
+    Returns (that form, the step quotients t = (b + b')/(2c), the leading
+    coefficients of the forms reached), both lists in walk order.  RuntimeError
+    if the first reduced form reached comes round again first (rho permutes the
+    reduced forms, so that is the first repeat).
     """
     first = None
     quotients, leads = [], []
-    m10, m11 = 0, 1
     while True:
         _, b, c = form
         form = rho_step(form, D)
-        t = (b + form[1]) // (2 * c)
-        quotients.append(t)
+        quotients.append((b + form[1]) // (2 * c))
         leads.append(c)
-        m10, m11 = m11, t * m11 - m10
-        a1, b1, _ = form
-        if abs(a1) == 1:
-            return (2 * a1 * m11 - b1 * m10, -m10), quotients, leads
+        if abs(form[0]) == 1:
+            return form, quotients, leads
         if first is None:
             if _is_reduced_indefinite(*form, D):
                 first = form
         elif form == first:
             raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
+
+
+def step_product(ts) -> tuple[int, int, int, int]:
+    """(m00, m01, m10, m11) of the product of [[0, -1], [1, t]] over ts, in order.
+
+    Runs of _RUN factors are multiplied one at a time, on small integers, and
+    the runs in balanced pairs: one factor at a time is quadratic in len(ts).
+    """
+    mats = []
+    for i in range(0, len(ts), _RUN):
+        a, b, c, d = 1, 0, 0, 1
+        for t in ts[i:i + _RUN]:
+            a, b, c, d = b, t * b - a, d, t * d - c
+        mats.append((a, b, c, d))
+    while len(mats) > 1:  # an odd one out waits at the end for the next round
+        mats = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                for (a, b, c, d), (e, f, g, h) in zip(mats[::2], mats[1::2])
+                ] + mats[len(mats) & ~1:]
+    return mats[0] if mats else (1, 0, 0, 1)
+
+
+def walk_element(end: tuple[int, int, int], quotients) -> tuple[int, int]:
+    """(u, v) of the element (u + v*sqrt(D))/2 that `unit_form_walk` from
+    (a0, b, c) to end = (a', b', c') gives: its norm is a' * a0 = +-a0.
+
+    A step is the substitution (x, y) -> (-y, x + t*y), and M =
+    step_product(quotients).  (x, y) = (m11, -m10), the first column of M^-1,
+    has a'x^2 + b'xy + c'y^2 = a0, so (u, v) = (2a'x + b'y, y).  From the
+    principal form this is the fundamental unit; from (p, b, c) it is the
+    principal-ideal test by reduction (Buchmann & Vollmer ch. 6).
+    """
+    a1, b1, _ = end
+    _, _, m10, m11 = step_product(quotients)
+    return 2 * a1 * m11 - b1 * m10, -m10
 
 
 def narrow_class_one(D: int, walk=None) -> bool:
@@ -216,9 +241,9 @@ def narrow_class_one(D: int, walk=None) -> bool:
     prime p with 4p^2 < D and (D/p) >= 0 is some |a| along it.  Proof:
 
     * The walk stops at the first form (+-1, b, c) on the principal cycle,
-      and its unit eta, of norm that leading coefficient, generates the
-      units modulo -1.  If the norm is +1, h+ = 2h > 1.  If it is -1,
-      h+ = h: narrow and wide classes agree.
+      and its unit eta (`walk_element`), of norm that leading coefficient,
+      generates the units modulo -1.  If the norm is +1, h+ = 2h > 1.  If it
+      is -1, h+ = h: narrow and wide classes agree.
     * A reduced form with |a| = 1 has its b in (sqrt(D) - 2, sqrt(D)), so it
       is (1, b0, c0), the principal form, or (-1, b0, -c0).  rho commutes
       with (a, b, c) -> (-a, b, -c), so when the walk ends at -1 the

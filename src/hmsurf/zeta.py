@@ -31,8 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .field import FieldContext, FieldElement
-from .forms import _sieve_divisors
+from .field import FieldContext
+from .forms import _sieve_divisors, step_product
 
 
 class InternalCheckError(RuntimeError):
@@ -113,25 +113,6 @@ def minus_cf_cycle(F: FieldContext) -> tuple[int, ...]:
     return max(tuple(cycle[i:] + cycle[:i]) for i, b in enumerate(cycle) if b == top)
 
 
-def cycle_unit(cycle: tuple[int, ...], D: int) -> FieldElement:
-    """Eigenvalue (> 1) of the period matrix prod [[b, -1], [1, 0]].
-
-    This is the totally positive unit whose action the cycle encodes.
-    """
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for b in cycle:
-        m00, m01, m10, m11 = m00 * b + m01, -m00, m10 * b + m11, -m10
-    t = m00 + m11  # trace; eigenvalue (t + sqrt(t^2-4))/2 with t^2-4 = v^2 D
-    if t <= 2:
-        raise InternalCheckError(f"period matrix trace {t} too small for D={D}")
-    disc = t * t - 4
-    v2, rem = divmod(disc, D)
-    v = isqrt(v2)
-    if rem or v * v != v2:
-        raise InternalCheckError(f"period matrix trace {t} is not a unit trace for D={D}")
-    return FieldElement(t, v, D)
-
-
 @dataclass(frozen=True)
 class CuspCycle:
     """Resolution cycle of the cusp: curves b_k, count l = m, chern term c."""
@@ -157,17 +138,19 @@ class CuspCycle:
 def cusp_resolution(F: FieldContext) -> CuspCycle:
     """Resolution data of the single cusp of the Hilbert modular surface.
 
-    Cross-checks that one period of the expansion matches the fundamental
-    totally positive unit and that c agrees with the divisor-sum formula.
+    Cross-checks that c agrees with the divisor-sum formula and that the
+    period matrix prod [[b, -1], [1, 0]] has the eigenvalue eps_plus > 1.
+    J = [[0, -1], [1, 0]] conjugates [[b, -1], [1, 0]] to [[0, -1], [1, b]],
+    so that matrix has the trace t of step_product(cycle) and its eigenvalues
+    are the roots of x^2 - t*x + 1.  eps_plus = (u + v*sqrt(D))/2 with
+    N(eps_plus) = 1 and v > 0 is the root > 1 of x^2 - u*x + 1: the check
+    is t = u.
     """
     cycle = minus_cf_cycle(F)
-    unit = cycle_unit(cycle, F.D)
-    if unit.as_pair() != F.eps_plus.as_pair():
-        raise InternalCheckError(
-            f"cycle unit {unit!r} differs from eps_plus {F.eps_plus!r} for D={F.D}"
-        )
+    m00, _, _, m11 = step_product(cycle)
+    if m00 + m11 != F.eps_plus.u:
+        raise InternalCheckError(f"cycle trace differs from that of eps_plus for D={F.D}")
     cc = CuspCycle(D=F.D, cycle=cycle)
     if cc.c != local_chern_divisor_sum(F.D):
         raise InternalCheckError(f"cycle chern term mismatch for D={F.D}")
     return cc
-

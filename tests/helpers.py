@@ -407,6 +407,16 @@ def oracle_minus_cf_period(D):
     return tuple(digits[seen[w.P, w.Q]:])
 
 
+def linear_product(mats):
+    """The product of 2x2 integer matrices (m00, m01, m10, m11), in order and
+    one factor at a time: the oracle for forms.step_product, fed step
+    matrices (0, -1, 1, t) or the minus cycle's (b, -1, 1, 0)."""
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in mats:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
+
+
 # ---------------------------------------------------------------------------
 # field elements as floats, for order and size checks
 # ---------------------------------------------------------------------------

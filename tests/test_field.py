@@ -15,10 +15,10 @@ from hmsurf.field import (
     make_field,
     split_prime,
 )
-from hmsurf.forms import principal_form, unit_form_walk
+from hmsurf.forms import principal_form, unit_form_walk, walk_element
 from hmsurf.ntheory import is_prime
 
-from helpers import ResidueField, divide_exact, real
+from helpers import ResidueField, divide_exact, linear_product, real
 
 DISCS = (5, 8, 13, 17, 29)
 
@@ -134,10 +134,55 @@ def test_eps_is_the_largest_walk_unit():
             F = make_field(D)
         except NarrowClassError:
             continue
-        eta = FieldElement(*unit_form_walk(principal_form(D), D)[0], D)
+        end, quotients, _ = unit_form_walk(principal_form(D), D)
+        eta = FieldElement(*walk_element(end, quotients), D)
         assert F.eps == max((eta, -eta, eta.conjugate(), -eta.conjugate())), D
         checked += 1
     assert checked == 2 + len(default_discriminants(20000))
+
+
+def test_walk_unit_matches_the_linear_product():
+    # the balanced step_product against the product taken one factor at a
+    # time, at every supported D <= 20000 and at 10^9 + 9 (59,741 steps); the
+    # walk's (u, v) is read off the oracle's bottom row, and its norm is -1
+    for D in [5, 8] + default_discriminants(20000) + [10**9 + 9]:
+        end, quotients, _ = unit_form_walk(principal_form(D), D)
+        m = linear_product((0, -1, 1, t) for t in quotients)
+        assert forms.step_product(quotients) == m, D
+        a1, b1, _ = end
+        x, y = m[3], -m[2]  # first column of the inverse
+        u, v = walk_element(end, quotients)
+        assert (u, v) == (2 * a1 * x + b1 * y, y), D
+        assert u * u - v * v * D == 4 * a1 == -4, D
+
+
+def test_split_prime_generators_match_the_linear_product(monkeypatch):
+    # every generator over p <= 50 at every supported D <= 2000, with the
+    # balanced step_product and then with the one-factor-at-a-time oracle
+    fields = [make_field(D) for D in [5, 8] + default_discriminants(2000)]
+    primes = [p for p in range(2, 51) if is_prime(p)]
+
+    def generators():
+        return [[P.generator for P in split_prime(F, p)] for F in fields for p in primes]
+
+    balanced = generators()
+    monkeypatch.setattr(forms, "step_product",
+                        lambda ts: linear_product((0, -1, 1, t) for t in ts))
+    assert generators() == balanced
+
+
+def test_the_certificate_builds_no_unit(monkeypatch):
+    # default_discriminants reads only the walk's leading coefficients, while
+    # make_field does take the product
+    expected = default_discriminants(2000)
+
+    def forbidden(ts):
+        raise AssertionError("built a unit")
+
+    monkeypatch.setattr(forms, "step_product", forbidden)
+    assert default_discriminants(2000) == expected
+    with pytest.raises(AssertionError, match="built a unit"):
+        make_field(13)
 
 
 def test_make_field_contents():

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hmsurf.forms import (
+    _RUN,
     _SIEVE_FROM,
     _sieve_divisors,
     h_bound,
@@ -15,11 +16,12 @@ from hmsurf.forms import (
     narrow_class_one,
     reduced_indefinite_forms,
     rho_step,
+    step_product,
     unit_form_walk,
 )
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 
-from helpers import oracle_reduced_indefinite_forms
+from helpers import linear_product, oracle_reduced_indefinite_forms
 
 
 def oracle_h_definite(N):
@@ -94,6 +96,16 @@ def test_sieve_divisors_at_positive_discriminants():
 def test_definite_vs_oracle_on_the_sieve_path(k, r):
     N = 4 * k + r  # -N = 0, 1 mod 4, in [_SIEVE_FROM, 10^6]
     assert h_definite(N) == oracle_h_definite(N)
+
+
+def test_definite_vs_oracle_either_side_of_the_sieve_switch():
+    # trial division below _SIEVE_FROM, the sieve from it on
+    checked = 0
+    for N in range(_SIEVE_FROM - 24, _SIEVE_FROM + 24):
+        if (-N) % 4 in (0, 1):
+            assert h_definite(N) == oracle_h_definite(N), N
+            checked += 1
+    assert checked == 24
 
 
 def test_class_numbers_at_large_discriminants():
@@ -177,6 +189,15 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
     # h+(229) = 3: no form (+-1, b, c) lies on the cycle of (-9, 7, 5)
     with pytest.raises(RuntimeError, match="cycle of"):
         unit_form_walk((-9, 7, 5), 229)
+
+
+def test_step_product_matches_the_linear_product():
+    # random quotients of every length up to four runs and past them, so that
+    # runs, odd ones out and balanced pairs all occur; the empty product is 1
+    rng = random.Random(21)
+    for n in [*range(4 * _RUN + 2), 1000, 4097]:
+        ts = [rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 6)) for _ in range(n)]
+        assert step_product(ts) == linear_product((0, -1, 1, t) for t in ts), n
 
 
 def test_reduced_indefinite_forms_vs_oracle_sweep():

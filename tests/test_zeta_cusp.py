@@ -8,18 +8,18 @@ import sympy
 from hmsurf.chern import default_discriminants
 from hmsurf import field, forms, zeta
 from hmsurf.field import NarrowClassError, make_field
-from hmsurf.forms import h_narrow_indefinite, unit_form_walk
+from hmsurf.forms import h_narrow_indefinite, step_product, unit_form_walk
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 from hmsurf.zeta import (
     CuspCycle,
+    InternalCheckError,
     cusp_resolution,
-    cycle_unit,
     local_chern_divisor_sum,
     minus_cf_cycle,
     zeta_minus_one,
 )
 
-from helpers import QuadIrrational, oracle_minus_cf_period
+from helpers import QuadIrrational, linear_product, oracle_minus_cf_period
 
 
 def oracle_zeta(D):
@@ -94,21 +94,20 @@ def test_minus_cf_cycles_small():
 
 def test_cycle_unit_is_trace_of_eps_plus():
     # the cycle and eps come from one rho walk, but this identity reads them
-    # differently: the period matrix of the minus cycle has the trace of
-    # eps_plus = eps^2, and eps (from the walk's product matrix) has norm -1
+    # differently: the period matrix of the minus cycle, taken one factor at a
+    # time, has the trace of eps_plus = eps^2, and so has the balanced
+    # step_product that cusp_resolution checks; eps has norm -1
     for D in [5, 8] + default_discriminants():
         F = make_field(D)
         eps = F.eps
         assert eps.norm() == -1, D
         eps_plus = eps * eps
         cyc = minus_cf_cycle(F)
-        m = [[1, 0], [0, 1]]
-        for b in cyc:
-            m = [[m[0][0] * b + m[0][1], -m[0][0]],
-                 [m[1][0] * b + m[1][1], -m[1][0]]]
-        assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
-        assert m[0][0] + m[1][1] == eps_plus.u, D
-        assert cycle_unit(cyc, D) == eps_plus
+        m00, m01, m10, m11 = linear_product((b, -1, 1, 0) for b in cyc)
+        assert m00 * m11 - m01 * m10 == 1
+        assert m00 + m11 == eps_plus.u, D
+        s00, _, _, s11 = step_product(cyc)
+        assert s00 + s11 == eps_plus.u, D
 
 
 def test_minus_cf_cycle_vs_oracle():
@@ -174,7 +173,31 @@ def test_cusp_resolution_cross_checks():
         cc = cusp_resolution(F)
         assert cc.c == local_chern_divisor_sum(D)
         assert cc.c < 0
-        assert cycle_unit(cc.cycle, D) == F.eps_plus
+        m00, _, _, m11 = step_product(cc.cycle)
+        assert m00 + m11 == F.eps_plus.u
+
+
+def test_cusp_resolution_refuses_a_bumped_cycle(monkeypatch):
+    # one entry up, or one up and the next down so that c stays the same: the
+    # trace check alone must catch either
+    def bumped(delta):
+        def cycle(F):
+            b = list(minus_cf_cycle(F))
+            b[0] += 1
+            b[1 % len(b)] += delta
+            return tuple(b)
+        return cycle
+
+    for D in [5, 8] + default_discriminants():
+        F = make_field(D)
+        for delta in (0, -1):
+            if len(minus_cf_cycle(F)) == 1 and delta:
+                continue
+            monkeypatch.setattr(zeta, "minus_cf_cycle", bumped(delta))
+            with pytest.raises(InternalCheckError, match="eps_plus"):
+                cusp_resolution(F)
+            monkeypatch.undo()
+        assert cusp_resolution(F).c == local_chern_divisor_sum(D)
 
 
 def test_cusp_resolution_walks_the_rho_cycle_once(monkeypatch):
