@@ -12,8 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from hmsurf.chern import (ChernError, _inert_cases, c1sq_terms, c2_lower_check, modes_at,
-                          theorem_table)
+from hmsurf.chern import (ChernError, _inert_cases, c1sq_terms, c2_lower_check, classify,
+                          modes_at, theorem_table)
 from hmsurf.field import FieldError, make_field
 from hmsurf.reference_data import published_row
 
@@ -49,6 +49,8 @@ def main(argv=None) -> int:
     try:
         make_field(D)  # the domain of `classify`: the table does not check it
         (row,) = theorem_table([D])
+        if args.n is not None:
+            classify(D, args.n - 1, mode="bound")  # refuses a degree no surface has
     except (FieldError, ChernError) as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -166,8 +166,9 @@ def modes_at(D: int) -> "tuple[str, str]":
     return "bound_c", "bound"
 
 
-def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
-    """Intervals (volume, cusp term, penalty, total) of the c1^2 bound f(D, n).
+def _c1sq_intervals(D, n, p_cases, zeta_mode, precision_bits):
+    """{p_case: intervals (volume, cusp term, penalty, total)} of the c1^2 bound
+    f(D, n), from one evaluation of the terms that all of p_cases share.
 
     Tail lemma: for every D >= TAIL_D = 853 and n >= 3, f(D, n) > 0 in each
     p_case at every degree where the table tests it, and c2_lower_check holds.
@@ -198,8 +199,9 @@ def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
     with an achievable norm n - 1, at most 5 since q = 4 is one when 2 is
     inert) and no exclusions.
     """
-    if p_case not in P_CASES:
-        raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
+    for p_case in p_cases:
+        if p_case not in P_CASES:
+            raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
     _check_zeta_mode(zeta_mode)
     if D < 5:
         raise ChernError(f"discriminant {D} out of range")
@@ -215,14 +217,13 @@ def _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
             cterm = -(iv.sqrt(D) / 2) * (3 * logd ** 2 / (2 * iv.pi ** 2)
                                          + (iv.mpf(21) / 20) * logd)
         pen3 = iv.sqrt(3 * D) * iv.log(3 * D)
-        if p_case == "generic":
-            pen = pen3 / (4 * iv.pi)
-        elif p_case == "p3_inert":
-            pen = 4 * pen3 / iv.pi
-        else:  # p2_inert keeps the generic order-3 term and adds the order-2 one
-            pen = pen3 / (4 * iv.pi) + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi
-        total = vol + cterm - pen
-        return vol, cterm, pen, total
+        penalty = {"generic": lambda: pen3 / (4 * iv.pi),
+                   "p3_inert": lambda: 4 * pen3 / iv.pi,
+                   # p2_inert keeps the generic order-3 term and adds the order-2 one
+                   "p2_inert": lambda: (pen3 / (4 * iv.pi)
+                                        + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi)}
+        pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
+        return {p_case: (vol, cterm, pen, vol + cterm - pen) for p_case, pen in pens.items()}
 
 
 def _check_zeta_mode(zeta_mode: str) -> None:
@@ -242,17 +243,17 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
     forces order-4 (resp. order-6) points.  All endpoints are rounded so the
     returned rational really is a lower bound.
     """
-    _v, _c, _p, total = _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits)
+    _v, _c, _p, total = _c1sq_intervals(D, n, (p_case,), zeta_mode, precision_bits)[p_case]
     return lower_rational(total)
 
 
 def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
                zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
     """Per-term breakdown of the c1^2 bound, for audit output."""
-    vol, cterm, pen, total = _c1sq_intervals(D, n, p_case, zeta_mode, precision_bits)
+    vol, cusp, pen, total = _c1sq_intervals(D, n, (p_case,), zeta_mode, precision_bits)[p_case]
     return {
         "volume_lb": lower_rational(vol),
-        "c_term_lb": lower_rational(cterm),
+        "c_term_lb": lower_rational(cusp),
         "penalty_ub": upper_rational(pen),
         "lower_bound": lower_rational(total),
     }
@@ -353,19 +354,18 @@ def _row(D, strict_n, zeta_mode, precision_bits):
     f(D, n) = n*vol_1 + c - pen has vol_1 > 0 and c, pen free of n, so a case
     passes from n = floor((pen_hi - c_lo)/vol_1_lo) + 1 on, certified by
     n*vol_1_lo + c_lo - pen_hi <= f(D, n); c2 passes from _c2_degree(D) on.
-    An inert case is evaluated only where c2 passes.  From TAIL_D on the
-    tail lemma gives n_min = 3 and no exclusions, unevaluated."""
+    One evaluation at n = 1 gives every inertia case's least degree.  From
+    TAIL_D on the tail lemma gives n_min = 3 and no exclusions, unevaluated."""
     _check_bound_domain(D)
-
-    def least(p_case):
-        vol, cterm, pen, _ = _c1sq_intervals(D, 1, p_case, zeta_mode, precision_bits)
-        return (upper_rational(pen) - lower_rational(cterm)) // lower_rational(vol) + 1
-
     n_min, exclusions = 3, ()
     if D < TAIL_D:
-        n_min = max(3, _c2_degree(D), least("generic"))
-        exclusions = tuple((q + 1, case) for q, case in _inert_cases(D).items()
-                           if not (c2_lower_check(D, q + 1) and q + 1 >= least(case)))
+        inert = _inert_cases(D)
+        least = {case: (upper_rational(pen) - lower_rational(cterm)) // lower_rational(vol) + 1
+                 for case, (vol, cterm, pen, _) in _c1sq_intervals(
+                     D, 1, ("generic", *inert.values()), zeta_mode, precision_bits).items()}
+        n_min = max(3, _c2_degree(D), least["generic"])
+        exclusions = tuple((q + 1, case) for q, case in inert.items()
+                           if not (c2_lower_check(D, q + 1) and q + 1 >= least[case]))
     while strict_n and not norm_achievable(D, n_min - 1):
         n_min += 1
     return n_min, exclusions
@@ -378,11 +378,11 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
 
     For each D > 12: the least n >= 3 where both certified checks pass for
     a generic prime, plus failures of the special norm-4 / norm-9 cases at
-    n = 5 / n = 10 (only possible where 2 resp. 3 stays prime), from _row.
-    With the default zeta_mode (exact below the cutoff), rows also carry the
-    values the floor-only zeta estimate would give, so both variants can be
-    diffed.  Rows with D >= TAIL_D are not evaluated, so zeta_mode and
-    precision_bits are checked here on entry.
+    n = 5 / n = 10 (only where 2 resp. 3 stays prime), from one evaluation
+    per D and volume variant (_row).  With the default zeta_mode (exact below
+    the cutoff), rows also carry the values of the floor-only zeta estimate,
+    so both variants can be diffed.  Rows with D >= TAIL_D are not evaluated,
+    so zeta_mode and precision_bits are checked here on entry.
     """
     if zeta_mode is not None:
         _check_zeta_mode(zeta_mode)

@@ -104,19 +104,6 @@ def _primes(top: int):
 # -- indefinite forms --------------------------------------------------------
 
 
-def _is_reduced_indefinite(a: int, b: int, c: int, D: int) -> bool:
-    if b <= 0 or b * b >= D:
-        return False
-    two_a = 2 * abs(a)
-    # sqrt(D) - b < 2|a|  <=>  D < (2|a| + b)^2
-    if D >= (two_a + b) ** 2:
-        return False
-    # 2|a| < sqrt(D) + b  <=>  (2|a| - b)^2 < D when 2|a| >= b, else trivially true
-    if two_a >= b and (two_a - b) ** 2 >= D:
-        return False
-    return True
-
-
 def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
     """All primitive reduced indefinite forms of discriminant D > 0 (nonsquare).
 
@@ -179,24 +166,25 @@ def unit_form_walk(form: tuple[int, int, int],
     """Walk rho steps from (a0, b, c) to the first form (a', b', c') with a' = +-1.
 
     Returns (that form, the step quotients t = (b + b')/(2c), the leading
-    coefficients of the forms reached), both lists in walk order.  RuntimeError
-    if the first reduced form reached comes round again first (rho permutes the
-    reduced forms, so that is the first repeat).
+    coefficients of the forms reached), both lists in walk order.  The walk is
+    eventually periodic (`rho_step`), say with preperiod mu and period lam, and
+    Brent's check (Brent 1980) compares the next 2^k forms with the one reached
+    after 2^k - 1 steps, so a walk that never meets (+-1, b, c) raises
+    RuntimeError within 2*max(mu + 1, lam) + lam - 2 <= 3*(mu + lam) steps.
     """
-    first = None
+    held = form
     quotients, leads = [], []
     while True:
-        _, b, c = form
-        form = rho_step(form, D)
-        quotients.append((b + form[1]) // (2 * c))
-        leads.append(c)
-        if abs(form[0]) == 1:
-            return form, quotients, leads
-        if first is None:
-            if _is_reduced_indefinite(*form, D):
-                first = form
-        elif form == first:
-            raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
+        for _ in range(len(quotients) + 1):  # 2^k steps after the first 2^k - 1
+            _, b, c = form
+            form = rho_step(form, D)
+            quotients.append((b + form[1]) // (2 * c))
+            leads.append(c)
+            if abs(form[0]) == 1:
+                return form, quotients, leads
+            if form == held:
+                raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
+        held = form
 
 
 def step_product(ts) -> tuple[int, int, int, int]:

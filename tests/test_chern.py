@@ -390,7 +390,7 @@ def _tail_slope(D, n, p_case):
 
 def _f_over_sqrt(D, n, p_case):
     """f(D, n)/sqrt(D) from the code's own floor-zeta intervals."""
-    return _c1sq_intervals(D, n, p_case, "bound", iv.prec)[3] / iv.sqrt(D)
+    return _c1sq_intervals(D, n, (p_case,), "bound", iv.prec)[p_case][3] / iv.sqrt(D)
 
 
 def test_tail_lemma_base_case_and_slope():
@@ -496,6 +496,12 @@ def test_audit_row_script_refuses_what_classify_refuses(capsys):
         assert audit_row.main(["--disc", str(D)]) == 2, D
         out, err = capsys.readouterr()
         assert out == "" and reason in err, D
+    # a degree below 3 is refused as bound classify refuses it, not audited
+    for n in (-5, 0, 1, 2):
+        assert audit_row.main(["--disc", "109", "--n", str(n)]) == 2, n
+        out, err = capsys.readouterr()
+        assert out == "" and f"surface degree n={n} below the minimum 3" in err, n
+    assert audit_row.main(["--disc", "109", "--n", "3"]) == 0 and "n=3" in capsys.readouterr().out
 
 
 def test_published_rows_cover_table():
@@ -528,6 +534,26 @@ def test_table_diff_frozen_observations():
                     assert len(pair) == 2 and all(isinstance(x, int) for x in pair)
     # the mandatory spot checks are never among the disagreements
     assert not {13, 17, 29, 37, 41, 53, 61, 73, 97, 101, 137, 157, 853} & set(ds)
+
+
+def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
+    # every inertia case of a row comes from one shared evaluation, so a row
+    # below TAIL_D costs one call per volume variant (two with the floor-zeta
+    # alt); table_diff asks per disagreeing degree and variant
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _c1sq_intervals(*args)
+
+    monkeypatch.setattr(chern, "_c1sq_intervals", counted)
+    rows = theorem_table(dmax=853)
+    below = [row for row in rows if row.D < TAIL_D]
+    alts = [row for row in below if row.n_min_alt is not None]
+    assert (len(below), len(alts), len(calls)) == (63, 40, 103)
+    calls.clear()
+    table_diff(rows)
+    assert len(calls) == 30
 
 
 def test_table_diff_direction_examples():

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from hmsurf import forms
 from hmsurf.forms import (
     _RUN,
     _SIEVE_FROM,
@@ -19,7 +20,7 @@ from hmsurf.forms import (
     step_product,
     unit_form_walk,
 )
-from hmsurf.ntheory import is_fundamental_discriminant, is_prime
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
 from helpers import linear_product, oracle_reduced_indefinite_forms
 
@@ -189,6 +190,55 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
     # h+(229) = 3: no form (+-1, b, c) lies on the cycle of (-9, 7, 5)
     with pytest.raises(RuntimeError, match="cycle of"):
         unit_form_walk((-9, 7, 5), 229)
+
+
+def _rho_orbit(form, D):
+    """(preperiod, period, every form) of the rho orbit of form, by recording
+    each form reached."""
+    index = {}
+    while form not in index:
+        index[form] = len(index)
+        form = rho_step(form, D)
+    return index[form], len(index) - index[form], index
+
+
+def test_walk_off_the_principal_class_stops_within_brents_bound(monkeypatch):
+    # h+ = 3, 3, 5, 7, 9: every reduced form of a non-principal class, and the
+    # form (p, b, c) that split_prime would build for the least prime p > D
+    # off the principal class, which is not reduced (p > sqrt(D))
+    calls = 0
+
+    def counted(form, D):
+        nonlocal calls
+        calls += 1
+        return rho_step(form, D)
+
+    monkeypatch.setattr(forms, "rho_step", counted)
+    for D, n_forms in ((229, 12), (257, 12), (401, 32), (577, 44), (1129, 96)):
+        def off_principal(form):
+            return all(abs(a) != 1 for a, _, _ in _rho_orbit(form, D)[2])
+
+        starts = [f for f in reduced_indefinite_forms(D) if off_principal(f)]
+        assert len(starts) == n_forms, D
+        for p in range(D + 1, 20 * D):
+            if is_prime(p) and kronecker(D, p) == 1:
+                b = sqrt_mod(D, p)
+                b += p * ((b - D) % 2)
+                form = (p, b, (b * b - D) // (4 * p))
+                if off_principal(form):
+                    starts.append(form)
+                    break
+        assert _rho_orbit(starts[-1], D)[0] > 0, D
+        for start in starts:
+            mu, lam, _ = _rho_orbit(start, D)
+            power = 1  # the least 2^k with 2^k - 1 >= mu and 2^k >= lam
+            while power - 1 < mu or power < lam:
+                power *= 2
+            calls = 0
+            with pytest.raises(RuntimeError, match="cycle of"):
+                unit_form_walk(start, D)
+            assert calls == power - 1 + lam, (D, start)
+            assert calls <= 2 * max(mu + 1, lam) + lam - 2 <= 3 * (mu + lam), (D, start)
 
 
 def test_step_product_matches_the_linear_product():
