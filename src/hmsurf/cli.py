@@ -259,7 +259,7 @@ def _cmd_table(args, cfg):
 
 def _cmd_tree_center(args, cfg):
     T = trees.load_tree(args.infile)
-    S = [s for s in (part.strip() for part in args.set.split(",")) if s]
+    S = {s for s in (part.strip() for part in args.set.split(",")) if s}
     center = trees.tree_center(T, S)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -247,7 +247,11 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
 
     A degree-one prime is (p, (b + sqrt(D))/2) with b = D mod 2 and
     b^2 = D mod 4p; walking from the form (p, b, (b^2 - D)/4p) gives an
-    element of norm +-p, which h+ = 1 guarantees.
+    element of norm +-p, which h+ = 1 guarantees.  For split p the second
+    generator is the first's conjugate: conjugation maps the totally positive
+    associates y of x onto those of x', and y's key (|u|+|v|, u, v) to
+    (|u|+|v|, u, -v).  Two associates tying on (|u|+|v|, u) would be y and
+    y', making P = P'.  So the least key maps to the least key.
     """
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
@@ -260,9 +264,8 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     b += p * ((b - D) % 2)
     end, quotients, _ = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
     x = FieldElement(*walk_element(end, quotients), D)
-    gens = [_positive_generator(x, F)]
-    if sym == 1:
-        gens.append(_positive_generator(gens[0].conjugate(), F))
+    g = _positive_generator(x, F)
+    gens = (g, g.conjugate()) if sym == 1 else (g,)
     splitting = "split" if sym == 1 else "ramified"
     primes = [PrimeIdealData(D=D, p=p, splitting=splitting, f=1, generator=g,
                              omega_image=_omega_image_for(g, p)) for g in gens]

@@ -11,7 +11,7 @@ actions.
 
 from __future__ import annotations
 
-from collections import deque
+from dataclasses import dataclass, field
 
 
 class TreeError(ValueError):
@@ -28,59 +28,47 @@ def _ckey(v):
     return (str(v), repr(v))
 
 
+@dataclass(frozen=True)
 class TreeGraph:
     """Immutable finite tree.  Connectivity and the edge count are checked on
     every construction; since |E| = |V| - 1 and the graph is connected, it is
-    automatically acyclic."""
+    automatically acyclic.  Equal trees have equal vertex and edge sets."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_dist")
+    vertices: frozenset
+    edges: frozenset
+    _adj: dict = field(init=False, repr=False, compare=False)
+    _dist: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __init__(self, vertices, edges):
-        vs = set(vertices)
+    def __post_init__(self):
+        vs = frozenset(self.vertices)
         if not vs:
             raise NotATreeError("a tree needs at least one vertex")
         adj = {v: set() for v in vs}
         eset = set()
-        for e in edges:
+        for e in self.edges:
             u, v = e
             if u == v:
                 raise NotATreeError(f"loop at {u!r}")
             if u not in adj or v not in adj:
                 raise NotATreeError(f"edge {e!r} leaves the vertex set")
-            key = frozenset((u, v))
-            if key in eset:
+            if v in adj[u]:
                 raise NotATreeError(f"repeated edge {e!r}")
-            eset.add(key)
+            eset.add(frozenset((u, v)))
             adj[u].add(v)
             adj[v].add(u)
         if len(eset) != len(vs) - 1:
             raise NotATreeError(
                 f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(eset)}")
         object.__setattr__(self, "_adj", {v: frozenset(n) for v, n in adj.items()})
-        object.__setattr__(self, "_dist", {})
         # reachability from an arbitrary root; with the count right this is
         # exactly the tree test
         if len(self.distances(next(iter(vs)))) != len(vs):
             raise NotATreeError("graph is not connected")
-        object.__setattr__(self, "vertices", frozenset(vs))
+        object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(eset))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeGraph is immutable")
 
     def __len__(self):
         return len(self.vertices)
-
-    def __eq__(self, other):
-        if not isinstance(other, TreeGraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self):
-        return f"TreeGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
     def distances(self, source) -> dict:
         """BFS distance map from one vertex to every vertex.  Kept per source,
@@ -90,9 +78,8 @@ class TreeGraph:
         if source not in self._adj:
             raise TreeError(f"{source!r} is not a vertex")
         dist = {source: 0}
-        todo = deque([source])
-        while todo:
-            x = todo.popleft()
+        todo = [source]
+        for x in todo:  # the queue: read in order while it grows
             for y in self._adj[x]:
                 if y not in dist:
                     dist[y] = dist[x] + 1
@@ -100,54 +87,21 @@ class TreeGraph:
         self._dist[source] = dist
         return dist
 
-    def path(self, u, v) -> list:
-        """The unique u-v path as a vertex list (inclusive).  Walked back from
-        v: in a tree every vertex but u has exactly one neighbour one step
-        closer to u."""
-        if u not in self._adj or v not in self._adj:
-            raise TreeError("path endpoints must be vertices")
-        dist = self.distances(u)
-        out = [v]
-        while out[-1] != u:
-            x = out[-1]
-            out.append(next(y for y in self._adj[x] if dist[y] < dist[x]))
-        return out[::-1]
 
-    def distance(self, u, v) -> int:
-        return len(self.path(u, v)) - 1
-
-
+@dataclass(frozen=True)
 class CenterResult:
     """Centre of a vertex subset: either one vertex or one edge."""
 
-    __slots__ = ("kind", "payload")
+    kind: str
+    payload: object
 
-    def __init__(self, kind, payload):
-        if kind not in ("vertex", "edge"):
-            raise TreeError(f"bad centre kind {kind!r}")
-        if kind == "edge":
-            payload = frozenset(payload)
-            if len(payload) != 2:
+    def __post_init__(self):
+        if self.kind not in ("vertex", "edge"):
+            raise TreeError(f"bad centre kind {self.kind!r}")
+        if self.kind == "edge":
+            object.__setattr__(self, "payload", frozenset(self.payload))
+            if len(self.payload) != 2:
                 raise TreeError("an edge centre needs two distinct endpoints")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CenterResult is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CenterResult):
-            return NotImplemented
-        return self.kind == other.kind and self.payload == other.payload
-
-    def __hash__(self):
-        return hash((self.kind, self.payload))
-
-    def __repr__(self):
-        if self.kind == "vertex":
-            return f"CenterResult(vertex, {self.payload!r})"
-        a, b = sorted(self.payload, key=_ckey)
-        return f"CenterResult(edge, {{{a!r}, {b!r}}})"
 
     def endpoints(self) -> tuple:
         """The centre's vertices: one for a vertex centre, two for an edge."""
@@ -160,10 +114,12 @@ def tree_center(T: TreeGraph, S) -> CenterResult:
     """Centre of the subset S: middle vertex (even longest S-distance) or
     middle edge (odd) of a path realizing max distance between members of S.
 
-    Double sweep, restricted to S: the farthest-in-S vertex from any start is
-    an endpoint of a longest S-path, by the usual exchange argument.  All
-    longest S-paths share the same middle, so the arbitrary choices here do
-    not matter; ties are still broken canonically for reproducible output.
+    Double sweep, restricted to S: the farthest-in-S vertex u from any start
+    is an end of a longest S-path, by the usual exchange argument, and the
+    farthest v from u is its other end.  All longest S-paths share the same
+    middle, so ties are broken canonically only for reproducible output.  In
+    a tree x is on the u-v path exactly when d(u, x) + d(x, v) = diam; the
+    middle is the x there with |d(u, x) - d(x, v)| <= 1.
     """
     S = set(S)
     if not S:
@@ -179,17 +135,18 @@ def tree_center(T: TreeGraph, S) -> CenterResult:
     start = min(S, key=_ckey)
     u, _ = farthest(start)
     v, diam = farthest(u)
-    path = T.path(u, v)
+    du, dv = T.distances(u), T.distances(v)
+    mid = [x for x in T.vertices if du[x] + dv[x] == diam and abs(du[x] - dv[x]) <= 1]
     if diam % 2 == 0:
-        return CenterResult("vertex", path[diam // 2])
-    return CenterResult("edge", (path[(diam - 1) // 2], path[(diam + 1) // 2]))
+        return CenterResult("vertex", mid[0])
+    return CenterResult("edge", mid)
 
 
 def center_distance(T: TreeGraph, center: CenterResult, v) -> int:
     """Distance from v to the centre: to the vertex, or to the nearer
-    endpoint of the edge.  Measured from the centre, so one search per
-    endpoint serves every v."""
-    return min(T.distance(w, v) for w in center.endpoints())
+    endpoint of the edge.  Read off the BFS maps of the centre's endpoints,
+    so one search per endpoint serves every v."""
+    return min(T.distances(w)[v] for w in center.endpoints())
 
 
 def read_edge_list(lines) -> TreeGraph:

@@ -265,6 +265,9 @@ def test_cli_tree_center(capsys, tmp_path):
     assert data["kind"] == "edge" and data["center"] == ["b", "c"]
     assert data["distances"] == {"a": 1, "d": 1}
     assert dot.read_text(encoding="utf-8").startswith("graph tree {")
+    # a label given twice is one member of the set, in "set" as in "distances"
+    again = run_json(capsys, "tree-center", "--in", str(infile), "--set", "a,a,d")
+    assert again["set"] == ["a", "d"] and again == data
 
     code, _, err = run(capsys, "tree-center", "--in", str(infile), "--set", "a,z")
     assert code == 2 and "subset" in json.loads(err)["error"]["message"]

@@ -12,6 +12,7 @@ from hmsurf.field import (
     FieldError,
     NarrowClassError,
     UnsupportedShapeError,
+    _positive_generator,
     make_field,
     split_prime,
 )
@@ -248,8 +249,9 @@ def test_split_prime_frozen():
 
 def test_split_prime_whole_range():
     # every D <= 10^4 with h+ = 1, every p < 200: a totally positive generator
-    # of norm p that neither neighbouring associate beats on the key, and two
-    # distinct omega images over a split p
+    # of norm p that neither neighbouring associate beats on the key and that
+    # the generator search leaves fixed, and over a split p two distinct omega
+    # images whose generators are conjugates
     for D in default_discriminants(10**4):
         F = make_field(D)
         for p in filter(is_prime, range(2, 200)):
@@ -261,7 +263,10 @@ def test_split_prime_whole_range():
                 assert g.norm() == p and g.sign_at(0) > 0 and g.sign_at(1) > 0, (D, p)
                 neighbours = (g, g * F.eps_plus, g * F.eps_plus.conjugate())
                 assert min(neighbours, key=lambda z: (abs(z.u) + abs(z.v), z.u, z.v)) == g, (D, p)
+                assert _positive_generator(g, F) == g, (D, p)
             assert len({P.omega_image for P in primes}) == len(primes), (D, p)
+            if primes[0].splitting == "split":
+                assert primes[0].generator.conjugate() == primes[1].generator, (D, p)
 
 
 def test_split_prime_rejects_composite():
