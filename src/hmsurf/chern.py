@@ -203,8 +203,7 @@ def _c1sq_intervals(D, n, p_cases, zeta_mode, precision_bits):
         if p_case not in P_CASES:
             raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
     _check_zeta_mode(zeta_mode)
-    if D < 5:
-        raise ChernError(f"discriminant {D} out of range")
+    _check_bound_domain(D, n - 1)
     with interval_precision(precision_bits):
         if zeta_mode == "exact":
             vol = interval_fraction(2 * n * zeta_minus_one(D))
@@ -240,8 +239,9 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
     EXACT_C_CUTOFF and the analytic estimate above it (`modes_at`).  The
     penalty covers the worst admissible elliptic-point counts: the generic
     order-3 budget, with extra terms when the prime of norm 4 (resp. 9)
-    forces order-4 (resp. order-6) points.  All endpoints are rounded so the
-    returned rational really is a lower bound.
+    forces order-4 (resp. order-6) points, so it holds only where those are
+    all the types (_check_bound_domain at q = n - 1).  All endpoints are
+    rounded so the returned rational really is a lower bound.
     """
     _v, _c, _p, total = _c1sq_intervals(D, n, (p_case,), zeta_mode, precision_bits)[p_case]
     return lower_rational(total)
@@ -400,7 +400,7 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
 
 
 def _row_dict(n_min, exclusions):
-    return {"n_min": n_min, "exclusions": [[n, why] for n, why in exclusions]}
+    return {"n_min": n_min, "exclusions": exclusions}
 
 
 def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
@@ -434,11 +434,8 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
             entry = {"c2_check": c2_lower_check(row.D, n)}
             zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
             for zmode in zmodes:
-                terms = c1sq_terms(row.D, n, p_case, zeta_mode=zmode,
-                                   precision_bits=precision_bits)
-                entry[f"c1sq_{zmode}_zeta"] = {
-                    key: [val.numerator, val.denominator]
-                    for key, val in terms.items()}
+                entry[f"c1sq_{zmode}_zeta"] = c1sq_terms(row.D, n, p_case, zeta_mode=zmode,
+                                                         precision_bits=precision_bits)
             entry["p_case"] = p_case
             breakdown[str(n)] = entry
         alt = None

@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Subcommands map 1:1 onto the library layers: field / classnumber / zeta /
-cusp / elliptic / classify / table / tree-center.  All output is
-deterministic: JSON is emitted with sorted keys, rationals as exact
-[numerator, denominator] pairs, and every listing canonically ordered, so a
-rerun with identical inputs is byte-identical.
+cusp / elliptic / classify / table / tree-center.  Handlers return the
+library's values as they are; `_dumps` writes them with one `json.dumps`
+hook, `_json_value`, the only code that knows the JSON form of an exact
+value (a rational as its [numerator, denominator] pair).  All output is
+deterministic: JSON is emitted with sorted keys and every listing
+canonically ordered, so a rerun with identical inputs is byte-identical.
 
 Exit codes: 0 success (a table run with logged discrepancies is a success -
 those are data), 2 bad input or unsatisfiable request, 3 a broken internal
@@ -21,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import chern, config, elliptic, forms, trees, zeta
-from .field import make_field
+from .field import FieldElement, PrimeIdealData, make_field
 from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
 # classnumber's limits, each under 1 s and 80 MB cold (Python 3.11, one core):
@@ -30,40 +32,23 @@ MAX_DEFINITE_N = 10 ** 10
 MAX_NARROW_D = 10 ** 8
 
 
-def frac(x) -> "list[int]":
-    q = Fraction(x)
-    return [q.numerator, q.denominator]
-
-
-def _maybe_frac(x):
-    return None if x is None else frac(x)
-
-
-def _element_json(x) -> dict:
-    u, v = x.as_pair()
-    return {"u": u, "v": v, "encoding": "(u + v*sqrt(D))/2"}
-
-
-def _counts_json(counts) -> dict:
-    entries = {}
-    for key, val in counts.entries().items():
-        if val is None:
-            entries[key] = None
-        elif isinstance(val, Fraction):
-            entries[key] = frac(val)
-        else:
-            entries[key] = val
-    return {
-        "entries": entries,
-        "mode": counts.mode,
-        "group": counts.group_tag,
-        "notes": list(counts.notes),
-    }
-
-
-def _form_json(form: chern.LinearForm) -> dict:
-    return {"const": frac(form.const), "a2_coeff": frac(form.a2_coeff),
-            "text": str(form)}
+def _json_value(x):
+    """The `default=` hook of `_dumps`: the JSON form of each exact value
+    the library returns.  A rational is its [numerator, denominator] pair."""
+    if isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
+    if isinstance(x, FieldElement):
+        u, v = x.as_pair()
+        return {"u": u, "v": v, "encoding": "(u + v*sqrt(D))/2"}
+    if isinstance(x, chern.LinearForm):
+        return {"const": x.const, "a2_coeff": x.a2_coeff, "text": str(x)}
+    if isinstance(x, elliptic.EllipticCounts):
+        return {"entries": x.entries(), "mode": x.mode, "group": x.group_tag,
+                "notes": x.notes}
+    if isinstance(x, PrimeIdealData):
+        return {"p": x.p, "norm": x.q, "splitting": x.splitting,
+                "generator": x.generator, "omega_image": x.omega_image}
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 def _report_json(rep: chern.ChernReport) -> dict:
@@ -88,15 +73,15 @@ def _report_json(rep: chern.ChernReport) -> dict:
         "prime_norm": rep.q,
         "n": rep.n,
         "mode": rep.mode,
-        "zeta": _maybe_frac(rep.zeta),
+        "zeta": rep.zeta,
         "c": rep.c,
         "l": rep.l,
-        "counts": None if rep.counts is None else _counts_json(rep.counts),
-        "c1_sq": frac(rep.c1_sq),
-        "c2": _form_json(rep.c2),
-        "chi": _form_json(rep.chi),
+        "counts": rep.counts,
+        "c1_sq": rep.c1_sq,
+        "c2": rep.c2,
+        "chi": rep.chi,
         "verdict": rep.verdict,
-        "notes": list(rep.notes),
+        "notes": rep.notes,
         "provenance": provenance,
     }
 
@@ -118,29 +103,18 @@ def _rows_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _row_json(row: chern.TableRow) -> dict:
-    return {
-        "D": row.D,
-        "n_min": row.n_min,
-        "exclusions": [[n, why] for n, why in row.exclusions],
-        "n_min_alt": row.n_min_alt,
-        "exclusions_alt": None if row.exclusions_alt is None
-        else [[n, why] for n, why in row.exclusions_alt],
-    }
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: take (args, cfg), return a JSON-ready payload
+# subcommand handlers: take (args, cfg), return a payload for `_dumps`
 
 
 def _cmd_field(args, cfg):
     F = make_field(args.disc)
     return {
         "D": F.D,
-        "omega": _element_json(F.omega),
-        "eps": _element_json(F.eps),
+        "omega": F.omega,
+        "eps": F.eps,
         "eps_norm": F.eps.norm(),
-        "eps_plus": _element_json(F.eps_plus),
+        "eps_plus": F.eps_plus,
         "h_plus": 1,  # make_field certifies it
         "provenance": {
             "eps": "continued fraction of omega, convergent closing identity",
@@ -169,10 +143,9 @@ def _cmd_classnumber(args, cfg):
 
 def _cmd_zeta(args, cfg):
     F = make_field(args.disc)
-    value = zeta.zeta_minus_one(F.D)
     return {
         "D": F.D,
-        "zeta": frac(value),
+        "zeta": zeta.zeta_minus_one(F.D),
         "provenance": {
             "zeta": "sigma1 divisor sum over (D - x^2)/4, divided by 60",
             "mode": "exact",
@@ -198,16 +171,6 @@ def _cmd_cusp(args, cfg):
     }
 
 
-def _prime_json(P) -> dict:
-    return {
-        "p": P.p,
-        "norm": P.q,
-        "splitting": P.splitting,
-        "generator": _element_json(P.generator),
-        "omega_image": P.omega_image,
-    }
-
-
 def _cmd_elliptic(args, cfg):
     F = make_field(args.disc)
     mode = args.mode or cfg.mode
@@ -216,17 +179,16 @@ def _cmd_elliptic(args, cfg):
             raise config.ConfigError(
                 "bound mode needs --prime-norm; full-group counts are exact only")
         counts = elliptic.counts_full_group(F)
-        return {"D": F.D, "prime": None, "counts": _counts_json(counts)}
+        return {"D": F.D, "prime": None, "counts": counts}
     P = chern._resolve_prime(F, args.prime_norm)
     if mode == "exact":
         counts = elliptic.counts_gamma0(F, P)
     else:
         counts = elliptic.bounds_gamma0(F, P)
-    payload = {"D": F.D, "prime": _prime_json(P), "counts": _counts_json(counts)}
+    payload = {"D": F.D, "prime": P, "counts": counts}
     if args.refine:
-        refined = elliptic.atkin_lehner_refine(counts, P,
-                                               precision_bits=cfg.precision_bits)
-        payload["refined"] = _counts_json(refined)
+        payload["refined"] = elliptic.atkin_lehner_refine(counts, P,
+                                                          precision_bits=cfg.precision_bits)
     return payload
 
 
@@ -251,7 +213,7 @@ def _cmd_table(args, cfg):
         with open(args.diff, "w", encoding="utf-8") as fh:
             fh.write(_dumps(diff))
     return {
-        "rows": [_row_json(r) for r in rows],
+        "rows": [vars(r) for r in rows],  # a frozen dataclass: its fields only
         "diff": diff,
         "csv": csv_text,
     }
@@ -344,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_value) + "\n"
 
 
 def _emit(payload, cfg, stream) -> None:
@@ -355,7 +317,7 @@ def _emit(payload, cfg, stream) -> None:
         stream.write(text)
         return
     if cfg.output == "pretty":
-        stream.write(_pretty(payload))
+        stream.write(_pretty(json.loads(_dumps(payload))))  # what the JSON holds
         return
     stream.write(_dumps(payload))
 

@@ -71,9 +71,7 @@ class EllipticCounts:
             raise ValueError(f"bad mode {self.mode!r}")
         if self.group_tag not in _GROUP_TAGS:
             raise ValueError(f"bad group tag {self.group_tag!r}")
-        for name in ("a2", "a3_plus", "a3_minus", "a4_plus",
-                     "a4_minus", "a6_plus", "a6_minus"):
-            val = getattr(self, name)
+        for name, val in self.entries().items():
             if val is None:
                 continue
             if self.mode == "exact":

@@ -244,6 +244,18 @@ def test_c1sq_argument_validation():
         classify(13, 1, mode="bound")
 
 
+def test_c1sq_bound_refuses_outside_its_penalty_domain():
+    # the public bound and its breakdown hold where classify's bound route
+    # does: D > 12, or D = 5 away from its order-5 levels q = 0, 1 mod 5
+    for D, n in ((8, 300), (12, 300), (5, 12)):
+        with pytest.raises(ChernError, match="orders 2 and 3"):
+            c1sq_lower_bound(D, n)
+        with pytest.raises(ChernError, match="orders 2 and 3"):
+            c1sq_terms(D, n)
+    assert (c1sq_lower_bound(5, 5, "p2_inert", zeta_mode="exact")
+            == classify(5, 4, mode="bound").c1_sq)
+
+
 # ---------------------------------------------------------------------------
 # bound-mode classification
 # ---------------------------------------------------------------------------
@@ -523,15 +535,16 @@ def test_table_diff_frozen_observations():
     for e in diff["discrepancies"]:
         assert e["disagree_at"], e["D"]
         assert set(e["breakdown"]) == {str(n) for n in e["disagree_at"]}
-        for item in e["breakdown"].values():
+        for n in e["disagree_at"]:
+            item = e["breakdown"][str(n)]
             assert set(item) == {"c2_check", "c1sq_exact_zeta",
                                  "c1sq_bound_zeta", "p_case"}
-            for part in ("c1sq_exact_zeta", "c1sq_bound_zeta"):
-                terms = item[part]
+            for zmode in ("exact", "bound"):
+                terms = item[f"c1sq_{zmode}_zeta"]
                 assert set(terms) == {"volume_lb", "c_term_lb",
                                       "penalty_ub", "lower_bound"}
-                for pair in terms.values():
-                    assert len(pair) == 2 and all(isinstance(x, int) for x in pair)
+                assert all(isinstance(v, Fraction) for v in terms.values())
+                assert terms == c1sq_terms(e["D"], n, item["p_case"], zeta_mode=zmode)
     # the mandatory spot checks are never among the disagreements
     assert not {13, 17, 29, 37, 41, 53, 61, 73, 97, 101, 137, 157, 853} & set(ds)
 

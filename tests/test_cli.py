@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -254,6 +255,31 @@ def test_cli_pretty_format(capsys):
     assert code == 0
     assert "D: 13" in out and "zeta:" in out
     assert not out.startswith("{")
+
+
+# sha256 of `hmsurf --format pretty ...` stdout: the pretty format shows what
+# the JSON holds, so its bytes are as fixed as the JSON's
+PRETTY_SHA256 = {
+    "field --disc 13":
+        "a9acbdb623cd35338c1e11a6b14cbfb09ac144d96f05281c5bbd0505f6ab323e",
+    "classify --disc 13 --prime-norm 4":
+        "447a87db0da43960dff1e21e9fb6cb8eeb530d13d8ccfcaba23280403321e984",
+    "classify --disc 13 --prime-norm 103 --mode bound":
+        "13c9d90937350114308128ce172441bf9d858ac6412abb0efa989e1cef54e3c5",
+    "elliptic --disc 13 --prime-norm 3 --refine":
+        "ea31676f7003b3121b9342a77dae9de179da20d75bcc1af2237c4acf2c730657",
+    "elliptic --disc 29 --prime-norm 4 --mode bound --refine":
+        "a07a34787ebb330246804c1f88b6fed2257c1c6e3e3a88b2a58a97cedf2b45aa",
+    "table --dmax 200":
+        "ef49a97e41e2de3160789ed488055721fe245eb552f200fcf7492d24c20dec39",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRETTY_SHA256))
+def test_cli_pretty_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, "--format", "pretty", *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PRETTY_SHA256[command]
 
 
 def test_cli_tree_center(capsys, tmp_path):
