@@ -39,6 +39,7 @@ EXACT_C_CUTOFF = 500
 P_CASES = ("generic", "p2_inert", "p3_inert")
 
 TAIL_D = 853  # from here on, the tail lemma at _c1sq_intervals gives the table rows
+P2_FLOOR_D = 850  # under the volume floor, p2_inert passes at n = 5 from here on
 
 
 class ChernError(ValueError):
@@ -166,49 +167,60 @@ def modes_at(D: int) -> "tuple[str, str]":
     return "bound_c", "bound"
 
 
-def _c1sq_intervals(D, n, p_cases, zeta_mode, precision_bits):
-    """{p_case: intervals (volume, cusp term, penalty, total)} of the c1^2 bound
-    f(D, n), from one evaluation of the terms that all of p_cases share.
+def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
+    """{(zeta_mode, n, p_case): intervals (volume, cusp term, penalty, total)}
+    of the c1^2 bound f(D, n), for every combination of the three tuples.  The
+    cusp term and the penalties are free of n and of the volume variant, so
+    one call evaluates them once; only the volume is evaluated per zeta_mode
+    and degree.
 
-    Tail lemma: for every D >= TAIL_D = 853 and n >= 3, f(D, n) > 0 in each
-    p_case at every degree where the table tests it, and c2_lower_check holds.
-    Above EXACT_C_CUTOFF, with the volume floor,
+    Tail lemma: for every D > EXACT_C_CUTOFF and n >= 3, with the volume
+    floor, c2_lower_check holds and f(D, n) > 0 in each p_case at every
+    degree where the table tests it, except that p2_inert fails exactly when
+    D < P2_FLOOR_D = 850.  From TAIL_D = 853 on the same holds with the exact
+    volume term.  Above EXACT_C_CUTOFF, with the volume floor,
         f(D, n) = n*D^(3/2)/180 - sqrt(D)*(3 log^2 D/(4 pi^2) + (21/40) log D)
                   - pen(D),
     where pen(D)/sqrt(D) is sqrt(3) log(3D)/(4 pi) (generic), that plus
     6 log(4D)/pi (p2_inert) or 4 sqrt(3) log(3D)/pi (p3_inert).
-    - Base case.  f(853, n) > 0 at each case's least degree: generic at
-      n = 3 (+179), p2_inert at n = 5 (+2.10), p3_inert at n = 10 (+674).
-      f grows with n, and the table tests p2_inert only at n = 5 and
-      p3_inert only at n = 10.  (At 849, the fundamental discriminant below,
-      the p2_inert value is -0.65, so the base case cannot move down.)
+    - Base case.  f(501, n) > 0 at each case's least degree but p2_inert's:
+      generic at n = 3 (+25.5), p3_inert at n = 10 (+123).  f grows with n,
+      and the table tests p2_inert only at n = 5 and p3_inert only at n = 10.
+      p2_inert at n = 5 has f(849) = -0.65 and f(850) = +0.035 (+2.10 at 853).
     - Monotonicity.  d/dD (f/sqrt D) = n/180 - 3 log D/(2 pi^2 D) - 21/(40 D)
       - pen', with pen' = sqrt(3)/(4 pi D), that plus 6/(pi D), or
       4 sqrt(3)/(pi D).  Every subtracted term decreases for D > e, so the
-      derivative increases there; it is positive at 853 (certified with iv
-      in the tests), hence on all of [853, oo), and f(D) >= f(853)*sqrt(D/853).
+      derivative increases there; it is positive at 501 in each case
+      (certified with iv in the tests), hence on all of [501, oo).  So
+      f(D) >= f(501)*sqrt(D/501) for generic and p3_inert, and p2_inert's
+      f/sqrt(D) changes sign once, between 849 and 850: it fails exactly for
+      D <= 849.
     - Exact zeta (D fundamental).  zeta_E(2) = zeta(2)*L(2, chi_D) >= zeta(4)
       = pi^4/90, since L(2, chi_D) >= prod_p (1 + p^-2)^-1 = zeta(4)/zeta(2).
       With zeta_E(-1) = D^(3/2)*zeta_E(2)/(4 pi^4) that gives
-      2*n*zeta_E(-1) >= n*D^(3/2)/180: the exact volume term only adds.
-    - Rounding.  f/(n D^(3/2)/180) is at least 0.003 on [853, oo) and grows
-      with D, while the enclosures at >= 128 bits are relatively ~2^-120
-      wide, so the certified decisions agree with the lemma.
-    - c2.  n^2 D^3 > 4320^2 already at n = 3, D = 853.
-    So every row with D >= 853 has n_min = 3 (with strict_n, the least n >= 3
-    with an achievable norm n - 1, at most 5 since q = 4 is one when 2 is
-    inert) and no exclusions.
+      2*n*zeta_E(-1) >= n*D^(3/2)/180: the exact volume term only adds, so
+      it passes wherever the floor does.  Below 853 it may also clear the
+      p2_inert case the floor fails (at n = 5 it does at 613, 661, 709, 757,
+      821 and 829), so those rows are evaluated.
+    - Rounding.  At integer D > 500, |f| is at least 0.035 (p2_inert at
+      850), over 5e-5 of the volume term, while the enclosures at >= 128 bits
+      are relatively ~2^-120 wide, so the certified decisions agree with the
+      lemma.
+    - c2.  n^2 D^3 > 4320^2 already at n = 3, D = 501.
+    So under the floor every row with D > EXACT_C_CUTOFF has n_min = 3 (with
+    strict_n, the least n >= 3 with an achievable norm n - 1, at most 5 since
+    q = 4 is one when 2 is inert) and the exclusion (5, "p2_inert") when 2 is
+    inert and D < P2_FLOOR_D, none otherwise; from TAIL_D on, so does every
+    row with the exact volume term.
     """
     for p_case in p_cases:
         if p_case not in P_CASES:
             raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
-    _check_zeta_mode(zeta_mode)
-    _check_bound_domain(D, n - 1)
+    for zeta_mode in zeta_modes:
+        _check_zeta_mode(zeta_mode)
+    for n in ns:
+        _check_bound_domain(D, n - 1)
     with interval_precision(precision_bits):
-        if zeta_mode == "exact":
-            vol = interval_fraction(2 * n * zeta_minus_one(D))
-        else:
-            vol = n * iv.sqrt(D) ** 3 / 180
         if modes_at(D)[0] == "exact_c":
             cterm = interval_fraction(Fraction(local_chern_divisor_sum(D)))
         else:
@@ -222,7 +234,16 @@ def _c1sq_intervals(D, n, p_cases, zeta_mode, precision_bits):
                    "p2_inert": lambda: (pen3 / (4 * iv.pi)
                                         + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi)}
         pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
-        return {p_case: (vol, cterm, pen, vol + cterm - pen) for p_case, pen in pens.items()}
+        bounds = {}
+        for zeta_mode in zeta_modes:
+            for n in ns:
+                if zeta_mode == "exact":
+                    vol = interval_fraction(2 * n * zeta_minus_one(D))
+                else:
+                    vol = n * iv.sqrt(D) ** 3 / 180
+                for p_case, pen in pens.items():
+                    bounds[zeta_mode, n, p_case] = (vol, cterm, pen, vol + cterm - pen)
+        return bounds
 
 
 def _check_zeta_mode(zeta_mode: str) -> None:
@@ -243,14 +264,18 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
     all the types (_check_bound_domain at q = n - 1).  All endpoints are
     rounded so the returned rational really is a lower bound.
     """
-    _v, _c, _p, total = _c1sq_intervals(D, n, (p_case,), zeta_mode, precision_bits)[p_case]
-    return lower_rational(total)
+    bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
+    return lower_rational(bounds[zeta_mode, n, p_case][3])
 
 
 def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
                zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
     """Per-term breakdown of the c1^2 bound, for audit output."""
-    vol, cusp, pen, total = _c1sq_intervals(D, n, (p_case,), zeta_mode, precision_bits)[p_case]
+    bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
+    return _terms(*bounds[zeta_mode, n, p_case])
+
+
+def _terms(vol, cusp, pen, total) -> dict:
     return {
         "volume_lb": lower_rational(vol),
         "c_term_lb": lower_rational(cusp),
@@ -337,8 +362,9 @@ class TableRow:
 
 def default_discriminants(dmax: int = 853) -> "list[int]":
     """Primes D = 1 mod 4 with narrow class number one, 13 <= D <= dmax."""
+    small = list(_primes(isqrt(max(dmax - 1, 0) // 4)))  # every p with 4p^2 < D <= dmax
     return [D for D in _primes(max(dmax, 0))
-            if D >= 13 and D % 4 == 1 and narrow_class_one(D)]
+            if D >= 13 and D % 4 == 1 and narrow_class_one(D, primes=small)]
 
 
 def norm_achievable(D: int, q: int) -> bool:
@@ -349,26 +375,40 @@ def norm_achievable(D: int, q: int) -> bool:
     return p * p == q and is_prime(p) and kronecker(D, p) == -1
 
 
-def _row(D, strict_n, zeta_mode, precision_bits):
-    """(n_min, exclusions) of D's table row, in closed form.  The c1^2 bound
-    f(D, n) = n*vol_1 + c - pen has vol_1 > 0 and c, pen free of n, so a case
-    passes from n = floor((pen_hi - c_lo)/vol_1_lo) + 1 on, certified by
-    n*vol_1_lo + c_lo - pen_hi <= f(D, n); c2 passes from _c2_degree(D) on.
-    One evaluation at n = 1 gives every inertia case's least degree.  From
-    TAIL_D on the tail lemma gives n_min = 3 and no exclusions, unevaluated."""
+def _row(D, strict_n, zeta_modes, precision_bits):
+    """n_min, exclusions of D's table row under each of zeta_modes in turn, in
+    closed form.  The c1^2 bound f(D, n) = n*vol_1 + c - pen has vol_1 > 0 and
+    c, pen free of n, so a case passes from n = floor((pen_hi - c_lo)/vol_1_lo)
+    + 1 on, certified by n*vol_1_lo + c_lo - pen_hi <= f(D, n); c2 passes from
+    _c2_degree(D) on.  One evaluation at n = 1 gives every volume variant's
+    and inertia case's least degree.  Where the tail lemma at _c1sq_intervals
+    decides the row (above EXACT_C_CUTOFF under the volume floor, from TAIL_D
+    on under either volume term) nothing is evaluated: n_min = 3, with
+    (5, "p2_inert") excluded when 2 is inert and D < P2_FLOOR_D."""
     _check_bound_domain(D)
-    n_min, exclusions = 3, ()
-    if D < TAIL_D:
-        inert = _inert_cases(D)
-        least = {case: (upper_rational(pen) - lower_rational(cterm)) // lower_rational(vol) + 1
-                 for case, (vol, cterm, pen, _) in _c1sq_intervals(
-                     D, 1, ("generic", *inert.values()), zeta_mode, precision_bits).items()}
-        n_min = max(3, _c2_degree(D), least["generic"])
-        exclusions = tuple((q + 1, case) for q, case in inert.items()
-                           if not (c2_lower_check(D, q + 1) and q + 1 >= least[case]))
-    while strict_n and not norm_achievable(D, n_min - 1):
-        n_min += 1
-    return n_min, exclusions
+    inert = _inert_cases(D) if D < TAIL_D else {}  # the tail's rows exclude nothing
+    cases = ("generic", *inert.values())
+    evaluated = tuple(zeta_mode for zeta_mode in zeta_modes if D < TAIL_D and (
+        zeta_mode == "exact" or modes_at(D)[0] == "exact_c"))
+    bounds = _c1sq_intervals(D, (1,), cases, evaluated, precision_bits) if evaluated else {}
+    row = ()
+    for zeta_mode in zeta_modes:
+        if zeta_mode in evaluated:
+            least = {}
+            for case in cases:
+                vol, cterm, pen, _ = bounds[zeta_mode, 1, case]
+                least[case] = ((upper_rational(pen) - lower_rational(cterm))
+                               // lower_rational(vol) + 1)
+            n_min = max(3, _c2_degree(D), least["generic"])
+            exclusions = tuple((q + 1, case) for q, case in inert.items()
+                               if not (c2_lower_check(D, q + 1) and q + 1 >= least[case]))
+        else:
+            n_min = 3
+            exclusions = ((5, "p2_inert"),) if 4 in inert and D < P2_FLOOR_D else ()
+        while strict_n and not norm_achievable(D, n_min - 1):
+            n_min += 1
+        row += (n_min, exclusions)
+    return row
 
 
 def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
@@ -378,11 +418,12 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
 
     For each D > 12: the least n >= 3 where both certified checks pass for
     a generic prime, plus failures of the special norm-4 / norm-9 cases at
-    n = 5 / n = 10 (only where 2 resp. 3 stays prime), from one evaluation
-    per D and volume variant (_row).  With the default zeta_mode (exact below
-    the cutoff), rows also carry the values of the floor-only zeta estimate,
-    so both variants can be diffed.  Rows with D >= TAIL_D are not evaluated,
-    so zeta_mode and precision_bits are checked here on entry.
+    n = 5 / n = 10 (only where 2 resp. 3 stays prime), from at most one
+    evaluation per D, which both volume variants share, and none where the
+    tail lemma decides the row (_row).  With the default zeta_mode (exact
+    below the cutoff), rows also carry the values of the floor-only zeta
+    estimate, so both variants can be diffed.  Rows the lemma decides are not
+    evaluated, so zeta_mode and precision_bits are checked here on entry.
     """
     if zeta_mode is not None:
         _check_zeta_mode(zeta_mode)
@@ -392,10 +433,8 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
     rows = []
     for D in sorted(d_list):
         zmode = zeta_mode or modes_at(D)[1]
-        alt = (None, None)
-        if zeta_mode is None and zmode == "exact":
-            alt = _row(D, strict_n, "bound", precision_bits)
-        rows.append(TableRow(D, *_row(D, strict_n, zmode, precision_bits), *alt))
+        zmodes = (zmode, "bound") if zeta_mode is None and zmode == "exact" else (zmode,)
+        rows.append(TableRow(D, *_row(D, strict_n, zmodes, precision_bits)))
     return rows
 
 
@@ -427,16 +466,17 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         bad = [n for n in range(3, hi + 1) if row.allows(n) != pub_row.allows(n)]
         if not bad:
             continue
+        # one evaluation of the row's n-free terms serves every degree and variant
+        cases = {n: _inert_cases(row.D).get(n - 1, "generic") for n in bad}
+        zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
+        bounds = _c1sq_intervals(row.D, tuple(bad), tuple(dict.fromkeys(cases.values())),
+                                 zmodes, precision_bits)
         breakdown = {}
         for n in bad:
-            q = n - 1
-            p_case = _inert_cases(row.D).get(q, "generic")
             entry = {"c2_check": c2_lower_check(row.D, n)}
-            zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
             for zmode in zmodes:
-                entry[f"c1sq_{zmode}_zeta"] = c1sq_terms(row.D, n, p_case, zeta_mode=zmode,
-                                                         precision_bits=precision_bits)
-            entry["p_case"] = p_case
+                entry[f"c1sq_{zmode}_zeta"] = _terms(*bounds[zmode, n, cases[n]])
+            entry["p_case"] = cases[n]
             breakdown[str(n)] = entry
         alt = None
         alt_agrees = None

@@ -24,6 +24,7 @@ exact for every nonsquare discriminant.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -221,10 +222,12 @@ def walk_element(end: tuple[int, int, int], quotients) -> tuple[int, int]:
     return 2 * a1 * m11 - b1 * m10, -m10
 
 
-def narrow_class_one(D: int, walk=None) -> bool:
+def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     """Whether h+(D) = 1, for a fundamental discriminant D > 0.
 
     walk is `unit_form_walk(principal_form(D), D)`, run here if not given.
+    primes, if given, is a sorted list holding every prime p with 4p^2 < D
+    (a sweep sieves them once for all its D); else they are sieved here.
     h+(D) = 1 exactly when the walk ends at leading coefficient -1 and every
     prime p with 4p^2 < D and (D/p) >= 0 is some |a| along it.  Proof:
 
@@ -256,8 +259,9 @@ def narrow_class_one(D: int, walk=None) -> bool:
     if leads[-1] != -1:
         return False
     met = {abs(a) for a in leads}
-    # 4p^2 < D  <=>  p <= isqrt((D - 1)/4)
-    return all(p in met or kronecker(D, p) < 0 for p in _primes(isqrt((D - 1) // 4)))
+    top = isqrt((D - 1) // 4)  # 4p^2 < D  <=>  p <= top
+    primes = _primes(top) if primes is None else primes[:bisect_right(primes, top)]
+    return all(p in met or kronecker(D, p) < 0 for p in primes)
 
 
 def h_narrow_indefinite(D: int) -> int:

@@ -11,6 +11,7 @@ from mpmath import iv
 from hmsurf import chern
 from hmsurf.chern import (
     EXACT_C_CUTOFF,
+    P2_FLOOR_D,
     TAIL_D,
     ChernError,
     ChernReport,
@@ -402,7 +403,8 @@ def _tail_slope(D, n, p_case):
 
 def _f_over_sqrt(D, n, p_case):
     """f(D, n)/sqrt(D) from the code's own floor-zeta intervals."""
-    return _c1sq_intervals(D, n, (p_case,), "bound", iv.prec)[p_case][3] / iv.sqrt(D)
+    bounds = _c1sq_intervals(D, (n,), (p_case,), ("bound",), iv.prec)
+    return bounds["bound", n, p_case][3] / iv.sqrt(D)
 
 
 def test_tail_lemma_base_case_and_slope():
@@ -418,6 +420,31 @@ def test_tail_lemma_base_case_and_slope():
             # it increases, so by the mean value theorem it brackets the step
             assert upper_rational(lo) < lower_rational(step), p_case
             assert upper_rational(step) < lower_rational(hi), p_case
+
+
+def test_band_lemma_base_case_and_slope():
+    # the lemma's floor-volume part reaches down to EXACT_C_CUTOFF, where the
+    # analytic c estimate starts, with p2_inert changing sign once at P2_FLOOR_D
+    band = EXACT_C_CUTOFF + 1
+    assert modes_at(band)[0] == "bound_c" and c2_lower_check(band, 3)
+    for bits in (128, 256, 1024):
+        for p_case, n in TAIL_CASES:
+            if p_case != "p2_inert":
+                assert c1sq_lower_bound(band, n, p_case, precision_bits=bits) > 0, p_case
+        with interval_precision(bits):
+            for p_case, n in TAIL_CASES:
+                assert lower_rational(_tail_slope(band, n, p_case)) > 0, p_case
+            below = _c1sq_intervals(P2_FLOOR_D - 1, (5,), ("p2_inert",), ("bound",), bits)
+            above = _c1sq_intervals(P2_FLOOR_D, (5,), ("p2_inert",), ("bound",), bits)
+            assert upper_rational(below["bound", 5, "p2_inert"][3]) < 0
+            assert lower_rational(above["bound", 5, "p2_inert"][3]) > 0
+    # every integer D in the band, fundamental or not, matches the scan, so
+    # the p2 boundary is pinned: 845 (2 inert) is excluded and 851 is not
+    rows = theorem_table(list(range(band, TAIL_D)), zeta_mode="bound")
+    for row in rows:
+        assert (row.n_min, row.exclusions) == row_scan(row.D, False, "bound", 128), row.D
+    excluded = {row.D: row.exclusions for row in rows}
+    assert excluded[845] == ((5, "p2_inert"),) and excluded[851] == ()
 
 
 def test_exact_volume_dominates_the_floor():
@@ -550,9 +577,10 @@ def test_table_diff_frozen_observations():
 
 
 def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
-    # every inertia case of a row comes from one shared evaluation, so a row
-    # below TAIL_D costs one call per volume variant (two with the floor-zeta
-    # alt); table_diff asks per disagreeing degree and variant
+    # every inertia case and volume variant of a row comes from one shared
+    # evaluation of its n-free terms, so a row up to EXACT_C_CUTOFF costs one
+    # call and a row the tail lemma decides (every row above the cutoff, under
+    # the default floor) none; table_diff makes one call per disagreeing row
     calls = []
 
     def counted(*args):
@@ -563,10 +591,13 @@ def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
     rows = theorem_table(dmax=853)
     below = [row for row in rows if row.D < TAIL_D]
     alts = [row for row in below if row.n_min_alt is not None]
-    assert (len(below), len(alts), len(calls)) == (63, 40, 103)
+    assert (len(below), len(alts), len(calls)) == (63, 40, 40)
+    assert sorted(args[0] for args in calls) == [row.D for row in alts]
+    assert all(row.D <= EXACT_C_CUTOFF for row in alts)
     calls.clear()
-    table_diff(rows)
-    assert len(calls) == 30
+    diff = table_diff(rows)
+    assert sorted(args[0] for args in calls) == [e["D"] for e in diff["discrepancies"]]
+    assert len(calls) == 12
 
 
 def test_table_diff_direction_examples():

@@ -282,6 +282,27 @@ def test_cli_pretty_bytes_pinned(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PRETTY_SHA256[command]
 
 
+# sha256 of `hmsurf table ...` JSON stdout in the variants the README's default
+# table does not pin: closed-form rows, the band and the tail must not move it
+TABLE_SHA256 = {
+    "table --dmax 853 --strict-n":
+        "0b94b51a5f113bc990c532667f8598e13bf0b6f71df6161205b0b4addc1fae46",
+    "table --dmax 853 --zeta-mode bound":
+        "e07dff7644b3f5b68c32785937730d26cf6ab8ef4ecf90b36a76a91c9d88d4ec",
+    "table --dmax 853 --zeta-mode exact":
+        "63af871f8693116dd9df575cc6948862536e9515741faa3f40a08ca509dbe1c1",
+    "table --dmax 2000":
+        "c13f8bfad129493a0a5001d3905a631a4b7bff5b1645f2a0094eb5936dcb9984",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_SHA256))
+def test_cli_table_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_SHA256[command]
+
+
 def test_cli_tree_center(capsys, tmp_path):
     infile = tmp_path / "tree.txt"
     infile.write_text("a b\nb c\nc d\n", encoding="utf-8")
