@@ -25,7 +25,7 @@ from mpmath import iv
 
 from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
-from .field import FieldContext, make_field, split_prime
+from .field import FieldContext, NarrowClassError, check_shape, make_field, split_prime
 from .forms import _primes, narrow_class_one
 from .ntheory import is_prime, kronecker
 from .numeric import (check_precision, interval_fraction, interval_precision, lower_rational,
@@ -332,12 +332,19 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     (the action in closed form, see involution_action); it refuses D=5's
     order-5 levels, q = 0 or 1 mod 5, and D=8 at every level (the count
     formulas need D > 12).  mode="bound" runs the certified estimates (there
-    q need not be an achievable norm - degrees are swept formally).
+    q need not be an achievable norm - degrees are swept formally); given a
+    discriminant it checks D's shape and the h+ = 1 certificate's half walk
+    and builds no field, so no unit and no prime generator.
     """
+    if mode == "bound":
+        if not isinstance(F, int):
+            return _bound_report(F.D, q, zeta_mode, precision_bits)
+        check_shape(F)
+        if not narrow_class_one(F):
+            raise NarrowClassError(F)
+        return _bound_report(F, q, zeta_mode, precision_bits)
     if isinstance(F, int):
         F = make_field(F)
-    if mode == "bound":
-        return _bound_report(F.D, q, zeta_mode, precision_bits)
     if mode != "exact":
         raise ChernError(f"unknown mode {mode!r}")
     P = _resolve_prime(F, q)
@@ -442,11 +449,24 @@ def _row_dict(n_min, exclusions):
     return {"n_min": n_min, "exclusions": exclusions}
 
 
+def _disagree_at(row: TableRow, other: TableRow) -> "list[int]":
+    """The degrees n >= 3 where row.allows(n) != other.allows(n), in order.
+
+    Outside [min n_min, max n_min) the two n >= n_min tests agree, so the
+    predicates can differ only there or at an exclusion of either row.  Every
+    n_min is at least 3 and every exclusion at most 10, so this is the list a
+    scan of the window 3 <= n <= max(n_min, 10) + 2 gives, without the scan.
+    """
+    lo, hi = sorted((row.n_min, other.n_min))
+    candidates = set(range(lo, hi)).union(n for n, _ in row.exclusions + other.exclusions)
+    return sorted(n for n in candidates if row.allows(n) != other.allows(n))
+
+
 def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
     """Compare computed rows against the published table.
 
-    Two rows agree when their allow-predicates coincide on every degree (the
-    predicates are eventually constant, so a finite window decides).  For each
+    Two rows agree when their allow-predicates coincide on every degree
+    (_disagree_at lists the degrees where they do not).  For each
     disagreement the report carries the degrees involved and the per-term
     bound breakdown there, under both zeta variants.  Disagreements are data:
     the published values come without the program that made them.
@@ -462,8 +482,7 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         compared += 1
         pub_row = TableRow(D=row.D, n_min=pub[0],
                            exclusions=tuple((n, "published") for n in sorted(pub[1])))
-        hi = max(row.n_min, pub_row.n_min, 10) + 2
-        bad = [n for n in range(3, hi + 1) if row.allows(n) != pub_row.allows(n)]
+        bad = _disagree_at(row, pub_row)
         if not bad:
             continue
         # one evaluation of the row's n-free terms serves every degree and variant
@@ -484,8 +503,7 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
             alt = _row_dict(row.n_min_alt, row.exclusions_alt)
             alt_row = TableRow(D=row.D, n_min=row.n_min_alt,
                                exclusions=row.exclusions_alt)
-            alt_agrees = all(alt_row.allows(n) == pub_row.allows(n)
-                             for n in range(3, hi + 1))
+            alt_agrees = not _disagree_at(alt_row, pub_row)
         discrepancies.append({
             "D": row.D,
             "computed": _row_dict(row.n_min, row.exclusions),

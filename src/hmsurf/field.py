@@ -29,6 +29,9 @@ class UnsupportedShapeError(FieldError):
 class NarrowClassError(FieldError):
     """The narrow class number of D is not one."""
 
+    def __init__(self, D: int):
+        super().__init__(f"D={D} does not have narrow class number 1")
+
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -169,27 +172,32 @@ class FieldContext:
         return FieldElement.omega(self.D)
 
 
-def make_field(D: int) -> FieldContext:
-    """Validate D and build the field context.
-
-    Raises UnsupportedShapeError unless D = 8 or D is a prime = 1 (mod 4),
-    and NarrowClassError unless the principal walk certifies h+ = 1; neither
-    refusal factors D or counts its classes.
-
-    The walk's unit eta = (u + v*sqrt(D))/2 generates the units modulo -1, so
-    +-eta and +-eta' = (+-u +- v*sqrt(D))/2 are +-eps and +-1/eps (N(eta) = -1).
-    As eps > 1 > -eps' = 1/eps > 0, u = eps + eps' and v*sqrt(D) = eps - eps'
-    are positive at eps: eps = (|u| + |v|*sqrt(D))/2, and eps_plus = eps^2.
-    """
+def check_shape(D: int) -> None:
+    """Raise UnsupportedShapeError unless D = 8 or D is a prime = 1 (mod 4)."""
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
     if not (D == 8 or (D % 4 == 1 and is_prime(D))):
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)"
         )
+
+
+def make_field(D: int) -> FieldContext:
+    """Validate D and build the field context.
+
+    Raises UnsupportedShapeError unless D has the shape check_shape wants, and
+    NarrowClassError unless the full principal walk, which also gives eps,
+    certifies h+ = 1; neither refusal factors D or counts its classes.
+
+    The walk's unit eta = (u + v*sqrt(D))/2 generates the units modulo -1, so
+    +-eta and +-eta' = (+-u +- v*sqrt(D))/2 are +-eps and +-1/eps (N(eta) = -1).
+    As eps > 1 > -eps' = 1/eps > 0, u = eps + eps' and v*sqrt(D) = eps - eps'
+    are positive at eps: eps = (|u| + |v|*sqrt(D))/2, and eps_plus = eps^2.
+    """
+    check_shape(D)
     walk = unit_form_walk(principal_form(D), D)
     if not narrow_class_one(D, walk):
-        raise NarrowClassError(f"D={D} does not have narrow class number 1")
+        raise NarrowClassError(D)
     end, quotients, _ = walk
     u, v = walk_element(end, quotients)
     eps = FieldElement(abs(u), abs(v), D)

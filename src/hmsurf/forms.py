@@ -15,8 +15,9 @@ Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
   (0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b) under the usual
   neighboring step.
 
-* `narrow_class_one(D)` -- whether h+(D) = 1, certified from the one walk
-  round the principal cycle (Minkowski's bound), without listing the forms.
+* `narrow_class_one(D)` -- whether h+(D) = 1, certified from the walk round
+  the principal cycle (Minkowski's bound), without listing the forms; alone
+  it walks only to the midpoint of the palindrome of leading coefficients.
 
 All comparisons against sqrt(D) are done by squaring, so the routines are
 exact for every nonsquare discriminant.
@@ -130,28 +131,24 @@ def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
     return sorted(set(forms))  # a = c lists each form twice
 
 
-def rho_step(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:
+def rho_step(form: tuple[int, int, int], D: int, s: "int | None" = None) -> tuple[int, int, int]:
     """The reduction operator: (a,b,c) -> (c,b',c') with b' = -b mod 2|c|.
 
-    b' lies in (-|c|, |c|] when |c| > sqrt(D), else in (sqrt(D) - 2|c|, sqrt(D)).
-    The steps reach a reduced form, then run round its cycle (Buchmann &
-    Vollmer, Binary Quadratic Forms, 2007, ch. 6).
+    b' lies in (-|c|, |c|] when |c| > sqrt(D), else in (sqrt(D) - 2|c|, sqrt(D)),
+    i.e. (s - 2|c|, s] with s = isqrt(D), as D is nonsquare; a walk passes s
+    in to take it once.  The steps reach a reduced form, then run round its
+    cycle (Buchmann & Vollmer, Binary Quadratic Forms, 2007, ch. 6).
     """
     _, b, c = form
     two_c = 2 * abs(c)
-    b1 = (-b) % two_c
     if c * c > D:
+        b1 = (-b) % two_c
         if b1 > abs(c):
             b1 -= two_c
     else:
-        # lift b1 into the window (s - 2|c|, s]; D nonsquare so b' = s is
-        # fine as the topmost admissible representative of b' < sqrt(D)
-        s = isqrt(D)
-        b1 += ((s - b1) // two_c) * two_c
-        if b1 > s:
-            b1 -= two_c
-    c1 = (b1 * b1 - D) // (4 * c)
-    return (c, b1, c1)
+        s = isqrt(D) if s is None else s
+        b1 = s - (s + b) % two_c
+    return (c, b1, (b1 * b1 - D) // (4 * c))
 
 
 def principal_form(D: int) -> tuple[int, int, int]:
@@ -225,11 +222,12 @@ def walk_element(end: tuple[int, int, int], quotients) -> tuple[int, int]:
 def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     """Whether h+(D) = 1, for a fundamental discriminant D > 0.
 
-    walk is `unit_form_walk(principal_form(D), D)`, run here if not given.
-    primes, if given, is a sorted list holding every prime p with 4p^2 < D
-    (a sweep sieves them once for all its D); else they are sieved here.
-    h+(D) = 1 exactly when the walk ends at leading coefficient -1 and every
-    prime p with 4p^2 < D and (D/p) >= 0 is some |a| along it.  Proof:
+    walk is `unit_form_walk(principal_form(D), D)`; if it is not given, the
+    half walk below stands in for it.  primes, if given, is a sorted list
+    holding every prime p with 4p^2 < D (a sweep sieves them once for all its
+    D); else they are sieved here.  h+(D) = 1 exactly when the walk ends at
+    leading coefficient -1 and every prime p with 4p^2 < D and (D/p) >= 0 is
+    some |a| along it.  Proof:
 
     * The walk stops at the first form (+-1, b, c) on the principal cycle,
       and its unit eta (`walk_element`), of norm that leading coefficient,
@@ -254,11 +252,50 @@ def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     * Conversely a reduced form (+-p, b', c') has b' in the same window and
       b'^2 = D mod 4p, so b' = +-b mod 2p: on the principal cycle, negated if
       need be, it is the form of P or of its conjugate, so P is principal.
+
+    The half walk (Perron, Die Lehre von den Kettenbruechen; Lenstra,
+    "Solving the Pell equation", Notices AMS 49, 2002) stops at +-1 or at the
+    first two consecutive forms with equal |a|.  Let f_j = rho^j(f_0), f_0 =
+    (1, b0, c0), indices taken mod the cycle's period: rho permutes the
+    reduced forms, so from f_0 the walk stays on the principal cycle and
+    ends within one period, with no cycle check.
+    * Mirror.  A reduced f = (a, b, c) has ac < 0 and b in (sqrt(D) - 2|c|,
+      sqrt(D)), and f* = (c, b, a) is reduced (the window is symmetric in |a|
+      and |c|).  rho(f)* = (c', b', c) steps to (c, b'', a): b'' = -b' = b mod
+      2|c| in that window, so b'' = b.  Hence rho(rho(f)*) = f*; f_0* =
+      (c0, b0, 1) steps to f_0, so f_0* = f_-1, and by induction f_j* =
+      f_(-j-1).  Reading a(f*) = c(f) = a(rho(f)): a(f_(j+1)) = a(f_(-j-1)).
+    * The midpoint.  Write -f for (-a, b, -c).  If the walk ends at f_l =
+      -f_0, then f_(i+l) = -f_i, so a(f_(l-i)) = a(f_(i-l)) = -a(f_i): |a|
+      along f_0, ..., f_l is a palindrome, l is odd (a(f_(l/2)) would be 0),
+      and the middle pair f_m, f_(m+1), l = 2m + 1, has equal |a|.
+      Conversely if |a(f_j)| = |a(f_(j+1))| = |c(f_j)| then f_j = (a, b, -a)
+      = -f_j* = -f_(-j-1) = rho^(-j-1)(-f_0), so -f_0 = f_(2j+1): the walk
+      ends at -1 by step 2j + 1.  So the first equal pair is the middle pair
+      (j <= m as that is one, 2j + 1 >= l as the walk ends at l), the half
+      walk takes m + 1 = (l + 1)/2 steps, and the |a| it meets, those of
+      f_0, ..., f_(m+1), are every |a| on the walk.  (At l = 1 the one step
+      is both the pair and the end at -1.)
+    * A walk with N(eps) = +1 never meets -1, so it has no equal pair: the
+      half walk runs on to +1, and the certificate refuses it as the full
+      walk's does.
     """
-    _, _, leads = walk or unit_form_walk(principal_form(D), D)
-    if leads[-1] != -1:
-        return False
-    met = {abs(a) for a in leads}
+    if walk is not None:
+        _, _, leads = walk
+        if leads[-1] != -1:
+            return False
+        met = {abs(a) for a in leads}
+    else:
+        s, form, met, last = isqrt(D), principal_form(D), {1}, 1
+        while True:
+            form = rho_step(form, D, s)
+            a = abs(form[0])
+            if a == last:  # the midpoint
+                break
+            if a == 1:  # back at the principal form: N(eps) = +1
+                return False
+            met.add(a)
+            last = a
     top = isqrt((D - 1) // 4)  # 4p^2 < D  <=>  p <= top
     primes = _primes(top) if primes is None else primes[:bisect_right(primes, top)]
     return all(p in met or kronecker(D, p) < 0 for p in primes)

@@ -332,6 +332,14 @@ def row_scan(D, strict_n, zeta_mode, precision_bits):
     return n_min, tuple(exclusions)
 
 
+def window_disagreements(row, other):
+    """The degrees where two table rows' allow-predicates differ, by testing
+    every n in the window 3 <= n <= max(n_min, 10) + 2, for chern._disagree_at
+    to match."""
+    hi = max(row.n_min, other.n_min, 10) + 2
+    return [n for n in range(3, hi + 1) if row.allows(n) != other.allows(n)]
+
+
 # ---------------------------------------------------------------------------
 # forms: reduced indefinite forms by scanning the whole window
 # ---------------------------------------------------------------------------

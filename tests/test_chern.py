@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from mpmath import iv
 
-from hmsurf import chern
+from hmsurf import chern, field, forms
 from hmsurf.chern import (
     EXACT_C_CUTOFF,
     P2_FLOOR_D,
@@ -38,7 +38,7 @@ from hmsurf.elliptic import (
     counts_gamma0,
     involution_action,
 )
-from hmsurf.field import UnsupportedShapeError, make_field, split_prime
+from hmsurf.field import FieldError, UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 from hmsurf.numeric import PrecisionError, interval_precision, lower_rational, upper_rational
@@ -52,6 +52,7 @@ from helpers import (
     genus_gamma0_rational,
     refine_with_action,
     row_scan,
+    window_disagreements,
 )
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -275,6 +276,32 @@ def test_classify_bound_mode():
     # degree sweep: a norm with no actual degree-one prime is still assessed
     assert not norm_achievable(97, 4)
     assert classify(97, 4, mode="bound").verdict == "general_type"
+
+
+def test_bound_classify_builds_no_field(monkeypatch):
+    # given a discriminant, bound classify checks D's shape and takes the
+    # certificate's half walk: no full walk, no unit and no field, with the
+    # report and the refusals (type and message) of the field-built route
+    asks = ((13, 103), (13, 4), (97, 4), (853, 3), (1000033, 7))
+    expected = [classify(make_field(D), q, mode="bound") for D, q in asks]
+    refusals = {}
+    for D in (21, 229, 1000193):
+        with pytest.raises(FieldError) as refused:
+            make_field(D)
+        refusals[D] = (type(refused.value), str(refused.value))
+
+    def forbidden(*args):
+        raise AssertionError("took the full walk or built the field")
+
+    for module in (forms, field, chern):
+        for name in ("unit_form_walk", "step_product", "make_field"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert [classify(D, q, mode="bound") for D, q in asks] == expected
+    for D, (kind, message) in refusals.items():
+        with pytest.raises(kind) as refused:
+            classify(D, 3, mode="bound")
+        assert str(refused.value) == message, D
 
 
 def test_bound_mode_never_beats_exact_mode():
@@ -598,6 +625,36 @@ def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
     diff = table_diff(rows)
     assert sorted(args[0] for args in calls) == [e["D"] for e in diff["discrepancies"]]
     assert len(calls) == 12
+
+
+def test_table_diff_tests_only_candidate_degrees():
+    # _disagree_at against the window scan: every row at dmax 2*10^4 in the
+    # four table variants, each against its published row, its floor-only
+    # values and the same D's rows in the other variants; then hand-made rows
+    # with n_min above 10
+    tables = [theorem_table(dmax=20_000, **kw) for kw in (
+        {}, {"strict_n": True}, {"zeta_mode": "bound"}, {"zeta_mode": "exact"})]
+    pairs = disagreeing = 0
+    for rows in zip(*tables):
+        D = rows[0].D
+        variants = [*rows, *(TableRow(D, row.n_min_alt, row.exclusions_alt)
+                             for row in rows if row.n_min_alt is not None)]
+        pub = published_row(D)
+        if pub is not None:
+            variants.append(TableRow(D, pub[0], tuple((n, "published") for n in sorted(pub[1]))))
+        for row in variants:
+            for other in variants:
+                bad = chern._disagree_at(row, other)
+                assert bad == window_disagreements(row, other), (row, other)
+                pairs += 1
+                disagreeing += bool(bad)
+    assert (len(tables[0]), pairs, disagreeing) == (916, 23_860, 4_348)
+    excluded = ((5, "p2_inert"), (10, "p3_inert"))
+    hand_made = [TableRow(29, n_min, excluded[i:j]) for n_min in (3, 4, 9, 10, 11, 12, 15, 40)
+                 for i, j in ((0, 0), (0, 1), (1, 2), (0, 2))]
+    for row in hand_made:
+        for other in hand_made:
+            assert chern._disagree_at(row, other) == window_disagreements(row, other)
 
 
 def test_table_diff_direction_examples():

@@ -293,6 +293,10 @@ TABLE_SHA256 = {
         "63af871f8693116dd9df575cc6948862536e9515741faa3f40a08ca509dbe1c1",
     "table --dmax 2000":
         "c13f8bfad129493a0a5001d3905a631a4b7bff5b1645f2a0094eb5936dcb9984",
+    "table --dmax 10000":
+        "c09315717fa0fcb1b85e19cce5896c7c5c019f413dd484d6a52741cde93b0d9d",
+    "table --dmax 11000 --zeta-mode bound":
+        "e5a87b823bfc6425e8857b2d564c13c2f50e6c82d64db15b114a2a44b994a886",
 }
 
 

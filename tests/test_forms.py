@@ -15,6 +15,7 @@ from hmsurf.forms import (
     h_definite,
     h_narrow_indefinite,
     narrow_class_one,
+    principal_form,
     reduced_indefinite_forms,
     rho_step,
     step_product,
@@ -161,6 +162,39 @@ def test_narrow_class_one_vs_oracle():
     assert len(discs) == 6081
     for D in discs + primes:
         assert narrow_class_one(D) == (h_narrow_indefinite(D) == 1), D
+
+
+def test_half_walk_stops_at_the_midpoint(monkeypatch):
+    # at every prime D = 1 mod 4 up to 2*10^5, and at D = 5 and 8, the full
+    # walk ends at -1 after l steps; the certificate's half walk takes
+    # (l + 1)/2 of them, meets the full walk's |a| and gives its verdict.  At
+    # every fundamental D <= 5000 with N(eps) = +1 it takes the whole period
+    # back to +1 and refuses.
+    reached = []
+
+    def recorded(form, D, s=None):
+        form = rho_step(form, D, s)
+        reached.append(form)
+        return form
+
+    monkeypatch.setattr(forms, "rho_step", recorded)
+    primes = [8] + [D for D in forms._primes(200_000) if D % 4 == 1]
+    fundamental = [D for D in range(5, 5001) if is_fundamental_discriminant(D)]
+    plus_one = []
+    for D in primes + fundamental:
+        walk = unit_form_walk(principal_form(D), D)
+        leads = walk[2]
+        reached.clear()
+        verdict = narrow_class_one(D)
+        assert verdict == narrow_class_one(D, walk), D
+        if leads[-1] == 1:
+            assert not verdict and len(reached) == len(leads), D
+            plus_one.append(D)
+            continue
+        assert len(leads) % 2 == 1 and len(reached) == (len(leads) + 1) // 2, D
+        assert {1} | {abs(a) for a, _, _ in reached} == {abs(a) for a in leads}, D
+    assert len(primes) == 8_978 and not set(primes) & set(plus_one)
+    assert (len(fundamental), len(plus_one)) == (1516, 1007)
 
 
 def test_rho_step_permutes_reduced_forms():
