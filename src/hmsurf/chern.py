@@ -21,15 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from mpmath import iv
+from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub
+from mpmath.libmp.libmpi import mpi_pi
 
 from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
 from .field import FieldContext, NarrowClassError, check_shape, make_field, split_prime
 from .forms import _primes, narrow_class_one
 from .ntheory import is_prime, kronecker
-from .numeric import (check_precision, interval_fraction, interval_precision, lower_rational,
-                      upper_rational)
+from .numeric import _log_int, _point, _sqrt_int, check_precision, lower_rational, upper_rational
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 # The analytic estimate for the cusp contribution c is only proved for large
@@ -168,11 +168,11 @@ def modes_at(D: int) -> "tuple[str, str]":
 
 
 def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
-    """{(zeta_mode, n, p_case): intervals (volume, cusp term, penalty, total)}
-    of the c1^2 bound f(D, n), for every combination of the three tuples.  The
-    cusp term and the penalties are free of n and of the volume variant, so
-    one call evaluates them once; only the volume is evaluated per zeta_mode
-    and degree.
+    """{(zeta_mode, n, p_case): intervals (volume, cusp term, penalty)} of the
+    c1^2 bound f(D, n) = volume + cusp term - penalty (_total), for every
+    combination of the three tuples.  The cusp term and the penalties are
+    free of n and of the volume variant, so one call evaluates them once;
+    only the volume is evaluated per zeta_mode and degree.
 
     Tail lemma: for every D > EXACT_C_CUTOFF and n >= 3, with the volume
     floor, c2_lower_check holds and f(D, n) > 0 in each p_case at every
@@ -220,30 +220,46 @@ def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
         _check_zeta_mode(zeta_mode)
     for n in ns:
         _check_bound_domain(D, n - 1)
-    with interval_precision(precision_bits):
-        if modes_at(D)[0] == "exact_c":
-            cterm = interval_fraction(Fraction(local_chern_divisor_sum(D)))
-        else:
-            logd = iv.log(D)
-            cterm = -(iv.sqrt(D) / 2) * (3 * logd ** 2 / (2 * iv.pi ** 2)
-                                         + (iv.mpf(21) / 20) * logd)
-        pen3 = iv.sqrt(3 * D) * iv.log(3 * D)
-        penalty = {"generic": lambda: pen3 / (4 * iv.pi),
-                   "p3_inert": lambda: 4 * pen3 / iv.pi,
-                   # p2_inert keeps the generic order-3 term and adds the order-2 one
-                   "p2_inert": lambda: (pen3 / (4 * iv.pi)
-                                        + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi)}
-        pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
-        bounds = {}
-        for zeta_mode in zeta_modes:
-            for n in ns:
-                if zeta_mode == "exact":
-                    vol = interval_fraction(2 * n * zeta_minus_one(D))
-                else:
-                    vol = n * iv.sqrt(D) ** 3 / 180
-                for p_case, pen in pens.items():
-                    bounds[zeta_mode, n, p_case] = (vol, cterm, pen, vol + cterm - pen)
-        return bounds
+    check_precision(precision_bits)
+    b = precision_bits
+    pi = mpi_pi(b)
+    if modes_at(D)[0] == "exact_c":
+        cterm = _point(local_chern_divisor_sum(D), b)
+    else:  # -(sqrt(D)/2) * (3 log^2 D/(2 pi^2) + (21/20) log D), in that order
+        logd = _log_int(D, b)
+        cterm = mpi_mul(mpi_neg(mpi_div(_sqrt_int(D, b), _point(2, b), b), b), mpi_add(
+            mpi_div(mpi_mul(_point(3, b), mpi_pow_int(logd, 2, b), b),
+                    mpi_mul(_point(2, b), mpi_pow_int(pi, 2, b), b), b),
+            mpi_mul(mpi_div(_point(21, b), _point(20, b), b), logd, b), b), b)
+    pen3 = mpi_mul(_sqrt_int(3 * D, b), _log_int(3 * D, b), b)
+    penalty = {"generic": lambda: mpi_div(pen3, mpi_mul(_point(4, b), pi, b), b),
+               "p3_inert": lambda: mpi_div(mpi_mul(_point(4, b), pen3, b), pi, b),
+               # p2_inert keeps the generic order-3 term and adds the order-2 one
+               "p2_inert": lambda: mpi_add(penalty["generic"](), mpi_div(mpi_mul(mpi_mul(
+                   _point(3, b), _sqrt_int(4 * D, b), b), _log_int(4 * D, b), b), pi, b), b)}
+    pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
+    bounds = {}
+    for zeta_mode in zeta_modes:
+        for n in ns:
+            if zeta_mode == "exact":
+                volume = 2 * n * zeta_minus_one(D)
+                vol = mpi_div(_point(volume.numerator, b), _point(volume.denominator, b), b)
+            else:
+                vol = _volume_floor(D, n, 180, b)
+            for p_case, pen in pens.items():
+                bounds[zeta_mode, n, p_case] = (vol, cterm, pen)
+    return bounds
+
+
+def _volume_floor(D, n, denominator, bits):
+    """The interval n * sqrt(D)^3 / denominator."""
+    return mpi_div(mpi_mul(_point(n, bits), mpi_pow_int(_sqrt_int(D, bits), 3, bits), bits),
+                   _point(denominator, bits), bits)
+
+
+def _total(vol, cterm, pen, bits):
+    """The interval vol + cterm - pen of the c1^2 bound."""
+    return mpi_sub(mpi_add(vol, cterm, bits), pen, bits)
 
 
 def _check_zeta_mode(zeta_mode: str) -> None:
@@ -265,22 +281,22 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
     rounded so the returned rational really is a lower bound.
     """
     bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
-    return lower_rational(bounds[zeta_mode, n, p_case][3])
+    return lower_rational(_total(*bounds[zeta_mode, n, p_case], precision_bits))
 
 
 def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
                zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
     """Per-term breakdown of the c1^2 bound, for audit output."""
     bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
-    return _terms(*bounds[zeta_mode, n, p_case])
+    return _terms(*bounds[zeta_mode, n, p_case], precision_bits)
 
 
-def _terms(vol, cusp, pen, total) -> dict:
+def _terms(vol, cusp, pen, bits) -> dict:
     return {
         "volume_lb": lower_rational(vol),
         "c_term_lb": lower_rational(cusp),
         "penalty_ub": upper_rational(pen),
-        "lower_bound": lower_rational(total),
+        "lower_bound": lower_rational(_total(vol, cusp, pen, bits)),
     }
 
 
@@ -300,8 +316,8 @@ def _bound_report(D: int, q: int, zeta_mode, precision_bits: int) -> ChernReport
     c_mode, default_zeta = modes_at(D)
     zeta_mode = zeta_mode or default_zeta
     ok2 = c2_lower_check(D, n)
-    with interval_precision(precision_bits):
-        c2_lb = lower_rational(n * iv.sqrt(D) ** 3 / 360)
+    check_precision(precision_bits)
+    c2_lb = lower_rational(_volume_floor(D, n, 360, precision_bits))
     c1_lb = c1sq_lower_bound(D, n, p_case, zeta_mode=zeta_mode,
                              precision_bits=precision_bits)
     verdict = "general_type" if (ok2 and c1_lb > 0) else "inconclusive"
@@ -403,7 +419,7 @@ def _row(D, strict_n, zeta_modes, precision_bits):
         if zeta_mode in evaluated:
             least = {}
             for case in cases:
-                vol, cterm, pen, _ = bounds[zeta_mode, 1, case]
+                vol, cterm, pen = bounds[zeta_mode, 1, case]
                 least[case] = ((upper_rational(pen) - lower_rational(cterm))
                                // lower_rational(vol) + 1)
             n_min = max(3, _c2_degree(D), least["generic"])
@@ -494,7 +510,8 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         for n in bad:
             entry = {"c2_check": c2_lower_check(row.D, n)}
             for zmode in zmodes:
-                entry[f"c1sq_{zmode}_zeta"] = _terms(*bounds[zmode, n, cases[n]])
+                entry[f"c1sq_{zmode}_zeta"] = _terms(*bounds[zmode, n, cases[n]],
+                                                     precision_bits)
             entry["p_case"] = cases[n]
             breakdown[str(n)] = entry
         alt = None

@@ -64,11 +64,16 @@ def h_definite(N: int) -> int:
 def _sieve_divisors(d: int, bs: range, ms: list[int]) -> list[list[int]]:
     """All divisors of each m = |b^2 - d|/4, for b in bs (step 2 from d % 2).
 
-    d is a discriminant of either sign.  An odd prime p divides m exactly
-    when b = +-sqrt(d) mod p; m mod 2 has period 2 along bs, so 2 is tested
-    on the first two; what is left once every prime up to sqrt(max m) is
-    divided out is 1 or a prime.  (For d > 0 the m fall as b grows.)
+    d is a discriminant of either sign, not a square (ValueError otherwise).
+    An odd prime p divides m exactly when b = +-sqrt(d) mod p; m mod 2 has
+    period 2 along bs, so 2 is tested on the first two; what is left once
+    every prime up to sqrt(max m) is divided out is 1 or a prime.  (For d > 0
+    the m fall as b grows.)  The loop dividing p out ends: b^2 = d mod 4 and
+    b^2 != d make every m an integer >= 1, and p divides it where the sieve
+    starts.
     """
+    if d % 4 > 1 or d >= 0 and isqrt(d) ** 2 == d:
+        raise ValueError(f"{d} is not a nonsquare discriminant (need d = 0, 1 mod 4)")
     rest = ms[:]
     divisors = [[1] for _ in bs]
     for p in _primes(isqrt(max(ms))):

@@ -1,19 +1,21 @@
 """Certified evaluation of the transcendental bound expressions.
 
-All inequality decisions in the classifier go through interval arithmetic
-(mpmath's iv context) at a configurable precision of 128 to 8192 bits.  A
-"pass" verdict requires the *lower* interval endpoint to clear the threshold,
-so directed rounding always errs on the conservative side.  Endpoints are
-converted to exact `Fraction`s (binary floats are dyadic rationals), so the
-rest of the pipeline stays in exact arithmetic.
+All inequality decisions in the classifier go through interval arithmetic on
+mpmath's interval kernels (`mpmath.libmp`), each call given its precision of
+128 to 8192 bits: there is no shared precision state.  An interval is a raw
+(lo, hi) pair of mpmath floats, made by the kernel calls mpmath's `iv` makes
+for the same expression, so the endpoints are `iv`'s.  A "pass" verdict
+requires the *lower* endpoint to clear the threshold, so directed rounding
+errs on the conservative side.  Endpoints are converted to exact `Fraction`s
+(binary floats are dyadic rationals), so the rest stays in exact arithmetic.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import iv
+from mpmath.libmp import from_int, mpi_div, mpi_log, mpi_mul, mpi_sqrt, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_pi
 
 MIN_PRECISION_BITS = 128
 # A cap on the cost of one certified evaluation, which grows about like
@@ -33,16 +35,21 @@ def check_precision(bits: int) -> None:
         raise PrecisionError(f"precision {bits} above the {MAX_PRECISION_BITS}-bit ceiling")
 
 
-@contextmanager
-def interval_precision(bits: int):
-    """Temporarily set the shared iv context precision (128 to 8192 bits)."""
-    check_precision(bits)
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield iv
-    finally:
-        iv.prec = saved
+def _point(k: int, bits: int):
+    """Interval of the integer k, rounded outward to bits if k is wider."""
+    if k.bit_length() <= bits:  # exact, so both endpoints are k
+        x = from_int(k)
+        return x, x
+    return from_int(k, bits, round_floor), from_int(k, bits, round_ceiling)
+
+
+def _sqrt_int(k: int, bits: int):
+    return mpi_sqrt(_point(k, bits), bits)
+
+
+def _log_int(k: int, bits: int):
+    """Interval of log k as iv.log gives it: mpi_log with no guard bits."""
+    return mpi_log(_point(k, bits), bits)
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -54,23 +61,17 @@ def _raw_to_fraction(raw) -> Fraction:
 
 
 def lower_rational(x) -> Fraction:
-    """Exact rational value of the lower interval endpoint."""
-    a, _b = x._mpi_
-    return _raw_to_fraction(a)
+    """Exact rational value of the lower endpoint of the pair x."""
+    return _raw_to_fraction(x[0])
 
 
 def upper_rational(x) -> Fraction:
-    """Exact rational value of the upper interval endpoint."""
-    _a, b = x._mpi_
-    return _raw_to_fraction(b)
+    """Exact rational value of the upper endpoint of the pair x."""
+    return _raw_to_fraction(x[1])
 
 
 def sqrt_log_over_pi(N: int, precision_bits: int = MIN_PRECISION_BITS):
     """Interval for sqrt(N)*log(N)/pi."""
-    with interval_precision(precision_bits):
-        return iv.sqrt(N) * iv.log(N) / iv.pi
-
-
-def interval_fraction(q: Fraction):
-    """Exact Fraction -> interval (dyadic endpoints enclose the rational)."""
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    check_precision(precision_bits)
+    bits = precision_bits
+    return mpi_div(mpi_mul(_sqrt_int(N, bits), _log_int(N, bits), bits), mpi_pi(bits), bits)

@@ -10,21 +10,25 @@ projective line, independently of the closed form they check.
 
 import functools
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod, sqrt
 
 import pytest
 import sympy
+from mpmath import iv
 
 from hmsurf import elliptic
-from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, norm_achievable
+from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, modes_at, norm_achievable
 from hmsurf.elliptic import EllipticCounts, EllipticError
 from hmsurf.field import FieldElement, make_field
 from hmsurf.forms import h_definite
 from hmsurf.ntheory import kronecker
+from hmsurf.numeric import check_precision
 from hmsurf.reference_data import PSL_POINT_TOTALS
 from hmsurf.trees import TreeError, TreeGraph, center_distance, tree_center
+from hmsurf.zeta import local_chern_divisor_sum, zeta_minus_one
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,69 @@ def adjunction_self_intersection(c1_pairing: int, genus: int) -> int:
     if genus < 0:
         raise ChernError(f"genus must be nonnegative, got {genus}")
     return 2 * genus - 2 + c1_pairing
+
+
+# ---------------------------------------------------------------------------
+# certified terms: the same expressions in mpmath's iv context
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def interval_precision(bits: int):
+    """Temporarily set the shared iv context precision (128 to 8192 bits)."""
+    check_precision(bits)
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield iv
+    finally:
+        iv.prec = saved
+
+
+def interval_fraction(q: Fraction):
+    """Exact Fraction -> interval (dyadic endpoints enclose the rational)."""
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def iv_c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
+    """{(zeta_mode, n, p_case): iv intervals (volume, cusp term, penalty,
+    total)}: chern._c1sq_intervals written in iv's operators, for the
+    kernels to match endpoint for endpoint."""
+    with interval_precision(precision_bits):
+        if modes_at(D)[0] == "exact_c":
+            cterm = interval_fraction(Fraction(local_chern_divisor_sum(D)))
+        else:
+            logd = iv.log(D)
+            cterm = -(iv.sqrt(D) / 2) * (3 * logd ** 2 / (2 * iv.pi ** 2)
+                                         + (iv.mpf(21) / 20) * logd)
+        pen3 = iv.sqrt(3 * D) * iv.log(3 * D)
+        penalty = {"generic": lambda: pen3 / (4 * iv.pi),
+                   "p3_inert": lambda: 4 * pen3 / iv.pi,
+                   # p2_inert keeps the generic order-3 term and adds the order-2 one
+                   "p2_inert": lambda: (pen3 / (4 * iv.pi)
+                                        + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi)}
+        pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
+        bounds = {}
+        for zeta_mode in zeta_modes:
+            for n in ns:
+                if zeta_mode == "exact":
+                    vol = interval_fraction(2 * n * zeta_minus_one(D))
+                else:
+                    vol = n * iv.sqrt(D) ** 3 / 180
+                for p_case, pen in pens.items():
+                    bounds[zeta_mode, n, p_case] = (vol, cterm, pen, vol + cterm - pen)
+        return bounds
+
+
+def iv_c2_floor(D, n, precision_bits):
+    """The c2 floor n * D^(3/2) / 360 of chern._bound_report, in iv."""
+    with interval_precision(precision_bits):
+        return n * iv.sqrt(D) ** 3 / 360
+
+
+def iv_sqrt_log_over_pi(N, precision_bits):
+    """numeric.sqrt_log_over_pi in iv."""
+    with interval_precision(precision_bits):
+        return iv.sqrt(N) * iv.log(N) / iv.pi
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hmsurf.chern import (
     ModeMixError,
     TableRow,
     _c1sq_intervals,
+    _total,
     c1sq_lower_bound,
     c1sq_terms,
     c2_lower_check,
@@ -41,7 +42,7 @@ from hmsurf.elliptic import (
 from hmsurf.field import FieldError, UnsupportedShapeError, make_field, split_prime
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
-from hmsurf.numeric import PrecisionError, interval_precision, lower_rational, upper_rational
+from hmsurf.numeric import PrecisionError, _log_int, _sqrt_int, lower_rational, upper_rational
 from hmsurf.reference_data import published_row
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -50,6 +51,7 @@ from helpers import (
     adjunction_self_intersection,
     curve_chern_integrality,
     genus_gamma0_rational,
+    interval_precision,
     refine_with_action,
     row_scan,
     window_disagreements,
@@ -431,7 +433,7 @@ def _tail_slope(D, n, p_case):
 def _f_over_sqrt(D, n, p_case):
     """f(D, n)/sqrt(D) from the code's own floor-zeta intervals."""
     bounds = _c1sq_intervals(D, (n,), (p_case,), ("bound",), iv.prec)
-    return bounds["bound", n, p_case][3] / iv.sqrt(D)
+    return iv.make_mpf(_total(*bounds["bound", n, p_case], iv.prec)) / iv.sqrt(D)
 
 
 def test_tail_lemma_base_case_and_slope():
@@ -442,11 +444,11 @@ def test_tail_lemma_base_case_and_slope():
         with interval_precision(256):
             lo, hi = _tail_slope(TAIL_D, n, p_case), _tail_slope(TAIL_D + 1, n, p_case)
             step = _f_over_sqrt(TAIL_D + 1, n, p_case) - _f_over_sqrt(TAIL_D, n, p_case)
-            assert lower_rational(lo) > 0, p_case
+            assert lower_rational(lo._mpi_) > 0, p_case
             # the slope formula is the derivative of the code's f/sqrt(D):
             # it increases, so by the mean value theorem it brackets the step
-            assert upper_rational(lo) < lower_rational(step), p_case
-            assert upper_rational(step) < lower_rational(hi), p_case
+            assert upper_rational(lo._mpi_) < lower_rational(step._mpi_), p_case
+            assert upper_rational(step._mpi_) < lower_rational(hi._mpi_), p_case
 
 
 def test_band_lemma_base_case_and_slope():
@@ -460,11 +462,11 @@ def test_band_lemma_base_case_and_slope():
                 assert c1sq_lower_bound(band, n, p_case, precision_bits=bits) > 0, p_case
         with interval_precision(bits):
             for p_case, n in TAIL_CASES:
-                assert lower_rational(_tail_slope(band, n, p_case)) > 0, p_case
+                assert lower_rational(_tail_slope(band, n, p_case)._mpi_) > 0, p_case
             below = _c1sq_intervals(P2_FLOOR_D - 1, (5,), ("p2_inert",), ("bound",), bits)
             above = _c1sq_intervals(P2_FLOOR_D, (5,), ("p2_inert",), ("bound",), bits)
-            assert upper_rational(below["bound", 5, "p2_inert"][3]) < 0
-            assert lower_rational(above["bound", 5, "p2_inert"][3]) > 0
+            assert upper_rational(_total(*below["bound", 5, "p2_inert"], bits)) < 0
+            assert lower_rational(_total(*above["bound", 5, "p2_inert"], bits)) > 0
     # every integer D in the band, fundamental or not, matches the scan, so
     # the p2 boundary is pinned: 845 (2 inert) is excluded and 851 is not
     rows = theorem_table(list(range(band, TAIL_D)), zeta_mode="bound")
@@ -498,30 +500,14 @@ def test_tail_rows_match_the_scan():
     assert strict_n_mins == {3, 4, 5}
 
 
-class _MemoIV:
-    """mpmath's iv, with sqrt and log of an integer memoised per precision."""
-
-    def __getattr__(self, name):
-        return getattr(iv, name)
-
-    @staticmethod
-    @functools.cache
-    def _call(name, x, prec):
-        return getattr(iv, name)(x)
-
-    def sqrt(self, x):
-        return self._call("sqrt", x, iv.prec)
-
-    def log(self, x):
-        return self._call("log", x, iv.prec)
-
-
 @pytest.mark.parametrize("bits", (128, 129, 8192))
 def test_closed_form_rows_match_the_scan(bits, monkeypatch):
     # The closed form and the scan round differently, so their rows must be
     # shown equal, not assumed so.  Both sides take roots and logs of the
-    # same few integers (a log costs ~10 ms at 8192 bits), so they share a memo.
-    monkeypatch.setattr(chern, "iv", _MemoIV())
+    # same few integers (a log costs ~10 ms at 8192 bits), so they share a
+    # memo of the kernels' sqrt and log of an integer, keyed by precision.
+    monkeypatch.setattr(chern, "_sqrt_int", functools.cache(_sqrt_int))
+    monkeypatch.setattr(chern, "_log_int", functools.cache(_log_int))
     d_list = [D for D in range(13, TAIL_D) if is_fundamental_discriminant(D)]
     for strict in (False, True):
         for zeta_mode in ("exact", "bound"):
@@ -536,6 +522,15 @@ def test_table_refuses_outside_the_bound_lemmas():
     for D in (5, 8, 12):
         with pytest.raises(ChernError, match="D > 12"):
             theorem_table([D])
+
+
+def test_divisor_sieve_refuses_non_discriminants_and_squares():
+    # at D <= EXACT_C_CUTOFF these reach the divisor sieve behind c and zeta,
+    # whose loop ends only for a nonsquare discriminant: it refuses 99 and 100
+    for call in (lambda: theorem_table([99]), lambda: theorem_table([100]),
+                 lambda: c1sq_lower_bound(100, 5), lambda: zeta_minus_one(99)):
+        with pytest.raises(ValueError, match="not a nonsquare discriminant"):
+            call()
 
 
 def test_bound_classify_refuses_d8():

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmsurf import cli, elliptic
-from hmsurf.chern import norm_achievable
+from hmsurf.chern import c1sq_lower_bound, norm_achievable
 from hmsurf.config import ConfigError, RunConfig, load_config, parse_config_lines
 from hmsurf.field import FieldError, make_field
 from hmsurf.numeric import (
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     PrecisionError,
-    interval_precision,
+    check_precision,
 )
 
 
@@ -285,6 +285,12 @@ def test_cli_pretty_bytes_pinned(capsys, command):
 # sha256 of `hmsurf table ...` JSON stdout in the variants the README's default
 # table does not pin: closed-form rows, the band and the tail must not move it
 TABLE_SHA256 = {
+    # the diff's breakdown prints raw endpoints: at the precision ceiling
+    # and at an odd precision these pin every kernel call behind them
+    "--precision 8192 table --dmax 853":
+        "9c3fdefa590019934c07ba48ad3c8925669b4a754f62e71a565ed59e242dc0a0",
+    "--precision 129 table --dmax 853":
+        "3b11bb0cd30b8ae69c9a774086f517769e246a1bd8475affb6d8878bd071ba8e",
     "table --dmax 853 --strict-n":
         "0b94b51a5f113bc990c532667f8598e13bf0b6f71df6161205b0b4addc1fae46",
     "table --dmax 853 --zeta-mode bound":
@@ -424,13 +430,14 @@ def test_runconfig_validation():
 
 def test_interval_precision_limits():
     for bits in (MIN_PRECISION_BITS, MAX_PRECISION_BITS):
-        with interval_precision(bits) as ctx:
-            assert ctx.prec == bits
+        check_precision(bits)
+        assert c1sq_lower_bound(109, 5, precision_bits=bits) > 0
     for bits, word in ((MIN_PRECISION_BITS - 1, "floor"),
                        (MAX_PRECISION_BITS + 1, "ceiling")):
         with pytest.raises(PrecisionError, match=word):
-            with interval_precision(bits):
-                pass
+            check_precision(bits)
+        with pytest.raises(PrecisionError, match=word):
+            c1sq_lower_bound(109, 5, precision_bits=bits)
 
 
 def test_parse_config_lines():

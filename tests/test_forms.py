@@ -93,6 +93,13 @@ def test_sieve_divisors_at_positive_discriminants():
     assert checked == 909
 
 
+def test_sieve_divisors_refuses_non_discriminants_and_squares():
+    for d in (99, -98, 2, 0, 4, 100, 10 ** 6):
+        xs = range(d % 2, 5, 2)
+        with pytest.raises(ValueError, match="not a nonsquare discriminant"):
+            _sieve_divisors(d, xs, [abs(x * x - d) // 4 for x in xs])
+
+
 @settings(max_examples=6, deadline=None)
 @given(st.integers(-(-_SIEVE_FROM // 4), (10**6 - 3) // 4), st.sampled_from((0, 3)))
 def test_definite_vs_oracle_on_the_sieve_path(k, r):
