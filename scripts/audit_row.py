@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from hmsurf.chern import (ChernError, _inert_cases, c1sq_terms, c2_lower_check, classify,
                           modes_at, theorem_table)
-from hmsurf.field import FieldError, make_field
+from hmsurf.field import FieldError, supported_walk
 from hmsurf.reference_data import published_row
 
 
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     D = args.disc
     try:
-        make_field(D)  # the domain of `classify`: the table does not check it
+        supported_walk(D)  # the domain of `classify`: the table does not check it
         (row,) = theorem_table([D])
         if args.n is not None:
             classify(D, args.n - 1, mode="bound")  # refuses a degree no surface has

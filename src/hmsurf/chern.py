@@ -26,7 +26,7 @@ from mpmath.libmp.libmpi import mpi_pi
 
 from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
-from .field import FieldContext, NarrowClassError, check_shape, make_field, split_prime
+from .field import FieldContext, make_field, split_prime, supported_walk
 from .forms import _primes, narrow_class_one
 from .ntheory import is_prime, kronecker
 from .numeric import _log_int, _point, _sqrt_int, check_precision, lower_rational, upper_rational
@@ -349,20 +349,21 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     order-5 levels, q = 0 or 1 mod 5, and D=8 at every level (the count
     formulas need D > 12).  mode="bound" runs the certified estimates (there
     q need not be an achievable norm - degrees are swept formally); given a
-    discriminant it checks D's shape and the h+ = 1 certificate's half walk
-    and builds no field, so no unit and no prime generator.
+    discriminant it takes only make_field's test, `supported_walk`, and
+    builds no field, so no unit and no prime generator.  zeta_mode, the
+    volume term variant, is for bound mode only.
     """
     if mode == "bound":
         if not isinstance(F, int):
             return _bound_report(F.D, q, zeta_mode, precision_bits)
-        check_shape(F)
-        if not narrow_class_one(F):
-            raise NarrowClassError(F)
+        supported_walk(F)
         return _bound_report(F, q, zeta_mode, precision_bits)
-    if isinstance(F, int):
-        F = make_field(F)
     if mode != "exact":
         raise ChernError(f"unknown mode {mode!r}")
+    if zeta_mode is not None:
+        raise ChernError(f"zeta_mode={zeta_mode!r} is for bound mode only")
+    if isinstance(F, int):
+        F = make_field(F)
     P = _resolve_prime(F, q)
     refined = atkin_lehner_refine(counts_gamma0(F, P), P)
     return chern_numbers(F, P, refined, cusp_resolution(F), zeta_minus_one(F.D))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forms import narrow_class_one, principal_form, unit_form_walk, walk_element
+from .forms import _half_walk, narrow_class_one, unit_form_walk, walk_element
 from .ntheory import is_prime, kronecker, sqrt_mod
 
 
@@ -159,8 +159,9 @@ class FieldElement:
 @dataclass(frozen=True)
 class FieldContext:
     """A field make_field certified to have h+ = 1: D, the fundamental unit
-    eps (of norm -1), eps^2 and the step quotients of the rho walk that gave
-    eps (omega's partial quotients, see zeta.minus_cf_cycle)."""
+    eps (of norm -1), eps^2 and the step quotients of the principal rho walk
+    that gives eps, read off its first half and that half's mirror image
+    (omega's partial quotients, see zeta.minus_cf_cycle)."""
 
     D: int
     eps: FieldElement
@@ -172,36 +173,53 @@ class FieldContext:
         return FieldElement.omega(self.D)
 
 
-def check_shape(D: int) -> None:
-    """Raise UnsupportedShapeError unless D = 8 or D is a prime = 1 (mod 4)."""
+def supported_walk(D: int) -> list[tuple[int, int, int]]:
+    """The one test of a supported D: its principal half walk f_0, ...,
+    f_(m+1) (`narrow_class_one`), or a refusal.
+
+    Raises UnsupportedShapeError unless D = 8 or D is a prime = 1 (mod 4), and
+    NarrowClassError unless the half walk certifies h+ = 1; neither refusal
+    factors D or counts its classes.
+    """
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
     if not (D == 8 or (D % 4 == 1 and is_prime(D))):
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)"
         )
+    walk = _half_walk(D)
+    if not narrow_class_one(D, walk):
+        raise NarrowClassError(D)
+    return walk
 
 
 def make_field(D: int) -> FieldContext:
-    """Validate D and build the field context.
+    """Validate D (`supported_walk`) and build the field context.
 
-    Raises UnsupportedShapeError unless D has the shape check_shape wants, and
-    NarrowClassError unless the full principal walk, which also gives eps,
-    certifies h+ = 1; neither refusal factors D or counts its classes.
+    The principal walk f_0 = (1, b0, c0), ..., f_l = -f_0 = (-1, b0, -c0),
+    l = 2m + 1, has the step quotients t_j = (b_j + b_(j+1))/(2c_j) and the
+    unit walk_element(f_l, (t_0, ..., t_(l-1))).  The half walk gives them
+    all, by the mirror f_j* = f_(-j-1) and the negation f_(i+l) = -f_i proved
+    in `narrow_class_one`:
+    * f* = (c, b, a) and a_j = c_(j-1), so f_(-j-1) has b_j and c_(j-1), and
+      f_(-j) has b_(j-1): t_(-j-1) = t_(j-1).  Negation keeps b and negates
+      c: t_(i+l) = -t_i.
+    * So t_(l-2-j) = -t_(-j-2) = -t_j (0 <= j <= l - 2), and t_(l-1) =
+      -t_(-1) = -b0, as f_(-1) = f_0* = (c0, b0, 1).
+    With H = (t_0, ..., t_(m-1)), the period is H, then -H reversed, then -b0.
 
     The walk's unit eta = (u + v*sqrt(D))/2 generates the units modulo -1, so
     +-eta and +-eta' = (+-u +- v*sqrt(D))/2 are +-eps and +-1/eps (N(eta) = -1).
     As eps > 1 > -eps' = 1/eps > 0, u = eps + eps' and v*sqrt(D) = eps - eps'
     are positive at eps: eps = (|u| + |v|*sqrt(D))/2, and eps_plus = eps^2.
     """
-    check_shape(D)
-    walk = unit_form_walk(principal_form(D), D)
-    if not narrow_class_one(D, walk):
-        raise NarrowClassError(D)
-    end, quotients, _ = walk
-    u, v = walk_element(end, quotients)
+    walk = supported_walk(D)
+    _, b0, c0 = walk[0]
+    half = [(b + b1) // (2 * c) for (_, b, c), (_, b1, _) in zip(walk[:-2], walk[1:])]
+    quotients = (*half, *(-t for t in reversed(half)), -b0)
+    u, v = walk_element((-1, b0, -c0), quotients)
     eps = FieldElement(abs(u), abs(v), D)
-    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients))
+    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=quotients)
 
 
 @dataclass(frozen=True)
@@ -270,7 +288,7 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
                                generator=FieldElement.from_int(p, D), omega_image=None),)
     b = sqrt_mod(D, p)
     b += p * ((b - D) % 2)
-    end, quotients, _ = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
+    end, quotients = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
     x = FieldElement(*walk_element(end, quotients), D)
     g = _positive_generator(x, F)
     gens = (g, g.conjugate()) if sym == 1 else (g,)

@@ -15,9 +15,9 @@ Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
   (0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b) under the usual
   neighboring step.
 
-* `narrow_class_one(D)` -- whether h+(D) = 1, certified from the walk round
-  the principal cycle (Minkowski's bound), without listing the forms; alone
-  it walks only to the midpoint of the palindrome of leading coefficients.
+* `narrow_class_one(D)` -- whether h+(D) = 1, certified from half the walk
+  round the principal cycle (Minkowski's bound), without listing the forms:
+  it stops where the walk meets its mirror image, two equal |a| in a row.
 
 All comparisons against sqrt(D) are done by squaring, so the routines are
 exact for every nonsquare discriminant.
@@ -165,26 +165,25 @@ def principal_form(D: int) -> tuple[int, int, int]:
 
 
 def unit_form_walk(form: tuple[int, int, int],
-                   D: int) -> tuple[tuple[int, int, int], list[int], list[int]]:
+                   D: int) -> tuple[tuple[int, int, int], list[int]]:
     """Walk rho steps from (a0, b, c) to the first form (a', b', c') with a' = +-1.
 
-    Returns (that form, the step quotients t = (b + b')/(2c), the leading
-    coefficients of the forms reached), both lists in walk order.  The walk is
-    eventually periodic (`rho_step`), say with preperiod mu and period lam, and
-    Brent's check (Brent 1980) compares the next 2^k forms with the one reached
-    after 2^k - 1 steps, so a walk that never meets (+-1, b, c) raises
-    RuntimeError within 2*max(mu + 1, lam) + lam - 2 <= 3*(mu + lam) steps.
+    Returns that form and the step quotients t = (b + b')/(2c) in walk order;
+    from (p, b, c) (`field.split_prime`) the walk may start off the principal
+    cycle.  It is eventually periodic (`rho_step`), say with preperiod mu and
+    period lam, and Brent's check (Brent 1980) compares the next 2^k forms with
+    the one reached after 2^k - 1 steps, so a walk that never meets (+-1, b, c)
+    raises RuntimeError within 2*max(mu + 1, lam) + lam - 2 <= 3*(mu + lam) steps.
     """
     held = form
-    quotients, leads = [], []
+    quotients = []
     while True:
         for _ in range(len(quotients) + 1):  # 2^k steps after the first 2^k - 1
             _, b, c = form
             form = rho_step(form, D)
             quotients.append((b + form[1]) // (2 * c))
-            leads.append(c)
             if abs(form[0]) == 1:
-                return form, quotients, leads
+                return form, quotients
             if form == held:
                 raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
         held = form
@@ -224,15 +223,32 @@ def walk_element(end: tuple[int, int, int], quotients) -> tuple[int, int]:
     return 2 * a1 * m11 - b1 * m10, -m10
 
 
+def _half_walk(D: int) -> list[tuple[int, int, int]]:
+    """The forms f_0 = principal_form(D), ..., f_(m+1) of the principal walk,
+    up to its first two consecutive forms with equal |a|, or [] if it comes
+    back to +1 first (the half walk of `narrow_class_one`)."""
+    s, form, last = isqrt(D), principal_form(D), 1
+    walk = [form]
+    while True:
+        form = rho_step(form, D, s)
+        walk.append(form)
+        a = abs(form[0])
+        if a == last:  # the midpoint
+            return walk
+        if a == 1:  # back at the principal form: N(eps) = +1
+            return []
+        last = a
+
+
 def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     """Whether h+(D) = 1, for a fundamental discriminant D > 0.
 
-    walk is `unit_form_walk(principal_form(D), D)`; if it is not given, the
-    half walk below stands in for it.  primes, if given, is a sorted list
-    holding every prime p with 4p^2 < D (a sweep sieves them once for all its
-    D); else they are sieved here.  h+(D) = 1 exactly when the walk ends at
-    leading coefficient -1 and every prime p with 4p^2 < D and (D/p) >= 0 is
-    some |a| along it.  Proof:
+    walk is `_half_walk(D)`, taken here if not given.  primes, if given, is a
+    sorted list holding every prime p with 4p^2 < D (a sweep sieves them once
+    for all its D); else they are sieved here.  h+(D) = 1 exactly when the
+    principal walk, `unit_form_walk(principal_form(D), D)`, ends at leading
+    coefficient -1 and every prime p with 4p^2 < D and (D/p) >= 0 is some |a|
+    along it; the half walk tells both.  Proof:
 
     * The walk stops at the first form (+-1, b, c) on the principal cycle,
       and its unit eta (`walk_element`), of norm that leading coefficient,
@@ -282,25 +298,12 @@ def narrow_class_one(D: int, walk=None, primes=None) -> bool:
       f_0, ..., f_(m+1), are every |a| on the walk.  (At l = 1 the one step
       is both the pair and the end at -1.)
     * A walk with N(eps) = +1 never meets -1, so it has no equal pair: the
-      half walk runs on to +1, and the certificate refuses it as the full
-      walk's does.
+      half walk runs on to +1, and the certificate refuses it.
     """
-    if walk is not None:
-        _, _, leads = walk
-        if leads[-1] != -1:
-            return False
-        met = {abs(a) for a in leads}
-    else:
-        s, form, met, last = isqrt(D), principal_form(D), {1}, 1
-        while True:
-            form = rho_step(form, D, s)
-            a = abs(form[0])
-            if a == last:  # the midpoint
-                break
-            if a == 1:  # back at the principal form: N(eps) = +1
-                return False
-            met.add(a)
-            last = a
+    walk = _half_walk(D) if walk is None else walk
+    if not walk:
+        return False
+    met = {abs(a) for a, _, _ in walk}
     top = isqrt((D - 1) // 4)  # 4p^2 < D  <=>  p <= top
     primes = _primes(top) if primes is None else primes[:bisect_right(primes, top)]
     return all(p in met or kronecker(D, p) < 0 for p in primes)

@@ -16,10 +16,10 @@ sieve that h(-N) uses (Hirzebruch 1973, section 3; Cohen 1993, 5.3).
 
 The resolution cycle itself is the period of the negative-regular ("minus")
 continued fraction of omega: w_{k+1} = 1/(b_k - w_k) with b_k = ceil(w_k).
-It is not expanded on its own: the rho walk of `forms.unit_form_walk` from
-the principal form, which `make_field` runs for eps and whose quotients it
-keeps, runs through the period of omega's regular continued fraction, and
-Hirzebruch's rule turns that into the minus period (see `minus_cf_cycle`).
+It is not expanded on its own: the rho walk from the principal form runs
+through the period of omega's regular continued fraction, which `make_field`
+reads off the h+ = 1 certificate's half walk and its mirror image and keeps,
+and Hirzebruch's rule turns that into the minus period (see `minus_cf_cycle`).
 One period of the minus expansion corresponds to the fundamental totally
 positive unit, which for narrow class number one is eps^2.
 """
@@ -88,24 +88,21 @@ def minus_cf_cycle(F: FieldContext) -> tuple[int, ...]:
       1/(x - |t|) = (b' + sqrt(D))/(2|c'|) as |c c'| = (D - b'^2)/4.
     * At (1, b, c), x = 1/(omega - floor(omega)), so the |t| are omega's
       partial quotients a_1, a_2, ..., purely periodic from a_1.  Only
-      (1, b, c) and (-1, b, -c) have this x, so the walk, which stops at the
-      first form (+-1, b', c'), covers one period (a_1, ..., a_m).  The
-      leading coefficient changes sign at each step, and N(eps) = -1 puts
-      (-1, b, -c) on the cycle before (1, b, c) comes round: m is odd.  (For
-      N(eps) = +1 the walk closes at (1, b, c) after an even period.)
+      (1, b, c) and (-1, b, -c) have this x, so the walk from (1, b, c) to
+      (-1, b, -c), whose quotients make_field reads off its half walk and
+      that half's mirror image, covers one period (a_1, ..., a_m).  m is odd
+      (the midpoint, `forms.narrow_class_one`).
     * Hirzebruch's rule (Hilbert modular surfaces, 1973, section 2):
       [a_0; a_1, a_2, ...] = ((a_0 + 1; 2^(a_1 - 1), a_2 + 2, 2^(a_3 - 1),
       a_4 + 2, ...)), 2^k a run of k twos.  It takes the quotients in pairs,
       so it needs a period of even length; the doubled period belongs to
-      eps^2 = eps_plus.  Doubling an odd period also makes the pairing
+      eps^2 = eps_plus.  Doubling the odd period also makes the pairing
       irrelevant: the other parity is the shift by m, which fixes the period.
 
     Each head a + 2 is >= 3 and every other entry is 2, so the greatest
     rotation starts at a greatest head; only rotations there are compared.
     """
-    a = [abs(t) for t in F.quotients]
-    if len(a) % 2:
-        a += a
+    a = [abs(t) for t in F.quotients] * 2
     cycle = []
     for run, head in zip(a[::2], a[1::2]):
         cycle += [2] * (run - 1) + [head + 2]

@@ -9,11 +9,13 @@ projective line, independently of the closed form they check.
 """
 
 import functools
+import importlib.util
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod, sqrt
+from pathlib import Path
 
 import pytest
 import sympy
@@ -22,8 +24,9 @@ from mpmath import iv
 from hmsurf import elliptic
 from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, modes_at, norm_achievable
 from hmsurf.elliptic import EllipticCounts, EllipticError
-from hmsurf.field import FieldElement, make_field
-from hmsurf.forms import h_definite
+from hmsurf.field import (FieldContext, FieldElement, NarrowClassError, UnsupportedShapeError,
+                          make_field)
+from hmsurf.forms import h_definite, principal_form, rho_step, unit_form_walk, walk_element
 from hmsurf.ntheory import kronecker
 from hmsurf.numeric import check_precision
 from hmsurf.reference_data import PSL_POINT_TOTALS
@@ -407,6 +410,15 @@ def window_disagreements(row, other):
     return [n for n in range(3, hi + 1) if row.allows(n) != other.allows(n)]
 
 
+def load_audit_row():
+    """scripts/audit_row.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "audit_row.py"
+    spec = importlib.util.spec_from_file_location("audit_row", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # ---------------------------------------------------------------------------
 # forms: reduced indefinite forms by scanning the whole window
 # ---------------------------------------------------------------------------
@@ -435,6 +447,45 @@ def oracle_reduced_indefinite_forms(D):
                 if gcd(gcd(a, b), c) == 1:
                     forms.add((a, b, c))
     return sorted(forms)
+
+
+# ---------------------------------------------------------------------------
+# field: make_field from the full principal walk
+# ---------------------------------------------------------------------------
+
+def full_principal_walk(D):
+    """Every form f_0 = principal_form(D), ..., f_l of the principal rho walk
+    up to the first form (+-1, b, c), for a fundamental D > 0."""
+    walk = [principal_form(D)]
+    while True:
+        walk.append(rho_step(walk[-1], D))
+        if abs(walk[-1][0]) == 1:
+            return walk
+
+
+def full_walk_certificate(D, walk):
+    """h+(D) = 1 from the full principal walk: it ends at -1 and meets every
+    prime p with 4p^2 < D and (D/p) >= 0 as some |a| (Minkowski's bound)."""
+    met = {abs(a) for a, _, _ in walk}
+    return walk[-1][0] == -1 and all(
+        p in met or kronecker(D, p) < 0 for p in sympy.primerange(2, isqrt((D - 1) // 4) + 1))
+
+
+def oracle_make_field(D):
+    """make_field from the full principal walk: the shape test, the full
+    walk's certificate, and eps and the quotients of `unit_form_walk` from
+    the principal form; the refusals are make_field's."""
+    if not isinstance(D, int) or D < 5:
+        raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
+    if not (D == 8 or (D % 4 == 1 and sympy.isprime(D))):
+        raise UnsupportedShapeError(
+            f"D={D} not of the supported shape (prime = 1 mod 4, or 8)")
+    if not full_walk_certificate(D, full_principal_walk(D)):
+        raise NarrowClassError(D)
+    end, quotients = unit_form_walk(principal_form(D), D)
+    u, v = walk_element(end, quotients)
+    eps = FieldElement(abs(u), abs(v), D)
+    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients))
 
 
 # ---------------------------------------------------------------------------

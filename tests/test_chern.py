@@ -1,14 +1,13 @@
 import functools
-import importlib.util
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import iv
 
-from hmsurf import chern, field, forms
+from hmsurf import chern, cli, field, forms
 from hmsurf.chern import (
     EXACT_C_CUTOFF,
     P2_FLOOR_D,
@@ -52,12 +51,11 @@ from helpers import (
     curve_chern_integrality,
     genus_gamma0_rational,
     interval_precision,
+    load_audit_row,
     refine_with_action,
     row_scan,
     window_disagreements,
 )
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +141,22 @@ def test_classify_input_errors():
         classify(12, 4)
     with pytest.raises(ChernError):
         classify(13, 4, mode="banana")
+
+
+def test_exact_classify_refuses_a_zeta_mode(capsys):
+    # the volume term variant is for bound mode only: exact mode refuses it,
+    # in the library and through the CLI, before it builds the field
+    F = make_field(13)
+    for zeta_mode in ("exact", "bound"):
+        for D in (13, F, 10000000033):
+            with pytest.raises(ChernError, match="bound mode only"):
+                classify(D, 4, zeta_mode=zeta_mode)
+        assert classify(13, 103, mode="bound", zeta_mode=zeta_mode).mode == "bound"
+        assert cli.main(["classify", "--disc", "13", "--prime-norm", "4",
+                         "--zeta-mode", zeta_mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == {
+            "type": "ChernError", "message": f"zeta_mode={zeta_mode!r} is for bound mode only"}
 
 
 def test_chern_numbers_mode_mixing():
@@ -548,9 +562,7 @@ def test_bound_classify_refuses_d5_order5_levels():
 
 
 def test_audit_row_script_refuses_what_classify_refuses(capsys):
-    spec = importlib.util.spec_from_file_location("audit_row", SCRIPTS / "audit_row.py")
-    audit_row = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(audit_row)
+    audit_row = load_audit_row()
     assert audit_row.main(["--disc", "109"]) == 0 and "c1^2" in capsys.readouterr().out
     for D, reason in ((12, "supported shape"), (229, "does not have narrow class number 1"),
                       (5, "D > 12"), (8, "D > 12")):

@@ -164,20 +164,41 @@ def test_cli_parser_is_reused_after_a_bad_flag(capsys):
     assert run(capsys, *argv) == first and first[0] == 0
 
 
-def _exact_level_supported(D, q):
-    """Exact mode takes every achievable level of a supported field with
-    D > 12, and D = 5 away from its order-5 levels q = 0, 1 mod 5."""
+def _field_exists(D):
     try:
         make_field(D)
     except FieldError:
         return False
-    return norm_achievable(D, q) and (D > 12 or (D == 5 and q % 5 not in (0, 1)))
+    return True
+
+
+def _exact_level_supported(D, q):
+    """Exact mode takes every achievable level of a supported field with
+    D > 12, and D = 5 away from its order-5 levels q = 0, 1 mod 5."""
+    return _field_exists(D) and norm_achievable(D, q) and (
+        D > 12 or (D == 5 and q % 5 not in (0, 1)))
+
+
+def _exits_cleanly(argv):
+    """Run hmsurf on argv: it exits 0 with JSON on stdout, or 2 with the JSON
+    error object on stderr, never with a traceback.  Returns (code, stderr)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert set(json.loads(err.getvalue())["error"]) == {"type", "message"}, argv
+    return code, err.getvalue()
+
+
+FUZZ_D = st.one_of(st.integers(-20, 900), st.sampled_from((5, 13, 17, 29)))
+FUZZ_Q = st.one_of(st.integers(-5, 250), st.sampled_from((4, 9, 11)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(cmd=st.sampled_from(("elliptic", "classify")),
-       D=st.one_of(st.integers(-20, 900), st.sampled_from((5, 13, 17, 29))),
-       q=st.one_of(st.integers(-5, 250), st.sampled_from((4, 9, 11))),
+@given(cmd=st.sampled_from(("elliptic", "classify")), D=FUZZ_D, q=FUZZ_Q,
        refine=st.booleans(), mode=st.sampled_from((None, "exact", "bound")))
 def test_cli_exit_codes_fuzzed(cmd, D, q, refine, mode):
     argv = [cmd, "--disc", str(D), "--prime-norm", str(q)]
@@ -185,12 +206,59 @@ def test_cli_exit_codes_fuzzed(cmd, D, q, refine, mode):
         argv += ["--mode", mode]
     if refine and cmd == "elliptic":
         argv.append("--refine")
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(argv)
-    assert code in (0, 2), (argv, err.getvalue())
+    code, err = _exits_cleanly(argv)
     if mode != "bound" and _exact_level_supported(D, q):
-        assert code == 0, (argv, err.getvalue())
+        assert code == 0, (argv, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=FUZZ_D, q=FUZZ_Q, mode=st.sampled_from((None, "exact", "bound")),
+       zeta_mode=st.sampled_from(("exact", "bound")))
+def test_cli_classify_zeta_mode_fuzzed(D, q, mode, zeta_mode):
+    # --zeta-mode is for bound mode only: exact mode refuses it
+    argv = ["classify", "--disc", str(D), "--prime-norm", str(q), "--zeta-mode", zeta_mode]
+    code, err = _exits_cleanly(argv + (["--mode", mode] if mode else []))
+    if mode != "bound":
+        assert code == 2 and "bound mode only" in err, (argv, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cmd=st.sampled_from(("field", "zeta", "cusp")), D=st.integers(-20, 2000))
+def test_cli_field_zeta_cusp_exit_codes_fuzzed(cmd, D):
+    code, err = _exits_cleanly([cmd, "--disc", str(D)])
+    assert (code == 0) == _field_exists(D), (cmd, D, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(-10**5, 10**5))
+def test_cli_classnumber_exit_codes_fuzzed(N):
+    _exits_cleanly(["classnumber", "--disc", str(N)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(dmax=st.integers(-5, 300), flags=st.sampled_from(
+    ((), ("--strict-n",), ("--zeta-mode", "bound"), ("--zeta-mode", "exact"))))
+def test_cli_table_exit_codes_fuzzed(dmax, flags):
+    _exits_cleanly(["table", "--dmax", str(dmax), *flags])
+
+
+LABELS = st.sampled_from(("a", "b", "c", "d", "e"))
+TREE_LINES = st.one_of(
+    st.lists(st.integers(0, 6), max_size=6).map(  # a tree: vertex i + 1 hangs off a parent <= i
+        lambda ps: [f"v{min(p, i)} v{i + 1}" for i, p in enumerate(ps)] or ["v0"]),
+    st.lists(st.lists(st.sampled_from(("a", "b", "c", "a#b", "#", "")), max_size=3).map(
+        " ".join), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=TREE_LINES, members=st.lists(st.one_of(LABELS, st.sampled_from(
+    ("v0", "v1", "v3", "v6"))), min_size=1, max_size=4), raw=st.binary(max_size=4))
+def test_cli_tree_center_exit_codes_fuzzed(tmp_path_factory, lines, members, raw):
+    # generated trees and malformed files: loops, repeated edges, cycles, three
+    # labels on a line, a set off the tree, and bytes that are not UTF-8
+    infile = tmp_path_factory.getbasetemp() / "fuzz_tree.txt"
+    infile.write_bytes("\n".join(lines).encode() + raw)
+    _exits_cleanly(["tree-center", "--in", str(infile), "--set", ",".join(members)])
 
 
 def test_cli_classify_exact(capsys):

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hmsurf import forms, ntheory
-from hmsurf.chern import default_discriminants
+from hmsurf import chern, field, forms, ntheory, zeta
+from hmsurf.chern import classify, default_discriminants
 from hmsurf.field import (
     FieldContext,
     FieldElement,
@@ -18,8 +18,10 @@ from hmsurf.field import (
 )
 from hmsurf.forms import principal_form, unit_form_walk, walk_element
 from hmsurf.ntheory import is_prime
+from hmsurf.zeta import cusp_resolution, zeta_minus_one
 
-from helpers import ResidueField, divide_exact, linear_product, real
+from helpers import (ResidueField, divide_exact, linear_product, load_audit_row,
+                     oracle_make_field, real)
 
 DISCS = (5, 8, 13, 17, 29)
 
@@ -135,7 +137,7 @@ def test_eps_is_the_largest_walk_unit():
             F = make_field(D)
         except NarrowClassError:
             continue
-        end, quotients, _ = unit_form_walk(principal_form(D), D)
+        end, quotients = unit_form_walk(principal_form(D), D)
         eta = FieldElement(*walk_element(end, quotients), D)
         assert F.eps == max((eta, -eta, eta.conjugate(), -eta.conjugate())), D
         checked += 1
@@ -147,7 +149,7 @@ def test_walk_unit_matches_the_linear_product():
     # time, at every supported D <= 20000 and at 10^9 + 9 (59,741 steps); the
     # walk's (u, v) is read off the oracle's bottom row, and its norm is -1
     for D in [5, 8] + default_discriminants(20000) + [10**9 + 9]:
-        end, quotients, _ = unit_form_walk(principal_form(D), D)
+        end, quotients = unit_form_walk(principal_form(D), D)
         m = linear_product((0, -1, 1, t) for t in quotients)
         assert forms.step_product(quotients) == m, D
         a1, b1, _ = end
@@ -186,15 +188,61 @@ def test_the_certificate_builds_no_unit(monkeypatch):
         make_field(13)
 
 
-def test_the_sweep_takes_no_full_walk(monkeypatch):
-    # default_discriminants certifies each D from the half walk alone
-    expected = default_discriminants(2000)
+def test_make_field_reads_the_full_walk_off_its_half():
+    # the quotients and eps from the half walk and its mirror equal those of
+    # the full walk, and every refusal has the full walk's type and message
+    def outcome(build, D):
+        try:
+            return build(D)
+        except FieldError as exc:
+            return type(exc), str(exc)
 
-    def forbidden(form, D):
-        raise AssertionError("took the full walk")
+    primes = [D for D in range(2001, 200_000, 4) if is_prime(D)]
+    built = 0
+    for D in [*range(-3, 2000), *primes, 1000033, 10000000061, 10**9 + 9]:
+        got = outcome(make_field, D)
+        assert got == outcome(oracle_make_field, D), D
+        built += isinstance(got, FieldContext)
+    assert built == 2 + len(default_discriminants(200_000)) + 2
 
-    monkeypatch.setattr(forms, "unit_form_walk", forbidden)
-    assert default_discriminants(2000) == expected
+
+def test_no_full_principal_walk(monkeypatch):
+    # the field, the cusp, zeta, bound classify, the sweep and audit_row.py's
+    # domain check take the h+ = 1 certificate's half walk: no full walk from
+    # the principal form (unit_form_walk serves split_prime alone) and no list
+    # of reduced forms; make_field takes (l + 1)/2 rho steps, l = len(quotients)
+    audit_row = load_audit_row()
+    discs = (5, 8, 13, 1000033)
+
+    def run_all():
+        fields = [make_field(D) for D in discs]
+        return (fields, [cusp_resolution(F) for F in fields],
+                [zeta_minus_one(D) for D in discs],
+                [classify(D, 3, mode="bound") for D in discs if D > 12],
+                default_discriminants(2000),
+                [audit_row.main(["--disc", str(D)]) for D in (109, 229)])
+
+    expected = run_all()
+    step, steps = forms.rho_step, 0
+
+    def counted(form, D, s=None):
+        nonlocal steps
+        steps += 1
+        return step(form, D, s)
+
+    def forbidden(*args):
+        raise AssertionError("took the full walk or listed the reduced forms")
+
+    monkeypatch.setattr(forms, "rho_step", counted)
+    for module in (forms, field, zeta, chern):
+        for name in ("unit_form_walk", "reduced_indefinite_forms", "h_narrow_indefinite"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert run_all() == expected
+    for D in discs + (10**9 + 9,):
+        steps = 0
+        F = make_field(D)
+        assert 2 * steps == len(F.quotients) + 1, D
 
 
 def test_make_field_contents():

@@ -15,7 +15,6 @@ from hmsurf.forms import (
     h_definite,
     h_narrow_indefinite,
     narrow_class_one,
-    principal_form,
     reduced_indefinite_forms,
     rho_step,
     step_product,
@@ -23,7 +22,8 @@ from hmsurf.forms import (
 )
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
-from helpers import linear_product, oracle_reduced_indefinite_forms
+from helpers import (full_principal_walk, full_walk_certificate, linear_product,
+                     oracle_reduced_indefinite_forms)
 
 
 def oracle_h_definite(N):
@@ -189,11 +189,11 @@ def test_half_walk_stops_at_the_midpoint(monkeypatch):
     fundamental = [D for D in range(5, 5001) if is_fundamental_discriminant(D)]
     plus_one = []
     for D in primes + fundamental:
-        walk = unit_form_walk(principal_form(D), D)
-        leads = walk[2]
+        walk = full_principal_walk(D)
+        leads = [a for a, _, _ in walk[1:]]
         reached.clear()
         verdict = narrow_class_one(D)
-        assert verdict == narrow_class_one(D, walk), D
+        assert verdict == full_walk_certificate(D, walk), D
         if leads[-1] == 1:
             assert not verdict and len(reached) == len(leads), D
             plus_one.append(D)

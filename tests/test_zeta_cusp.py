@@ -6,9 +6,9 @@ import pytest
 import sympy
 
 from hmsurf.chern import default_discriminants
-from hmsurf import field, forms, zeta
+from hmsurf import zeta
 from hmsurf.field import NarrowClassError, make_field
-from hmsurf.forms import h_narrow_indefinite, step_product, unit_form_walk
+from hmsurf.forms import h_narrow_indefinite, step_product
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 from hmsurf.zeta import (
     CuspCycle,
@@ -198,31 +198,6 @@ def test_cusp_resolution_refuses_a_bumped_cycle(monkeypatch):
                 cusp_resolution(F)
             monkeypatch.undo()
         assert cusp_resolution(F).c == local_chern_divisor_sum(D)
-
-
-def test_cusp_resolution_walks_the_rho_cycle_once(monkeypatch):
-    # make_field walks from the principal form once, for eps and for the h+ = 1
-    # certificate, and lists no reduced forms; the cusp reads the quotients it
-    # kept instead of walking again
-    calls = []
-
-    def counted(form, D):
-        calls.append(D)
-        return unit_form_walk(form, D)
-
-    def forbidden(D):
-        raise AssertionError(f"counted the reduced forms of {D}")
-
-    for module in (forms, field, zeta):
-        for name, stand_in in (("unit_form_walk", counted),
-                               ("reduced_indefinite_forms", forbidden),
-                               ("h_narrow_indefinite", forbidden)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, stand_in)
-    for D in (5, 8, 13, 1000033):
-        calls.clear()
-        cusp_resolution(make_field(D))
-        assert calls == [D], D
 
 
 def test_volume_floor():
