@@ -245,6 +245,17 @@ def test_no_full_principal_walk(monkeypatch):
         assert 2 * steps == len(F.quotients) + 1, D
 
 
+def test_the_sweep_takes_no_full_walk(monkeypatch):
+    # default_discriminants certifies each D from the half walk alone
+    expected = default_discriminants(2000)
+
+    def forbidden(form, D):
+        raise AssertionError("took the full walk")
+
+    monkeypatch.setattr(forms, "unit_form_walk", forbidden)
+    assert default_discriminants(2000) == expected
+
+
 def test_make_field_contents():
     F = make_field(13)
     assert isinstance(F, FieldContext)
