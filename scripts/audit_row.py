@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from hmsurf.chern import (ChernError, _inert_cases, c1sq_terms, c2_lower_check, classify,
                           modes_at, theorem_table)
-from hmsurf.field import FieldError, supported_walk
+from hmsurf.elliptic import EllipticError
+from hmsurf.field import FieldError
 from hmsurf.reference_data import published_row
 
 
@@ -47,11 +48,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     D = args.disc
     try:
-        supported_walk(D)  # the domain of `classify`: the table does not check it
-        (row,) = theorem_table([D])
+        (row,) = theorem_table([D])  # refuses a D no surface here has
         if args.n is not None:
             classify(D, args.n - 1, mode="bound")  # refuses a degree no surface has
-    except (FieldError, ChernError) as exc:
+    except (FieldError, EllipticError, ChernError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -25,10 +25,10 @@ from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_pow_int, mpi_su
 from mpmath.libmp.libmpi import mpi_pi
 
 from . import reference_data
-from .elliptic import EllipticCounts, atkin_lehner_refine, counts_gamma0
-from .field import FieldContext, make_field, split_prime, supported_walk
+from .elliptic import EllipticCounts, atkin_lehner_refine, check_point_types, counts_gamma0
+from .field import make_field, norm_achievable, prime_of_norm, supported_walk
 from .forms import _primes, narrow_class_one
-from .ntheory import is_prime, kronecker
+from .ntheory import kronecker
 from .numeric import _log_int, _point, _sqrt_int, check_precision, lower_rational, upper_rational
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -143,17 +143,6 @@ def _c2_degree(D: int) -> int:
     return isqrt(4320 ** 2 // D ** 3) + 1
 
 
-def _check_bound_domain(D: int, q: "int | None" = None) -> None:
-    """ChernError unless the bound penalty, which counts elliptic points of
-    orders 2 and 3 (4 and 6 at an inert 2 or 3), covers every type Gamma0(P)
-    has: so for D > 12, and for D = 5 away from q = 0, 1 mod 5, where its
-    order-5 points meet Gamma0(P) (counts_gamma0).  q=None is every degree."""
-    if not (D > 12 or D == 5 and q is not None and q % 5 not in (0, 1)):
-        at = "" if q is None else f", norm {q}"
-        raise ChernError(f"the bound penalty counts elliptic points of orders 2 and 3 only: "
-                         f"it needs D > 12, or D = 5 at a norm q = 2, 3, 4 mod 5 (D={D}{at})")
-
-
 def modes_at(D: int) -> "tuple[str, str]":
     """(c_mode, default zeta_mode) at D.
 
@@ -218,8 +207,8 @@ def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
             raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
     for zeta_mode in zeta_modes:
         _check_zeta_mode(zeta_mode)
-    for n in ns:
-        _check_bound_domain(D, n - 1)
+    for n in ns:  # the penalty counts points of orders 2 and 3 (4 and 6) only
+        check_point_types(D, n - 1)
     check_precision(precision_bits)
     b = precision_bits
     pi = mpi_pi(b)
@@ -277,8 +266,10 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
     penalty covers the worst admissible elliptic-point counts: the generic
     order-3 budget, with extra terms when the prime of norm 4 (resp. 9)
     forces order-4 (resp. order-6) points, so it holds only where those are
-    all the types (_check_bound_domain at q = n - 1).  All endpoints are
-    rounded so the returned rational really is a lower bound.
+    all the types (elliptic.check_point_types at q = n - 1).  All endpoints
+    are rounded so the returned rational really is a lower bound.  A plain
+    formula: it bounds a surface only at a supported D, which classify and
+    theorem_table check, and it does not.
     """
     bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
     return lower_rational(_total(*bounds[zeta_mode, n, p_case], precision_bits))
@@ -286,7 +277,7 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
 
 def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
                zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
-    """Per-term breakdown of the c1^2 bound, for audit output."""
+    """Per-term breakdown of the c1^2 bound, a plain formula like it."""
     bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
     return _terms(*bounds[zeta_mode, n, p_case], precision_bits)
 
@@ -311,7 +302,7 @@ def _bound_report(D: int, q: int, zeta_mode, precision_bits: int) -> ChernReport
     n = q + 1
     if n < 3:
         raise ChernError(f"surface degree n={n} below the minimum 3")
-    _check_bound_domain(D, q)
+    check_point_types(D, q)
     p_case = _inert_cases(D).get(q, "generic")
     c_mode, default_zeta = modes_at(D)
     zeta_mode = zeta_mode or default_zeta
@@ -331,27 +322,19 @@ def _bound_report(D: int, q: int, zeta_mode, precision_bits: int) -> ChernReport
         chi=LinearForm((c1_lb + c2_lb) / 12), verdict=verdict, notes=notes)
 
 
-def _resolve_prime(F: FieldContext, q: int):
-    """The prime ideal of norm q, or raise if no such prime exists."""
-    if not norm_achievable(F.D, q):
-        raise ChernError(f"no prime of norm {q} in the field of discriminant {F.D}")
-    p = isqrt(q)  # q = p^2 for an inert p, else q is the prime itself
-    return split_prime(F, p if p * p == q else q)[0]
-
-
 def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
              precision_bits: int = 128) -> ChernReport:
     """Full pipeline for one surface: field -> counts -> Chern -> verdict.
 
     F may be a FieldContext or a discriminant.  q is the norm of the prime.
     mode="exact" runs the closed-form Gamma0(P) counts + involution refinement
-    (the action in closed form, see involution_action); it refuses D=5's
-    order-5 levels, q = 0 or 1 mod 5, and D=8 at every level (the count
-    formulas need D > 12).  mode="bound" runs the certified estimates (there
-    q need not be an achievable norm - degrees are swept formally); given a
-    discriminant it takes only make_field's test, `supported_walk`, and
-    builds no field, so no unit and no prime generator.  zeta_mode, the
-    volume term variant, is for bound mode only.
+    (the action in closed form, see involution_action).  mode="bound" runs
+    the certified estimates (there q need not be an achievable norm - degrees
+    are swept formally); given a discriminant it takes only make_field's
+    test, `supported_walk`, and builds no field, so no unit and no prime
+    generator.  Both modes refuse the levels elliptic.check_point_types
+    refuses: D = 5's order-5 levels, q = 0 or 1 mod 5, and D = 8 at every
+    level.  zeta_mode, the volume term variant, is for bound mode only.
     """
     if mode == "bound":
         if not isinstance(F, int):
@@ -364,7 +347,7 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
         raise ChernError(f"zeta_mode={zeta_mode!r} is for bound mode only")
     if isinstance(F, int):
         F = make_field(F)
-    P = _resolve_prime(F, q)
+    P = prime_of_norm(F, q)
     refined = atkin_lehner_refine(counts_gamma0(F, P), P)
     return chern_numbers(F, P, refined, cusp_resolution(F), zeta_minus_one(F.D))
 
@@ -385,18 +368,12 @@ class TableRow:
 
 
 def default_discriminants(dmax: int = 853) -> "list[int]":
-    """Primes D = 1 mod 4 with narrow class number one, 13 <= D <= dmax."""
+    """The D with 13 <= D <= dmax that `field.supported_walk` accepts, with the
+    primes sieved once for all D.  The supported 5 and 8 lie below 13, where
+    elliptic.check_point_types refuses some level."""
     small = list(_primes(isqrt(max(dmax - 1, 0) // 4)))  # every p with 4p^2 < D <= dmax
     return [D for D in _primes(max(dmax, 0))
             if D >= 13 and D % 4 == 1 and narrow_class_one(D, primes=small)]
-
-
-def norm_achievable(D: int, q: int) -> bool:
-    """Whether q occurs as the norm of a prime ideal of the field."""
-    if q >= 2 and is_prime(q):
-        return kronecker(D, q) >= 0
-    p = isqrt(max(q, 0))
-    return p * p == q and is_prime(p) and kronecker(D, p) == -1
 
 
 def _row(D, strict_n, zeta_modes, precision_bits):
@@ -409,7 +386,7 @@ def _row(D, strict_n, zeta_modes, precision_bits):
     decides the row (above EXACT_C_CUTOFF under the volume floor, from TAIL_D
     on under either volume term) nothing is evaluated: n_min = 3, with
     (5, "p2_inert") excluded when 2 is inert and D < P2_FLOOR_D."""
-    _check_bound_domain(D)
+    check_point_types(D)
     inert = _inert_cases(D) if D < TAIL_D else {}  # the tail's rows exclude nothing
     cases = ("generic", *inert.values())
     evaluated = tuple(zeta_mode for zeta_mode in zeta_modes if D < TAIL_D and (
@@ -440,20 +417,25 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
                   precision_bits: int = 128) -> "list[TableRow]":
     """General-type degree ranges for a sweep of discriminants.
 
-    For each D > 12: the least n >= 3 where both certified checks pass for
-    a generic prime, plus failures of the special norm-4 / norm-9 cases at
-    n = 5 / n = 10 (only where 2 resp. 3 stays prime), from at most one
-    evaluation per D, which both volume variants share, and none where the
-    tail lemma decides the row (_row).  With the default zeta_mode (exact
-    below the cutoff), rows also carry the values of the floor-only zeta
-    estimate, so both variants can be diffed.  Rows the lemma decides are not
-    evaluated, so zeta_mode and precision_bits are checked here on entry.
+    An explicit d_list is checked by field.supported_walk, and each D by
+    elliptic.check_point_types at every level; default_discriminants(dmax)
+    is certified already.  For each D: the least n >= 3 where both certified
+    checks pass for a generic prime, plus failures of the special norm-4 /
+    norm-9 cases at n = 5 / n = 10 (only where 2 resp. 3 stays prime), from
+    at most one evaluation per D, which both volume variants share, and none
+    where the tail lemma decides the row (_row).  With the default zeta_mode
+    (exact below the cutoff), rows also carry the values of the floor-only
+    zeta estimate, so both variants can be diffed.  Rows the lemma decides
+    are not evaluated, so zeta_mode and precision_bits are checked on entry.
     """
     if zeta_mode is not None:
         _check_zeta_mode(zeta_mode)
     check_precision(precision_bits)
     if d_list is None:
         d_list = default_discriminants(dmax)
+    else:
+        for D in d_list:
+            supported_walk(D)
     rows = []
     for D in sorted(d_list):
         zmode = zeta_mode or modes_at(D)[1]

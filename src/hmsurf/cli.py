@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import chern, config, elliptic, forms, trees, zeta
-from .field import FieldElement, PrimeIdealData, make_field
+from .field import FieldElement, PrimeIdealData, make_field, prime_of_norm
 from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
 # classnumber's limits, each under 1 s and 80 MB cold (Python 3.11, one core):
@@ -180,7 +180,7 @@ def _cmd_elliptic(args, cfg):
                 "bound mode needs --prime-norm; full-group counts are exact only")
         counts = elliptic.counts_full_group(F)
         return {"D": F.D, "prime": None, "counts": counts}
-    P = chern._resolve_prime(F, args.prime_norm)
+    P = prime_of_norm(F, args.prime_norm)
     if mode == "exact":
         counts = elliptic.counts_gamma0(F, P)
     else:

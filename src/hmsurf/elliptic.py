@@ -94,17 +94,29 @@ class EllipticCounts:
         }
 
 
+def check_point_types(D: int, q: "int | None" = None) -> None:
+    """EllipticError unless Gamma0(P), P of norm q, has elliptic points of
+    orders 2 and 3 only (4 and 6 at an inert 2 or 3), as the count formulas
+    here and chern's bound penalty assume; q=None asks it of every level.
+    Of the supported D (field.supported_walk) only 5 and 8 lie below 13: D = 5
+    has order-5 points exactly at q = 0, 1 mod 5 (counts_gamma0), and D = 8
+    has order-4 points (van der Geer, Hilbert Modular Surfaces, 1988, ch. I).
+    """
+    if not (D > 12 or D == 5 and q is not None and q % 5 not in (0, 1)):
+        at = " at every level" if q is None else f", norm {q}"
+        raise EllipticError(f"the formulas here count elliptic points of orders 2 and 3 only: "
+                            f"they need D > 12, or D = 5 at a norm q = 2, 3, 4 mod 5 (D={D}{at})")
+
+
 def counts_full_group(F: FieldContext) -> EllipticCounts:
-    """Exact elliptic-point counts for PSL2(O), D > 12.
+    """Exact elliptic-point counts for PSL2(O), D > 12 (check_point_types(D)).
 
     a2 = h(-4D) and a3_plus = a3_minus = h(-3D)/2.  The even plus/minus
     split is proved in counts_gamma0 (take P = O there); the note
     a3_minus_assumed_equal_split predates that proof and is kept so the
     printed full-group counts stay unchanged.
     """
-    if F.D <= 12:
-        raise EllipticError(
-            f"exact count formulas need D > 12 (D={F.D})")
+    check_point_types(F.D)
     a2 = h_definite(4 * F.D)
     h3 = h_definite(3 * F.D)
     if h3 % 2:
@@ -116,7 +128,7 @@ def counts_full_group(F: FieldContext) -> EllipticCounts:
 
 
 def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
-    """Exact Gamma0(P) counts in closed form, for D > 12 and for D = 5.
+    """Exact Gamma0(P) counts in closed form, where check_point_types admits P.
 
     A PSL2(O) class of elliptic points with isotropy generator g splits into
     as many Gamma0(P) classes as g fixes cosets of Gamma0(P), i.e. points of
@@ -133,7 +145,7 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     points (D = 5 only) have trace +-omega or +-omega'; the roots of
     x^2 - omega*x + 1 are primitive 10th roots of unity, which F_q holds only
     when 10 | q - 1, and at q = 5 it is (x + 1)^2.  So they meet Gamma0(P)
-    exactly when q = 0 or 1 mod 5, and those levels are refused.
+    exactly when q = 0 or 1 mod 5, and check_point_types refuses those levels.
 
     The equal plus/minus split is proved, not assumed.  Narrow class number
     one gives a unit eps of norm -1, so eps and eps' have opposite signs and
@@ -144,11 +156,8 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     (van der Geer, Hilbert Modular Surfaces, 1988, ch. I; Hirzebruch,
     Hilbert modular surfaces, Enseign. Math. 19 (1973), sec. 3).
     """
+    check_point_types(F.D, P.q)
     if F.D == 5:
-        if P.q % 5 in (0, 1):
-            raise EllipticError(
-                f"order-5 points meet Gamma0(P) for D=5, norm {P.q}; only "
-                "orders 2 and 3 are supported here")
         a2, a3 = PSL_POINT_TOTALS[5][2], PSL_POINT_TOTALS[5][3] // 2
     else:
         full = counts_full_group(F)
@@ -160,14 +169,13 @@ def counts_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
 
 
 def bounds_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
-    """Upper bounds for Gamma0(P) counts, D > 12.
+    """Upper bounds for Gamma0(P) counts, D > 12 (check_point_types(D)).
 
     Passing to Gamma0(P) multiplies each count by at most 3 (at most two
     lower-triangular cosets fix a point, plus possibly the infinity coset),
     so the bounds are 3 * the exact full-group counts.
     """
-    if F.D <= 12:
-        raise EllipticError(f"bound lemmas need D > 12 (D={F.D})")
+    check_point_types(F.D)
     return EllipticCounts(
         a2=3 * h_definite(4 * F.D), a3_plus=Fraction(3 * h_definite(3 * F.D), 2),
         a3_minus=None, mode="upper_bound", group_tag="gamma0",

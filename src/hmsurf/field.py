@@ -13,6 +13,7 @@ norm -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .forms import _half_walk, narrow_class_one, unit_form_walk, walk_element
 from .ntheory import is_prime, kronecker, sqrt_mod
@@ -297,6 +298,22 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
                              omega_image=_omega_image_for(g, p)) for g in gens]
     # deterministic ordering: smaller omega image first
     return tuple(sorted(primes, key=lambda P: P.omega_image))
+
+
+def norm_achievable(D: int, q: int) -> bool:
+    """Whether q occurs as the norm of a prime ideal of the field."""
+    if q >= 2 and is_prime(q):
+        return kronecker(D, q) >= 0
+    p = isqrt(max(q, 0))
+    return p * p == q and is_prime(p) and kronecker(D, p) == -1
+
+
+def prime_of_norm(F: FieldContext, q: int) -> PrimeIdealData:
+    """The prime of norm q (the first of two over a split p), or FieldError."""
+    if not norm_achievable(F.D, q):
+        raise FieldError(f"no prime of norm {q} in the field of discriminant {F.D}")
+    p = isqrt(q)  # q = p^2 for an inert p, else q is the prime itself
+    return split_prime(F, p if p * p == q else q)[0]
 
 
 def _omega_image_for(gen: FieldElement, p: int) -> int:

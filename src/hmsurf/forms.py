@@ -136,13 +136,13 @@ def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
     return sorted(set(forms))  # a = c lists each form twice
 
 
-def rho_step(form: tuple[int, int, int], D: int, s: "int | None" = None) -> tuple[int, int, int]:
+def rho_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
     """The reduction operator: (a,b,c) -> (c,b',c') with b' = -b mod 2|c|.
 
     b' lies in (-|c|, |c|] when |c| > sqrt(D), else in (sqrt(D) - 2|c|, sqrt(D)),
-    i.e. (s - 2|c|, s] with s = isqrt(D), as D is nonsquare; a walk passes s
-    in to take it once.  The steps reach a reduced form, then run round its
-    cycle (Buchmann & Vollmer, Binary Quadratic Forms, 2007, ch. 6).
+    i.e. (s - 2|c|, s] with s = isqrt(D), as D is nonsquare; a walk takes s
+    once.  The steps reach a reduced form, then run round its cycle
+    (Buchmann & Vollmer, Binary Quadratic Forms, 2007, ch. 6).
     """
     _, b, c = form
     two_c = 2 * abs(c)
@@ -151,7 +151,6 @@ def rho_step(form: tuple[int, int, int], D: int, s: "int | None" = None) -> tupl
         if b1 > abs(c):
             b1 -= two_c
     else:
-        s = isqrt(D) if s is None else s
         b1 = s - (s + b) % two_c
     return (c, b1, (b1 * b1 - D) // (4 * c))
 
@@ -175,12 +174,12 @@ def unit_form_walk(form: tuple[int, int, int],
     the one reached after 2^k - 1 steps, so a walk that never meets (+-1, b, c)
     raises RuntimeError within 2*max(mu + 1, lam) + lam - 2 <= 3*(mu + lam) steps.
     """
-    held = form
+    s, held = isqrt(D), form
     quotients = []
     while True:
         for _ in range(len(quotients) + 1):  # 2^k steps after the first 2^k - 1
             _, b, c = form
-            form = rho_step(form, D)
+            form = rho_step(form, D, s)
             quotients.append((b + form[1]) // (2 * c))
             if abs(form[0]) == 1:
                 return form, quotients
@@ -315,7 +314,7 @@ def h_narrow_indefinite(D: int) -> int:
         raise ValueError(f"need D > 0, got {D}")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"D={D} is not a fundamental discriminant")
-    forms = reduced_indefinite_forms(D)
+    forms, s = reduced_indefinite_forms(D), isqrt(D)
     seen: set[tuple[int, int, int]] = set()
     cycles = 0
     for f in forms:
@@ -325,7 +324,7 @@ def h_narrow_indefinite(D: int) -> int:
         g = f
         while True:
             seen.add(g)
-            g = rho_step(g, D)
+            g = rho_step(g, D, s)
             if g == f:
                 break
     return cycles

@@ -24,8 +24,8 @@ from mpmath import iv
 from hmsurf import elliptic
 from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, modes_at, norm_achievable
 from hmsurf.elliptic import EllipticCounts, EllipticError
-from hmsurf.field import (FieldContext, FieldElement, NarrowClassError, UnsupportedShapeError,
-                          make_field)
+from hmsurf.field import (FieldContext, FieldElement, FieldError, NarrowClassError,
+                          UnsupportedShapeError, make_field, supported_walk)
 from hmsurf.forms import h_definite, principal_form, rho_step, unit_form_walk, walk_element
 from hmsurf.ntheory import kronecker
 from hmsurf.numeric import check_precision
@@ -410,6 +410,15 @@ def window_disagreements(row, other):
     return [n for n in range(3, hi + 1) if row.allows(n) != other.allows(n)]
 
 
+def is_supported(D):
+    """Whether field.supported_walk accepts D."""
+    try:
+        supported_walk(D)
+    except FieldError:
+        return False
+    return True
+
+
 def load_audit_row():
     """scripts/audit_row.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "audit_row.py"
@@ -456,9 +465,9 @@ def oracle_reduced_indefinite_forms(D):
 def full_principal_walk(D):
     """Every form f_0 = principal_form(D), ..., f_l of the principal rho walk
     up to the first form (+-1, b, c), for a fundamental D > 0."""
-    walk = [principal_form(D)]
+    s, walk = isqrt(D), [principal_form(D)]
     while True:
-        walk.append(rho_step(walk[-1], D))
+        walk.append(rho_step(walk[-1], D, s))
         if abs(walk[-1][0]) == 1:
             return walk
 

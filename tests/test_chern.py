@@ -38,7 +38,8 @@ from hmsurf.elliptic import (
     counts_gamma0,
     involution_action,
 )
-from hmsurf.field import FieldError, UnsupportedShapeError, make_field, split_prime
+from hmsurf.field import (FieldError, NarrowClassError, UnsupportedShapeError, make_field,
+                          split_prime)
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
 from hmsurf.numeric import PrecisionError, _log_int, _sqrt_int, lower_rational, upper_rational
@@ -51,6 +52,7 @@ from helpers import (
     curve_chern_integrality,
     genus_gamma0_rational,
     interval_precision,
+    is_supported,
     load_audit_row,
     refine_with_action,
     row_scan,
@@ -126,11 +128,12 @@ def test_classify_never_general_type_on_nonpositive_c1sq():
 
 
 def test_classify_input_errors():
-    with pytest.raises(ChernError, match="norm 6"):
+    # which norms name a prime of the field is field's to say
+    with pytest.raises(FieldError, match="norm 6"):
         classify(13, 6)
-    with pytest.raises(ChernError, match="norm -5"):
+    with pytest.raises(FieldError, match="norm -5"):
         classify(13, -5)
-    with pytest.raises(ChernError):
+    with pytest.raises(FieldError):
         classify(13, 2)  # 2 is inert: the degree-one norm-2 prime does not exist
     assert classify(17, 2).mode == "exact"  # the lemma settles a split (2)
     # an inert (2) or (3) takes the action in closed form
@@ -266,9 +269,9 @@ def test_c1sq_bound_refuses_outside_its_penalty_domain():
     # the public bound and its breakdown hold where classify's bound route
     # does: D > 12, or D = 5 away from its order-5 levels q = 0, 1 mod 5
     for D, n in ((8, 300), (12, 300), (5, 12)):
-        with pytest.raises(ChernError, match="orders 2 and 3"):
+        with pytest.raises(EllipticError, match="orders 2 and 3"):
             c1sq_lower_bound(D, n)
-        with pytest.raises(ChernError, match="orders 2 and 3"):
+        with pytest.raises(EllipticError, match="orders 2 and 3"):
             c1sq_terms(D, n)
     assert (c1sq_lower_bound(5, 5, "p2_inert", zeta_mode="exact")
             == classify(5, 4, mode="bound").c1_sq)
@@ -371,6 +374,8 @@ def test_default_discriminants():
     # the walk's certificate picks the D that counting cycles picks
     assert default_discriminants(30000) == [
         D for D in range(13, 30001) if D % 4 == 1 and is_prime(D) and h_narrow_indefinite(D) == 1]
+    # and it is supported_walk's test above 12, with the primes sieved once
+    assert default_discriminants(3000) == [D for D in range(13, 3001) if is_supported(D)]
 
 
 def test_table_row_allows():
@@ -430,6 +435,20 @@ def test_theorem_table_small_window():
 # the tail lemma: rows with D >= TAIL_D need no scan
 # ---------------------------------------------------------------------------
 
+def table_rows(d_list, *, strict_n=False, zeta_mode=None, precision_bits=128):
+    """theorem_table's rows for every D of d_list, in order: through
+    theorem_table at a supported D, and through chern._row, the rows' closed
+    form, which does not check the field, at the D theorem_table refuses."""
+    supported = [D for D in d_list if is_supported(D)]
+    rows = theorem_table(supported, strict_n=strict_n, zeta_mode=zeta_mode,
+                         precision_bits=precision_bits)
+    for D in set(d_list) - set(supported):
+        zmode = zeta_mode or modes_at(D)[1]
+        zmodes = (zmode, "bound") if zeta_mode is None and zmode == "exact" else (zmode,)
+        rows.append(TableRow(D, *chern._row(D, strict_n, zmodes, precision_bits)))
+    return sorted(rows, key=lambda row: row.D)
+
+
 # Each p_case with the least degree at which the table tests it.
 TAIL_CASES = (("generic", 3), ("p2_inert", 5), ("p3_inert", 10))
 
@@ -483,7 +502,7 @@ def test_band_lemma_base_case_and_slope():
             assert lower_rational(_total(*above["bound", 5, "p2_inert"], bits)) > 0
     # every integer D in the band, fundamental or not, matches the scan, so
     # the p2 boundary is pinned: 845 (2 inert) is excluded and 851 is not
-    rows = theorem_table(list(range(band, TAIL_D)), zeta_mode="bound")
+    rows = table_rows(list(range(band, TAIL_D)), zeta_mode="bound")
     for row in rows:
         assert (row.n_min, row.exclusions) == row_scan(row.D, False, "bound", 128), row.D
     excluded = {row.D: row.exclusions for row in rows}
@@ -500,13 +519,13 @@ def test_tail_rows_match_the_scan():
     sample = [D for D in range(TAIL_D, 3000) if is_fundamental_discriminant(D)][::9]
     strict_n_mins = set()
     for D in sample + [1000033]:
-        (row,) = theorem_table([D])
+        (row,) = table_rows([D])
         assert (row.n_min, row.exclusions, row.n_min_alt) == (3, (), None), D
         for strict in (False, True):
             for zeta_mode in ("exact", "bound"):
                 for bits in (128, 512):
-                    (row,) = theorem_table([D], strict_n=strict, zeta_mode=zeta_mode,
-                                           precision_bits=bits)
+                    (row,) = table_rows([D], strict_n=strict, zeta_mode=zeta_mode,
+                                        precision_bits=bits)
                     want = row_scan(D, strict, zeta_mode, bits)
                     assert (row.n_min, row.exclusions) == want, (D, strict, zeta_mode, bits)
                     if strict:
@@ -525,23 +544,63 @@ def test_closed_form_rows_match_the_scan(bits, monkeypatch):
     d_list = [D for D in range(13, TAIL_D) if is_fundamental_discriminant(D)]
     for strict in (False, True):
         for zeta_mode in ("exact", "bound"):
-            rows = theorem_table(d_list, strict_n=strict, zeta_mode=zeta_mode,
-                                 precision_bits=bits)
+            rows = table_rows(d_list, strict_n=strict, zeta_mode=zeta_mode,
+                              precision_bits=bits)
             for row in rows:
                 want = row_scan(row.D, strict, zeta_mode, bits)
                 assert (row.n_min, row.exclusions) == want, (row.D, strict, zeta_mode)
 
 
 def test_table_refuses_outside_the_bound_lemmas():
-    for D in (5, 8, 12):
-        with pytest.raises(ChernError, match="D > 12"):
+    # 5 and 8 are supported fields, but some of their levels have points of
+    # orders other than 2 and 3; 12 is no supported field
+    for D in (5, 8):
+        with pytest.raises(EllipticError, match="D > 12"):
             theorem_table([D])
+    with pytest.raises(UnsupportedShapeError):
+        theorem_table([12])
+
+
+def test_table_refuses_unsupported_d(monkeypatch):
+    # 21 (h+ = 2) is not prime, 45 is not fundamental, 20 = 0 mod 4, 99 = 3
+    # mod 4, 100 is a square and the prime 229 has h+ = 3: each is refused by
+    # the field test before any row is computed
+    refusals = {21: UnsupportedShapeError, 45: UnsupportedShapeError,
+                20: UnsupportedShapeError, 99: UnsupportedShapeError,
+                100: UnsupportedShapeError, 229: NarrowClassError}
+
+    def forbidden(*args):
+        raise AssertionError("computed a row")
+
+    monkeypatch.setattr(chern, "_row", forbidden)
+    for D, kind in refusals.items():
+        for d_list in ([D], [13, D, 853]):
+            with pytest.raises(kind):
+                theorem_table(d_list)
+    assert all(issubclass(kind, FieldError) for kind in refusals.values())
+
+
+def test_default_table_takes_no_second_walk(monkeypatch):
+    # default_discriminants certifies its own list, so theorem_table(dmax=...)
+    # does not walk its D again
+    expected = theorem_table(dmax=2000)
+
+    def forbidden(D):
+        raise AssertionError("walked a default D again")
+
+    monkeypatch.setattr(chern, "supported_walk", forbidden)
+    assert theorem_table(dmax=2000) == expected
+    with pytest.raises(AssertionError, match="walked"):
+        theorem_table([13])
 
 
 def test_divisor_sieve_refuses_non_discriminants_and_squares():
     # at D <= EXACT_C_CUTOFF these reach the divisor sieve behind c and zeta,
     # whose loop ends only for a nonsquare discriminant: it refuses 99 and 100
-    for call in (lambda: theorem_table([99]), lambda: theorem_table([100]),
+    # (theorem_table refuses both before, as no field; its rows' closed form
+    # does not check the shape)
+    for call in (lambda: chern._row(99, False, ("exact",), 128),
+                 lambda: chern._row(100, False, ("exact",), 128),
                  lambda: c1sq_lower_bound(100, 5), lambda: zeta_minus_one(99)):
         with pytest.raises(ValueError, match="not a nonsquare discriminant"):
             call()
@@ -549,13 +608,13 @@ def test_divisor_sieve_refuses_non_discriminants_and_squares():
 
 def test_bound_classify_refuses_d8():
     for q in (2, 4, 7, 9, 1009):
-        with pytest.raises(ChernError, match="D > 12"):
+        with pytest.raises(EllipticError, match="D > 12"):
             classify(8, q, mode="bound")
 
 
 def test_bound_classify_refuses_d5_order5_levels():
     for q in (5, 11, 31, 1021):
-        with pytest.raises(ChernError, match="D > 12"):
+        with pytest.raises(EllipticError, match="D > 12"):
             classify(5, q, mode="bound")
     for q in (4, 9, 19, 29):  # order-5 points miss Gamma0(P)
         assert classify(5, q, mode="bound").mode == "bound"

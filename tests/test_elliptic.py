@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hmsurf.chern import default_discriminants
+from hmsurf.chern import c1sq_lower_bound, classify, default_discriminants
 from hmsurf.elliptic import (
     ALFixedPoints,
     EllipticCounts,
@@ -11,12 +11,13 @@ from hmsurf.elliptic import (
     InconsistentCountsError,
     atkin_lehner_refine,
     bounds_gamma0,
+    check_point_types,
     counts_full_group,
     counts_gamma0,
     involution_action,
     root_count,
 )
-from hmsurf.field import FieldElement, make_field, split_prime
+from hmsurf.field import FieldElement, make_field, norm_achievable, prime_of_norm, split_prime
 from hmsurf.forms import h_definite
 from hmsurf.ntheory import is_prime, kronecker
 
@@ -256,6 +257,43 @@ def test_counts_gamma0_rejects_order5_level():
         with pytest.raises(EllipticError, match="orders 2 and 3"):
             counts_gamma0(F5, P)
     assert refused >= 11
+
+
+def _refusal(call):
+    """The message of the EllipticError call raises, or None if it returns."""
+    try:
+        call()
+    except EllipticError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_refusal_map_across_entry_points():
+    # every entry point refuses exactly where check_point_types refuses, with
+    # its message: at the level's norm q, or at every level (q=None) for the
+    # full-group class-number formulas behind bounds_gamma0
+    refused = set()
+    for D in (5, 8, 13, 17, 29):
+        F = make_field(D)
+        every_level = _refusal(lambda: check_point_types(D))
+        for q in range(2, 61):
+            want = _refusal(lambda: check_point_types(D, q))
+            if want is not None:
+                refused.add((D, q))
+            assert _refusal(lambda: classify(D, q, mode="bound")) == want, (D, q)
+            assert _refusal(lambda: c1sq_lower_bound(D, q + 1)) == want, (D, q)
+            if not norm_achievable(D, q):
+                continue
+            P = prime_of_norm(F, q)
+            assert _refusal(lambda: classify(F, q)) == want, (D, q)
+            assert _refusal(lambda: counts_gamma0(F, P)) == want, (D, q)
+            assert _refusal(lambda: bounds_gamma0(F, P)) == every_level, (D, q)
+        assert (every_level is None) == (D > 12), D
+    # D = 5 at q = 0, 1 mod 5, D = 8 at every q, nothing above 12
+    assert refused == {(5, q) for q in range(2, 61) if q % 5 in (0, 1)} | {
+        (8, q) for q in range(2, 61)}
+    message = _refusal(lambda: check_point_types(5, 11))
+    assert "orders 2 and 3" in message and "D > 12" in message and "norm 11" in message
 
 
 def test_counts_gamma0_refuses_small_fields():

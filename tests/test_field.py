@@ -225,7 +225,7 @@ def test_no_full_principal_walk(monkeypatch):
     expected = run_all()
     step, steps = forms.rho_step, 0
 
-    def counted(form, D, s=None):
+    def counted(form, D, s):
         nonlocal steps
         steps += 1
         return step(form, D, s)

@@ -179,7 +179,7 @@ def test_half_walk_stops_at_the_midpoint(monkeypatch):
     # back to +1 and refuses.
     reached = []
 
-    def recorded(form, D, s=None):
+    def recorded(form, D, s):
         form = rho_step(form, D, s)
         reached.append(form)
         return form
@@ -206,11 +206,11 @@ def test_half_walk_stops_at_the_midpoint(monkeypatch):
 
 def test_rho_step_permutes_reduced_forms():
     for D in (5, 8, 13, 17, 40, 229):
-        forms = reduced_indefinite_forms(D)
+        forms, s = reduced_indefinite_forms(D), isqrt(D)
         assert forms, D
         image = set()
         for f in forms:
-            g = rho_step(f, D)
+            g = rho_step(f, D, s)
             assert g in set(forms), (D, f, g)
             image.add(g)
         assert len(image) == len(forms)  # a bijection on the reduced forms
@@ -218,7 +218,7 @@ def test_rho_step_permutes_reduced_forms():
         for f in forms:
             g, steps = f, 0
             while True:
-                g = rho_step(g, D)
+                g = rho_step(g, D, s)
                 steps += 1
                 assert steps <= len(forms) + 1
                 if g == f:
@@ -227,7 +227,7 @@ def test_rho_step_permutes_reduced_forms():
 
 def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
     # |c| > sqrt(D): b' = -b mod 2|c| is taken in (-|c|, |c|], not below sqrt(D)
-    assert rho_step((-17, -25, -9), 13) == (-9, 7, -1)
+    assert rho_step((-17, -25, -9), 13, 3) == (-9, 7, -1)
     # h+(229) = 3: no form (+-1, b, c) lies on the cycle of (-9, 7, 5)
     with pytest.raises(RuntimeError, match="cycle of"):
         unit_form_walk((-9, 7, 5), 229)
@@ -236,10 +236,10 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
 def _rho_orbit(form, D):
     """(preperiod, period, every form) of the rho orbit of form, by recording
     each form reached."""
-    index = {}
+    index, s = {}, isqrt(D)
     while form not in index:
         index[form] = len(index)
-        form = rho_step(form, D)
+        form = rho_step(form, D, s)
     return index[form], len(index) - index[form], index
 
 
@@ -249,10 +249,10 @@ def test_walk_off_the_principal_class_stops_within_brents_bound(monkeypatch):
     # off the principal class, which is not reduced (p > sqrt(D))
     calls = 0
 
-    def counted(form, D):
+    def counted(form, D, s):
         nonlocal calls
         calls += 1
-        return rho_step(form, D)
+        return rho_step(form, D, s)
 
     monkeypatch.setattr(forms, "rho_step", counted)
     for D, n_forms in ((229, 12), (257, 12), (401, 32), (577, 44), (1129, 96)):

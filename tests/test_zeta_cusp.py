@@ -206,7 +206,7 @@ def test_cusp_resolution_walks_the_rho_cycle_once(monkeypatch):
     # reads the quotients it kept instead of walking again
     step, steps = forms.rho_step, 0
 
-    def counted(form, D, s=None):
+    def counted(form, D, s):
         nonlocal steps
         steps += 1
         return step(form, D, s)
