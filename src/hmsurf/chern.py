@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub
@@ -29,7 +30,8 @@ from .elliptic import EllipticCounts, atkin_lehner_refine, check_point_types, co
 from .field import make_field, norm_achievable, prime_of_norm, supported_walk
 from .forms import _primes, narrow_class_one
 from .ntheory import kronecker
-from .numeric import _log_int, _point, _sqrt_int, check_precision, lower_rational, upper_rational
+from .numeric import (_log_int, _point, _sqrt_int, check_precision, least_clearing,
+                      lower_rational, upper_rational)
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
 # The analytic estimate for the cusp contribution c is only proved for large
@@ -159,9 +161,14 @@ def modes_at(D: int) -> "tuple[str, str]":
 def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
     """{(zeta_mode, n, p_case): intervals (volume, cusp term, penalty)} of the
     c1^2 bound f(D, n) = volume + cusp term - penalty (_total), for every
-    combination of the three tuples.  The cusp term and the penalties are
-    free of n and of the volume variant, so one call evaluates them once;
-    only the volume is evaluated per zeta_mode and degree.
+    combination of the three tuples.  The cusp term, the penalties and
+    zeta_E(-1) are free of n and of the volume variant; only the volume is
+    evaluated per zeta_mode and degree.  The n-free terms are kept in one
+    memo keyed by (D, precision_bits), of 64 keys: it holds all 63 table D
+    below TAIL_D at one precision, so table_diff finds the terms of every
+    such disputed row that theorem_table evaluated before it.  Each entry is
+    a pure function of its key, filled term by term on first use, and every
+    argument is checked on every call before the lookup.
 
     Tail lemma: for every D > EXACT_C_CUTOFF and n >= 3, with the volume
     floor, c2_lower_check holds and f(D, n) > 0 in each p_case at every
@@ -211,33 +218,68 @@ def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
         check_point_types(D, n - 1)
     check_precision(precision_bits)
     b = precision_bits
-    pi = mpi_pi(b)
-    if modes_at(D)[0] == "exact_c":
-        cterm = _point(local_chern_divisor_sum(D), b)
-    else:  # -(sqrt(D)/2) * (3 log^2 D/(2 pi^2) + (21/20) log D), in that order
-        logd = _log_int(D, b)
-        cterm = mpi_mul(mpi_neg(mpi_div(_sqrt_int(D, b), _point(2, b), b), b), mpi_add(
-            mpi_div(mpi_mul(_point(3, b), mpi_pow_int(logd, 2, b), b),
-                    mpi_mul(_point(2, b), mpi_pow_int(pi, 2, b), b), b),
-            mpi_mul(mpi_div(_point(21, b), _point(20, b), b), logd, b), b), b)
-    pen3 = mpi_mul(_sqrt_int(3 * D, b), _log_int(3 * D, b), b)
-    penalty = {"generic": lambda: mpi_div(pen3, mpi_mul(_point(4, b), pi, b), b),
-               "p3_inert": lambda: mpi_div(mpi_mul(_point(4, b), pen3, b), pi, b),
-               # p2_inert keeps the generic order-3 term and adds the order-2 one
-               "p2_inert": lambda: mpi_add(penalty["generic"](), mpi_div(mpi_mul(mpi_mul(
-                   _point(3, b), _sqrt_int(4 * D, b), b), _log_int(4 * D, b), b), pi, b), b)}
-    pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
+    terms = _n_free_terms(D, b)
+    cterm = terms.cterm
+    pens = {p_case: terms.penalty(p_case) for p_case in p_cases}  # only the cases asked for
     bounds = {}
     for zeta_mode in zeta_modes:
         for n in ns:
             if zeta_mode == "exact":
-                volume = 2 * n * zeta_minus_one(D)
+                volume = 2 * n * terms.zeta
                 vol = mpi_div(_point(volume.numerator, b), _point(volume.denominator, b), b)
             else:
                 vol = _volume_floor(D, n, 180, b)
             for p_case, pen in pens.items():
                 bounds[zeta_mode, n, p_case] = (vol, cterm, pen)
     return bounds
+
+
+class _NFreeTerms:
+    """The terms of the c1^2 bound at one (D, bits) that are free of n, each
+    evaluated on first use: the cusp term, the order-3 factor
+    sqrt(3D)*log(3D), each p_case's penalty and zeta_E(-1) (with the exact c,
+    which comes from the same divisor sieve)."""
+
+    def __init__(self, D, bits):
+        self.D, self.bits, self.pi, self.pens = D, bits, mpi_pi(bits), {}
+
+    @cached_property
+    def cterm(self):
+        D, b, pi = self.D, self.bits, self.pi
+        if modes_at(D)[0] == "exact_c":
+            self.zeta = zeta_minus_one(D)
+            return _point(local_chern_divisor_sum(D), b)
+        # -(sqrt(D)/2) * (3 log^2 D/(2 pi^2) + (21/20) log D), in that order
+        logd = _log_int(D, b)
+        return mpi_mul(mpi_neg(mpi_div(_sqrt_int(D, b), _point(2, b), b), b), mpi_add(
+            mpi_div(mpi_mul(_point(3, b), mpi_pow_int(logd, 2, b), b),
+                    mpi_mul(_point(2, b), mpi_pow_int(pi, 2, b), b), b),
+            mpi_mul(mpi_div(_point(21, b), _point(20, b), b), logd, b), b), b)
+
+    @cached_property
+    def pen3(self):
+        return mpi_mul(_sqrt_int(3 * self.D, self.bits), _log_int(3 * self.D, self.bits), self.bits)
+
+    def penalty(self, p_case):
+        if p_case not in self.pens:
+            D, b, pi = self.D, self.bits, self.pi
+            self.pens[p_case] = {
+                "generic": lambda: mpi_div(self.pen3, mpi_mul(_point(4, b), pi, b), b),
+                "p3_inert": lambda: mpi_div(mpi_mul(_point(4, b), self.pen3, b), pi, b),
+                # p2_inert keeps the generic order-3 term and adds the order-2 one
+                "p2_inert": lambda: mpi_add(self.penalty("generic"), mpi_div(mpi_mul(mpi_mul(
+                    _point(3, b), _sqrt_int(4 * D, b), b), _log_int(4 * D, b), b), pi, b), b),
+            }[p_case]()
+        return self.pens[p_case]
+
+    @cached_property
+    def zeta(self):
+        return zeta_minus_one(self.D)
+
+
+@lru_cache(maxsize=64)  # the size is argued at _c1sq_intervals
+def _n_free_terms(D, bits):
+    return _NFreeTerms(D, bits)
 
 
 def _volume_floor(D, n, denominator, bits):
@@ -381,11 +423,14 @@ def _row(D, strict_n, zeta_modes, precision_bits):
     closed form.  The c1^2 bound f(D, n) = n*vol_1 + c - pen has vol_1 > 0 and
     c, pen free of n, so a case passes from n = floor((pen_hi - c_lo)/vol_1_lo)
     + 1 on, certified by n*vol_1_lo + c_lo - pen_hi <= f(D, n); c2 passes from
-    _c2_degree(D) on.  One evaluation at n = 1 gives every volume variant's
-    and inertia case's least degree.  Where the tail lemma at _c1sq_intervals
-    decides the row (above EXACT_C_CUTOFF under the volume floor, from TAIL_D
-    on under either volume term) nothing is evaluated: n_min = 3, with
-    (5, "p2_inert") excluded when 2 is inert and D < P2_FLOOR_D."""
+    _c2_degree(D) on.  The three endpoints are dyadic, m*2^e, so scaled to
+    their least exponent they are integers with the same ratios and the floor
+    is one integer division (numeric.least_clearing).  One evaluation at n = 1
+    gives every volume variant's and inertia case's least degree.  Where the
+    tail lemma at _c1sq_intervals decides the row (above EXACT_C_CUTOFF under
+    the volume floor, from TAIL_D on under either volume term) nothing is
+    evaluated: n_min = 3, with (5, "p2_inert") excluded when 2 is inert and
+    D < P2_FLOOR_D."""
     check_point_types(D)
     inert = _inert_cases(D) if D < TAIL_D else {}  # the tail's rows exclude nothing
     cases = ("generic", *inert.values())
@@ -395,11 +440,7 @@ def _row(D, strict_n, zeta_modes, precision_bits):
     row = ()
     for zeta_mode in zeta_modes:
         if zeta_mode in evaluated:
-            least = {}
-            for case in cases:
-                vol, cterm, pen = bounds[zeta_mode, 1, case]
-                least[case] = ((upper_rational(pen) - lower_rational(cterm))
-                               // lower_rational(vol) + 1)
+            least = {case: least_clearing(*bounds[zeta_mode, 1, case]) for case in cases}
             n_min = max(3, _c2_degree(D), least["generic"])
             exclusions = tuple((q + 1, case) for q, case in inert.items()
                                if not (c2_lower_check(D, q + 1) and q + 1 >= least[case]))
@@ -417,7 +458,8 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
                   precision_bits: int = 128) -> "list[TableRow]":
     """General-type degree ranges for a sweep of discriminants.
 
-    An explicit d_list is checked by field.supported_walk, and each D by
+    An explicit d_list is taken as a set, so a repeated D gives one row and
+    one walk: each D is checked once by field.supported_walk and by
     elliptic.check_point_types at every level; default_discriminants(dmax)
     is certified already.  For each D: the least n >= 3 where both certified
     checks pass for a generic prime, plus failures of the special norm-4 /
@@ -434,10 +476,11 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
     if d_list is None:
         d_list = default_discriminants(dmax)
     else:
+        d_list = sorted(set(d_list))
         for D in d_list:
             supported_walk(D)
     rows = []
-    for D in sorted(d_list):
+    for D in d_list:
         zmode = zeta_mode or modes_at(D)[1]
         zmodes = (zmode, "bound") if zeta_mode is None and zmode == "exact" else (zmode,)
         rows.append(TableRow(D, *_row(D, strict_n, zmodes, precision_bits)))
@@ -465,9 +508,12 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
     """Compare computed rows against the published table.
 
     Two rows agree when their allow-predicates coincide on every degree
-    (_disagree_at lists the degrees where they do not).  For each
-    disagreement the report carries the degrees involved and the per-term
-    bound breakdown there, under both zeta variants.  Disagreements are data:
+    (_disagree_at lists the degrees where they do not); a row with the
+    published n_min and excluded degrees has the published predicate, so it
+    agrees without that test.  For each disagreement the report carries the
+    degrees involved and the per-term bound breakdown there, under both zeta
+    variants, from the n-free terms theorem_table left in _c1sq_intervals'
+    memo (64 (D, precision) keys).  Disagreements are data:
     the published values come without the program that made them.
     """
     discrepancies = []
@@ -479,6 +525,8 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
             unmatched.append(row.D)
             continue
         compared += 1
+        if row.n_min == pub[0] and {n for n, _ in row.exclusions} == pub[1]:
+            continue  # the same n_min and excluded degrees: the same predicate
         pub_row = TableRow(D=row.D, n_min=pub[0],
                            exclusions=tuple((n, "published") for n in sorted(pub[1])))
         bad = _disagree_at(row, pub_row)

@@ -7,7 +7,8 @@ mpmath's interval kernels (`mpmath.libmp`), each call given its precision of
 for the same expression, so the endpoints are `iv`'s.  A "pass" verdict
 requires the *lower* endpoint to clear the threshold, so directed rounding
 errs on the conservative side.  Endpoints are converted to exact `Fraction`s
-(binary floats are dyadic rationals), so the rest stays in exact arithmetic.
+(binary floats are dyadic rationals), so the rest stays in exact arithmetic;
+`least_clearing` compares them as integers scaled to one exponent.
 """
 
 from __future__ import annotations
@@ -52,11 +53,17 @@ def _log_int(k: int, bits: int):
     return mpi_log(_point(k, bits), bits)
 
 
-def _raw_to_fraction(raw) -> Fraction:
+def _decode(raw) -> "tuple[int, int]":
+    """(m, e) with the endpoint raw = m * 2^e; ArithmeticError if it is not finite."""
     sign, man, exp, _bc = raw
     man, exp = -int(man) if sign else int(man), int(exp)
     if man == 0 and exp != 0:
         raise ArithmeticError("non-finite interval endpoint")
+    return man, exp
+
+
+def _raw_to_fraction(raw) -> Fraction:
+    man, exp = _decode(raw)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
@@ -68,6 +75,19 @@ def lower_rational(x) -> Fraction:
 def upper_rational(x) -> Fraction:
     """Exact rational value of the upper endpoint of the pair x."""
     return _raw_to_fraction(x[1])
+
+
+def least_clearing(step, base, bar) -> int:
+    """The least integer n with n*lo(step) + lo(base) - hi(bar) > 0, for
+    lo(step) > 0: floor((hi(bar) - lo(base)) / lo(step)) + 1, in integers.
+
+    Each endpoint is m*2^e.  Scaled by 2^-e0, e0 the least of the three
+    exponents, they become integers with the same ratios, so the floor is
+    one integer division.
+    """
+    (a, ea), (b, eb), (c, ec) = _decode(bar[1]), _decode(base[0]), _decode(step[0])
+    e0 = min(ea, eb, ec)
+    return ((a << ea - e0) - (b << eb - e0)) // (c << ec - e0) + 1
 
 
 def sqrt_log_over_pi(N: int, precision_bits: int = MIN_PRECISION_BITS):

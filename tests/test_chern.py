@@ -1,13 +1,14 @@
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import iv
 
-from hmsurf import chern, cli, field, forms
+from hmsurf import chern, cli, field, forms, numeric, zeta
 from hmsurf.chern import (
     EXACT_C_CUTOFF,
     P2_FLOOR_D,
@@ -42,7 +43,8 @@ from hmsurf.field import (FieldError, NarrowClassError, UnsupportedShapeError, m
                           split_prime)
 from hmsurf.forms import h_narrow_indefinite
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
-from hmsurf.numeric import PrecisionError, _log_int, _sqrt_int, lower_rational, upper_rational
+from hmsurf.numeric import (PrecisionError, _log_int, _sqrt_int, least_clearing, lower_rational,
+                            upper_rational)
 from hmsurf.reference_data import published_row
 from hmsurf.zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
 
@@ -426,6 +428,20 @@ def test_theorem_table_checks_its_arguments_on_entry():
             theorem_table([D], precision_bits=5)
 
 
+def test_table_takes_each_listed_d_once(monkeypatch):
+    walked = []
+
+    def walk(D):
+        walked.append(D)
+        return field.supported_walk(D)
+
+    monkeypatch.setattr(chern, "supported_walk", walk)
+    rows = theorem_table([13, 13, 17])
+    assert walked == [13, 17]
+    assert rows == theorem_table([17, 13]) == theorem_table([13, 17])
+    assert table_diff(rows)["compared"] == 2
+
+
 def test_theorem_table_small_window():
     rows = theorem_table(dmax=100)
     assert [r.D for r in rows] == [13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
@@ -669,28 +685,165 @@ def test_table_diff_frozen_observations():
     assert not {13, 17, 29, 37, 41, 53, 61, 73, 97, 101, 137, 157, 853} & set(ds)
 
 
+TABLE_VARIANTS = ({}, {"strict_n": True}, {"zeta_mode": "bound"}, {"zeta_mode": "exact"})
+
+
+def clear_memos():
+    """Empty the memo of the n-free c1^2 terms and the divisor sums' cache."""
+    chern._n_free_terms.cache_clear()
+    zeta._divisor_sums.cache_clear()
+
+
 def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
     # every inertia case and volume variant of a row comes from one shared
     # evaluation of its n-free terms, so a row up to EXACT_C_CUTOFF costs one
     # call and a row the tail lemma decides (every row above the cutoff, under
-    # the default floor) none; table_diff makes one call per disagreeing row
+    # the default floor) none; table_diff makes one call per disagreeing row,
+    # and finds the terms there in _c1sq_intervals' memo: it runs no divisor
+    # sieve and takes no log
     calls = []
+    counts = Counter()
 
     def counted(*args):
         calls.append(args)
         return _c1sq_intervals(*args)
 
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
     monkeypatch.setattr(chern, "_c1sq_intervals", counted)
+    monkeypatch.setattr(zeta, "_sieve_divisors", counting("sieve", zeta._sieve_divisors))
+    monkeypatch.setattr(chern, "_log_int", counting("log", chern._log_int))
+    clear_memos()
     rows = theorem_table(dmax=853)
     below = [row for row in rows if row.D < TAIL_D]
     alts = [row for row in below if row.n_min_alt is not None]
     assert (len(below), len(alts), len(calls)) == (63, 40, 40)
+    assert (counts["sieve"], counts["log"]) == (40, 62)
     assert sorted(args[0] for args in calls) == [row.D for row in alts]
     assert all(row.D <= EXACT_C_CUTOFF for row in alts)
     calls.clear()
+    counts.clear()
     diff = table_diff(rows)
     assert sorted(args[0] for args in calls) == [e["D"] for e in diff["discrepancies"]]
-    assert len(calls) == 12
+    assert (len(calls), counts["sieve"], counts["log"]) == (12, 0, 0)
+    # the volume floor's table keeps zeta_E(-1), which the sieve behind c
+    # gives, for the diff's exact-volume breakdown
+    clear_memos()
+    rows = theorem_table(dmax=853, zeta_mode="bound")
+    counts.clear()
+    assert len(table_diff(rows)["discrepancies"]) == 13 and counts["sieve"] == 0
+
+
+def _table_and_diff(bits):
+    rows = theorem_table(dmax=853, precision_bits=bits)
+    return rows, table_diff(rows, precision_bits=bits)
+
+
+def test_the_n_free_memo_never_changes_an_answer():
+    # a memo filled at 128 bits does not leak into 8192 bits, and entries a
+    # table filled give the c1sq_terms of entries filled by c1sq_terms
+    clear_memos()
+    _table_and_diff(128)
+    warm = _table_and_diff(8192)
+    clear_memos()
+    assert _table_and_diff(8192) == warm
+
+    cases = {D: ("generic", *chern._inert_cases(D).values()) for D in default_discriminants()}
+
+    def terms():
+        return {(D, n, case, zmode): c1sq_terms(D, n, case, zeta_mode=zmode)
+                for D in cases for n in (3, 5, 10) for case in cases[D]
+                for zmode in ("exact", "bound")}
+
+    clear_memos()
+    cold = terms()
+    clear_memos()
+    _table_and_diff(128)
+    assert terms() == cold
+
+
+@pytest.mark.parametrize("bits", (128, 256, 8192))
+def test_integer_least_degree_is_the_fraction_one(bits, monkeypatch):
+    # at every row, inertia case and volume variant theorem_table evaluates
+    evaluated = []
+
+    def recorded(*args):
+        bounds = _c1sq_intervals(*args)
+        evaluated.extend(bounds.values())
+        return bounds
+
+    monkeypatch.setattr(chern, "_c1sq_intervals", recorded)
+    theorem_table(dmax=853, precision_bits=bits)
+    theorem_table(dmax=853, zeta_mode="exact", precision_bits=bits)
+    # 40 rows up to EXACT_C_CUTOFF in two variants (82 cases) and all 63
+    # below TAIL_D in one (133)
+    assert len(evaluated) == 2 * 82 + 133
+    for vol, cterm, pen in evaluated:
+        assert least_clearing(vol, cterm, pen) == (
+            (upper_rational(pen) - lower_rational(cterm)) // lower_rational(vol) + 1)
+
+
+def test_table_makes_no_rational_endpoint(monkeypatch):
+    expected = [theorem_table(dmax=853, **kw) for kw in TABLE_VARIANTS]
+
+    def forbidden(x):
+        raise AssertionError("made a Fraction of an endpoint")
+
+    for module in (chern, numeric):
+        monkeypatch.setattr(module, "lower_rational", forbidden)
+        monkeypatch.setattr(module, "upper_rational", forbidden)
+    clear_memos()
+    assert [theorem_table(dmax=853, **kw) for kw in TABLE_VARIANTS] == expected
+    with pytest.raises(AssertionError, match="Fraction"):
+        c1sq_terms(13, 3)
+
+
+def oracle_diff(rows):
+    """table_diff with _disagree_at at every row and c1sq_terms at every
+    disputed degree."""
+    discrepancies, unmatched, compared = [], [], 0
+    for row in rows:
+        pub = published_row(row.D)
+        if pub is None:
+            unmatched.append(row.D)
+            continue
+        compared += 1
+        pub_row = TableRow(row.D, pub[0], tuple((n, "published") for n in sorted(pub[1])))
+        bad = chern._disagree_at(row, pub_row)
+        if not bad:
+            continue
+        zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
+        breakdown = {}
+        for n in bad:
+            case = chern._inert_cases(row.D).get(n - 1, "generic")
+            breakdown[str(n)] = {"c2_check": c2_lower_check(row.D, n), "p_case": case, **{
+                f"c1sq_{zmode}_zeta": c1sq_terms(row.D, n, case, zeta_mode=zmode)
+                for zmode in zmodes}}
+        alt = alt_agrees = None
+        if row.n_min_alt is not None:
+            alt = {"n_min": row.n_min_alt, "exclusions": row.exclusions_alt}
+            alt_agrees = not chern._disagree_at(
+                TableRow(row.D, row.n_min_alt, row.exclusions_alt), pub_row)
+        discrepancies.append({
+            "D": row.D, "computed": {"n_min": row.n_min, "exclusions": row.exclusions},
+            "alt": alt, "alt_agrees_with_published": alt_agrees,
+            "published": {"n_min": pub_row.n_min, "exclusions": pub_row.exclusions},
+            "disagree_at": bad, "breakdown": breakdown})
+    return {"compared": compared, "agree": compared - len(discrepancies),
+            "discrepancies": discrepancies, "unmatched": unmatched}
+
+
+def test_table_diff_skips_only_rows_equal_to_the_published_row():
+    # rows with the published n_min and excluded degrees skip _disagree_at
+    # (494 of the 514 default rows at dmax 10^4, 451 of them tail rows); the
+    # diff is the same
+    for kw in TABLE_VARIANTS:
+        rows = theorem_table(dmax=20_000, **kw)
+        assert table_diff(rows) == oracle_diff(rows), kw
 
 
 def test_table_diff_tests_only_candidate_degrees():
@@ -698,8 +851,7 @@ def test_table_diff_tests_only_candidate_degrees():
     # four table variants, each against its published row, its floor-only
     # values and the same D's rows in the other variants; then hand-made rows
     # with n_min above 10
-    tables = [theorem_table(dmax=20_000, **kw) for kw in (
-        {}, {"strict_n": True}, {"zeta_mode": "bound"}, {"zeta_mode": "exact"})]
+    tables = [theorem_table(dmax=20_000, **kw) for kw in TABLE_VARIANTS]
     pairs = disagreeing = 0
     for rows in zip(*tables):
         D = rows[0].D

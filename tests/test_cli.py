@@ -369,6 +369,12 @@ TABLE_SHA256 = {
         "c13f8bfad129493a0a5001d3905a631a4b7bff5b1645f2a0094eb5936dcb9984",
     "table --dmax 10000":
         "c09315717fa0fcb1b85e19cce5896c7c5c019f413dd484d6a52741cde93b0d9d",
+    "table --dmax 10000 --strict-n":
+        "d15bda85f8582852ad15c261c6e24fc558f5582ee2356c4aa963778edb12a831",
+    "table --dmax 10000 --zeta-mode bound":
+        "6ded6fc35fc3d70e75977880a0c556f77894951362985e0c0e0c02e91f43cf6d",
+    "table --dmax 10000 --zeta-mode exact":
+        "c28acf77120b00d31bcedc1867500c39328a0bf4f99d68ea368748fb103ffeea",
     "table --dmax 11000 --zeta-mode bound":
         "e5a87b823bfc6425e8857b2d564c13c2f50e6c82d64db15b114a2a44b994a886",
 }

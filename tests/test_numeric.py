@@ -10,12 +10,13 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import iv
-from mpmath.libmp import mpi_log, mpi_pos
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpi_log, mpi_pos
 
 from hmsurf import cli
 from hmsurf.chern import P_CASES, _c1sq_intervals, _total, _volume_floor
 from hmsurf.ntheory import is_fundamental_discriminant
-from hmsurf.numeric import _log_int, _point, sqrt_log_over_pi
+from hmsurf.numeric import (_log_int, _point, least_clearing, lower_rational, sqrt_log_over_pi,
+                            upper_rational)
 
 from helpers import interval_precision, iv_c1sq_intervals, iv_c2_floor, iv_sqrt_log_over_pi
 
@@ -93,3 +94,20 @@ def test_no_module_uses_iv_or_a_shared_precision(monkeypatch):
     for name, module in sys.modules.items():
         if name.startswith("hmsurf"):
             assert all(value is not iv for value in vars(module).values()), name
+
+
+def test_least_clearing_in_integers_and_refusing_non_finite_endpoints():
+    # the least n with 2n - 3 - 4 > 0, and with (3/8)n - 20 - 7/2 > 0
+    assert least_clearing(_point(2, 128), _point(-3, 128), _point(4, 128)) == 4
+    step, base, bar = ((from_man_exp(m, e),) * 2 for m, e in ((3, -3), (-5, 2), (7, -1)))
+    assert least_clearing(step, base, bar) == 63
+    # the endpoint each argument's bound reads: lo(step), lo(base), hi(bar)
+    one = _point(1, 128)
+    for bad in (finf, fninf, fnan):
+        for args in (((bad, bad), one, one), (one, (bad, bad), one), (one, one, (bad, bad))):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                least_clearing(*args)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            lower_rational((bad, bad))
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            upper_rational((bad, bad))
