@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .forms import _half_walk, narrow_class_one, unit_form_walk, walk_element
+from .forms import _half_walk, _reduce, narrow_class_one, walk_element
 from .ntheory import is_prime, kronecker, sqrt_mod
 
 
@@ -160,14 +160,17 @@ class FieldElement:
 @dataclass(frozen=True)
 class FieldContext:
     """A field make_field certified to have h+ = 1: D, the fundamental unit
-    eps (of norm -1), eps^2 and the step quotients of the principal rho walk
+    eps (of norm -1), eps^2, the step quotients of the principal rho walk
     that gives eps, read off its first half and that half's mirror image
-    (omega's partial quotients, see zeta.minus_cf_cycle)."""
+    (omega's partial quotients, see zeta.minus_cf_cycle), and that half walk,
+    the certificate's forms f_0, ..., f_(m+1) as (|a|, b, |c|), on which
+    split_prime finds its reduced forms."""
 
     D: int
     eps: FieldElement
     eps_plus: FieldElement  # fundamental totally positive unit, eps^2
     quotients: tuple[int, ...]
+    walk: tuple[tuple[int, int, int], ...]
 
     @property
     def omega(self) -> FieldElement:
@@ -207,7 +210,11 @@ def make_field(D: int) -> FieldContext:
       c: t_(i+l) = -t_i.
     * So t_(l-2-j) = -t_(-j-2) = -t_j (0 <= j <= l - 2), and t_(l-1) =
       -t_(-1) = -b0, as f_(-1) = f_0* = (c0, b0, 1).
-    With H = (t_0, ..., t_(m-1)), the period is H, then -H reversed, then -b0.
+    * The half walk holds (|a_j|, b_j, |c_j|), and c_j has the sign (-1)^(j+1)
+      (`forms._cycle_step`), so t_j = (-1)^(j+1)(b_j + b_(j+1))/(2|c_j|).
+    With H = (|t_0|, ..., |t_(m-1)|), the period's |t| are H, then H reversed,
+    then b0, and t_j has the sign (-1)^(j+1): t_(l-2-j) = -t_j has the sign
+    (-1)^(l-1-j) as l is odd, and t_(l-1) = -b0 the sign (-1)^l.
 
     The walk's unit eta = (u + v*sqrt(D))/2 generates the units modulo -1, so
     +-eta and +-eta' = (+-u +- v*sqrt(D))/2 are +-eps and +-1/eps (N(eta) = -1).
@@ -215,12 +222,13 @@ def make_field(D: int) -> FieldContext:
     are positive at eps: eps = (|u| + |v|*sqrt(D))/2, and eps_plus = eps^2.
     """
     walk = supported_walk(D)
-    _, b0, c0 = walk[0]
+    _, b0, abs_c0 = walk[0]
     half = [(b + b1) // (2 * c) for (_, b, c), (_, b1, _) in zip(walk[:-2], walk[1:])]
-    quotients = (*half, *(-t for t in reversed(half)), -b0)
-    u, v = walk_element((-1, b0, -c0), quotients)
+    quotients = tuple(t if j % 2 else -t for j, t in enumerate((*half, *reversed(half), b0)))
+    u, v = walk_element((-1, b0, abs_c0), quotients)
     eps = FieldElement(abs(u), abs(v), D)
-    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=quotients)
+    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=quotients,
+                        walk=tuple(walk))
 
 
 @dataclass(frozen=True)
@@ -273,12 +281,30 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     """All primes of O_E above the rational prime p with canonical generators.
 
     A degree-one prime is (p, (b + sqrt(D))/2) with b = D mod 2 and
-    b^2 = D mod 4p; walking from the form (p, b, (b^2 - D)/4p) gives an
-    element of norm +-p, which h+ = 1 guarantees.  For split p the second
-    generator is the first's conjugate: conjugation maps the totally positive
-    associates y of x onto those of x', and y's key (|u|+|v|, u, v) to
-    (|u|+|v|, u, -v).  Two associates tying on (|u|+|v|, u) would be y and
-    y', making P = P'.  So the least key maps to the least key.
+    b^2 = D mod 4p, b taken in (sqrt(D) - 2p, sqrt(D)).  A rho walk from the
+    form g = (p, b, (b^2 - D)/4p) to a form (+-1, b', c') gives an element x
+    of norm +-p (`walk_element`), so (x) is the prime or its conjugate, the
+    only ideals of norm p.  The walk reads the principal cycle off F.walk:
+    * `forms._reduce` takes g to a reduced form, or to |a| = 1 where the walk
+      ends.  h+ = 1, so g is properly equivalent to f_0 = (1, b0, c0), and
+      reduced forms are equivalent exactly when they share a cycle: the form
+      is sigma*f_k (sigma = +-1, -f = (-a, b, -c)) on the principal cycle
+      f_0, ..., f_(2l-1), f_(i+l) = -f_i, l = len(F.quotients).
+    * The |a| = 1 forms there are f_0 and f_l, so (|a|, b, |c|) of f_0, ...,
+      f_(l-1) are distinct, and they are all on the half walk f_0, ...,
+      f_(m+1), l = 2m + 1: f_j itself, or f_(l-1-j) = -f_j* = (-c_j, b_j, -a_j)
+      for j <= m (`forms.narrow_class_one`).  a(f_k) has the sign (-1)^k, which
+      gives sigma.  A form not found breaks h+ = 1: RuntimeError, no loop.
+    * rho(-f) = -rho(f) with the quotient negated, so the walk goes on from
+      sigma*f_k to sigma*f_l = (-sigma, b0, -sigma*c0) with the quotients
+      sigma*t_k, ..., sigma*t_(l-1), the suffix of F.quotients.
+    The generator depends only on (x): the totally positive associates of x
+    are y*eps_plus^k, and the least key among them is taken.  For split p the
+    second generator is the first's conjugate: conjugation maps the totally
+    positive associates y of x onto those of x', and y's key (|u|+|v|, u, v)
+    to (|u|+|v|, u, -v).  Two associates tying on (|u|+|v|, u) would be y and
+    y', making P = P'.  So the least key maps to the least key, and the
+    output is the same whether (x) is the prime or its conjugate.
     """
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
@@ -287,9 +313,16 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     if sym == -1:
         return (PrimeIdealData(D=D, p=p, splitting="inert", f=2,
                                generator=FieldElement.from_int(p, D), omega_image=None),)
-    b = sqrt_mod(D, p)
+    b, s = sqrt_mod(D, p), isqrt(D)
     b += p * ((b - D) % 2)
-    end, quotients = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
+    b = s - (s - b) % (2 * p)
+    end, quotients = _reduce((p, b, (b * b - D) // (4 * p)), D, s)
+    if abs(end[0]) != 1:
+        k = _cycle_position(F, end)
+        sigma = 1 if (end[0] > 0) == (k % 2 == 0) else -1
+        _, b0, abs_c0 = F.walk[0]
+        quotients += [sigma * t for t in F.quotients[k:]]
+        end = (-sigma, b0, sigma * abs_c0)
     x = FieldElement(*walk_element(end, quotients), D)
     g = _positive_generator(x, F)
     gens = (g, g.conjugate()) if sym == 1 else (g,)
@@ -298,6 +331,18 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
                              omega_image=_omega_image_for(g, p)) for g in gens]
     # deterministic ordering: smaller omega image first
     return tuple(sorted(primes, key=lambda P: P.omega_image))
+
+
+def _cycle_position(F: FieldContext, form: tuple[int, int, int]) -> int:
+    """The k < l with form = +-f_k on F's principal cycle: f_k is F.walk[k],
+    or f_(l-1-j) has the |a| and |c| of F.walk[j] swapped (`split_prime`)."""
+    a, b, c = form
+    key, mirror = (abs(a), b, abs(c)), (abs(c), b, abs(a))
+    if key in F.walk:
+        return F.walk.index(key)
+    if mirror in F.walk:
+        return len(F.quotients) - 1 - F.walk.index(mirror)
+    raise RuntimeError(f"the reduced form {form} is not on the principal cycle of D={F.D}")
 
 
 def norm_achievable(D: int, q: int) -> bool:

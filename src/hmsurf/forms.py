@@ -19,8 +19,10 @@ Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
   round the principal cycle (Minkowski's bound), without listing the forms:
   it stops where the walk meets its mirror image, two equal |a| in a row.
 
-All comparisons against sqrt(D) are done by squaring, so the routines are
-exact for every nonsquare discriminant.
+Forms are walked in two ways, each defined once: `_reduce` takes a form to a
+reduced one, and `_cycle_step` walks a cycle of reduced forms as (|a|, b, |c|).
+All comparisons against sqrt(D) are done by squaring or against isqrt(D), so
+the routines are exact for every nonsquare discriminant.
 """
 
 from __future__ import annotations
@@ -136,56 +138,52 @@ def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
     return sorted(set(forms))  # a = c lists each form twice
 
 
-def rho_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
-    """The reduction operator: (a,b,c) -> (c,b',c') with b' = -b mod 2|c|.
+def _cycle_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
+    """One rho step round a cycle of reduced forms, held as (|a|, b, |c|).
 
-    b' lies in (-|c|, |c|] when |c| > sqrt(D), else in (sqrt(D) - 2|c|, sqrt(D)),
-    i.e. (s - 2|c|, s] with s = isqrt(D), as D is nonsquare; a walk takes s
-    once.  The steps reach a reduced form, then run round its cycle
-    (Buchmann & Vollmer, Binary Quadratic Forms, 2007, ch. 6).
+    s = isqrt(D).  A reduced form (a, b, c) (`reduced_indefinite_forms`) has
+    0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.  Its ac = (b^2 - D)/4
+    is < 0, and 2|c| = (sqrt(D) - b)(sqrt(D) + b)/2|a| lies in the same window
+    (its endpoints multiply to D - b^2), so |c| < sqrt(D).  rho takes (a, b, c)
+    to (c, b', c') with b' = -b mod 2|c| in (sqrt(D) - 2|c|, sqrt(D)), i.e.
+    b' = s - (s + b) mod 2|c| as D is nonsquare; the image is reduced and rho
+    permutes the reduced forms (Buchmann & Vollmer, Binary Quadratic Forms,
+    2007, ch. 6).  -sqrt(D) < b' < sqrt(D), so c' = (b'^2 - D)/4c has the sign
+    of -c, and a' = c has the sign of -a: the sign of a alternates along the
+    cycle, and the step needs only |c'| = (D - b'^2)/4|c|.
     """
     _, b, c = form
-    two_c = 2 * abs(c)
-    if c * c > D:
-        b1 = (-b) % two_c
-        if b1 > abs(c):
-            b1 -= two_c
-    else:
-        b1 = s - (s + b) % two_c
-    return (c, b1, (b1 * b1 - D) // (4 * c))
+    b1 = s - (s + b) % (2 * c)
+    return (c, b1, (D - b1 * b1) // (4 * c))
 
 
-def principal_form(D: int) -> tuple[int, int, int]:
-    """The principal reduced form (1, b, (b^2 - D)/4), b the largest b < sqrt(D)
-    with b = D mod 2."""
-    s = isqrt(D)
-    b = s - (s - D) % 2
-    return (1, b, (b * b - D) // 4)
+def _reduce(form: tuple[int, int, int], D: int,
+            s: int) -> tuple[tuple[int, int, int], list[int]]:
+    """rho steps from form (a, b, c) until it is reduced or |a| = 1.
 
-
-def unit_form_walk(form: tuple[int, int, int],
-                   D: int) -> tuple[tuple[int, int, int], list[int]]:
-    """Walk rho steps from (a0, b, c) to the first form (a', b', c') with a' = +-1.
-
-    Returns that form and the step quotients t = (b + b')/(2c) in walk order;
-    from (p, b, c) (`field.split_prime`) the walk may start off the principal
-    cycle.  It is eventually periodic (`rho_step`), say with preperiod mu and
-    period lam, and Brent's check (Brent 1980) compares the next 2^k forms with
-    the one reached after 2^k - 1 steps, so a walk that never meets (+-1, b, c)
-    raises RuntimeError within 2*max(mu + 1, lam) + lam - 2 <= 3*(mu + lam) steps.
+    Returns that form and the step quotients t = (b + b')/2c in walk order.
+    The step is the reduction operator: b' = -b mod 2|c|, taken in (-|c|, |c|]
+    when c^2 > D and in (sqrt(D) - 2|c|, sqrt(D)) (`_cycle_step`) otherwise,
+    i.e. in (r - 2|c|, r] with r = max(|c|, isqrt(D)).
+    It ends, with no cycle check:
+    * While c^2 > D, |b'| <= |c| and |b'^2 - D| < c^2, so |c'| < |c|/4: there
+      are at most log_4(|c|/sqrt(D)) + 1 such steps.
+    * Once |c| < sqrt(D), b' lies in (sqrt(D) - 2|c|, sqrt(D)), so |b'| <
+      sqrt(D) and a' = c is in the window when 2|c| < sqrt(D): the image is
+      reduced.  Else |c'| = (D - b'^2)/4|c| < D/4|c| < sqrt(D)/2, and the next
+      image is reduced.
+    From (p, b, c) with b in (sqrt(D) - 2p, sqrt(D)) (`field.split_prime`) it
+    takes no step when 2p < sqrt(D), where the form is reduced, and else |c| <
+    p (b^2 and D are below 4p^2), so O(log p) steps.
     """
-    s, held = isqrt(D), form
+    a, b, c = form
     quotients = []
-    while True:
-        for _ in range(len(quotients) + 1):  # 2^k steps after the first 2^k - 1
-            _, b, c = form
-            form = rho_step(form, D, s)
-            quotients.append((b + form[1]) // (2 * c))
-            if abs(form[0]) == 1:
-                return form, quotients
-            if form == held:
-                raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
-        held = form
+    while abs(a) != 1 and not (0 < b <= s and s - b < 2 * abs(a) <= s + b):
+        r = max(abs(c), s)  # |c| > s exactly when c^2 > D
+        b1 = r - (r + b) % (2 * abs(c))
+        quotients.append((b + b1) // (2 * c))
+        a, b, c = c, b1, (b1 * b1 - D) // (4 * c)
+    return (a, b, c), quotients
 
 
 def step_product(ts) -> tuple[int, int, int, int]:
@@ -208,14 +206,15 @@ def step_product(ts) -> tuple[int, int, int, int]:
 
 
 def walk_element(end: tuple[int, int, int], quotients) -> tuple[int, int]:
-    """(u, v) of the element (u + v*sqrt(D))/2 that `unit_form_walk` from
-    (a0, b, c) to end = (a', b', c') gives: its norm is a' * a0 = +-a0.
+    """(u, v) of the element (u + v*sqrt(D))/2 that a rho walk with these step
+    quotients from (a0, b, c) to end = (a', b', c') gives: its norm is a' * a0,
+    +-a0 when a' = +-1.
 
     A step is the substitution (x, y) -> (-y, x + t*y), and M =
     step_product(quotients).  (x, y) = (m11, -m10), the first column of M^-1,
     has a'x^2 + b'xy + c'y^2 = a0, so (u, v) = (2a'x + b'y, y).  From the
-    principal form this is the fundamental unit; from (p, b, c) it is the
-    principal-ideal test by reduction (Buchmann & Vollmer ch. 6).
+    principal form round its cycle this is the fundamental unit; from
+    (p, b, c) to +-1 it generates a prime of norm p (`field.split_prime`).
     """
     a1, b1, _ = end
     _, _, m10, m11 = step_product(quotients)
@@ -223,20 +222,22 @@ def walk_element(end: tuple[int, int, int], quotients) -> tuple[int, int]:
 
 
 def _half_walk(D: int) -> list[tuple[int, int, int]]:
-    """The forms f_0 = principal_form(D), ..., f_(m+1) of the principal walk,
-    up to its first two consecutive forms with equal |a|, or [] if it comes
-    back to +1 first (the half walk of `narrow_class_one`)."""
-    s, form, last = isqrt(D), principal_form(D), 1
-    walk = [form]
+    """The forms f_0, ..., f_(m+1) of the principal walk as (|a|, b, |c|), up
+    to its first two consecutive forms with equal |a|, or [] if it comes back
+    to +1 first (the half walk of `narrow_class_one`).  f_0 = (1, b0, c0) is
+    the principal form, b0 the largest b < sqrt(D) with b = D mod 2; a(f_j)
+    has the sign (-1)^j and c(f_j) the other (`_cycle_step`)."""
+    s = isqrt(D)
+    b0 = s - (s - D) % 2
+    walk = [(1, b0, (D - b0 * b0) // 4)]
+    form = walk[0]
     while True:
-        form = rho_step(form, D, s)
+        last, form = form[0], _cycle_step(form, D, s)
         walk.append(form)
-        a = abs(form[0])
-        if a == last:  # the midpoint
+        if form[0] == last:  # the midpoint
             return walk
-        if a == 1:  # back at the principal form: N(eps) = +1
+        if form[0] == 1:  # back at the principal form: N(eps) = +1
             return []
-        last = a
 
 
 def narrow_class_one(D: int, walk=None, primes=None) -> bool:
@@ -245,9 +246,9 @@ def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     walk is `_half_walk(D)`, taken here if not given.  primes, if given, is a
     sorted list holding every prime p with 4p^2 < D (a sweep sieves them once
     for all its D); else they are sieved here.  h+(D) = 1 exactly when the
-    principal walk, `unit_form_walk(principal_form(D), D)`, ends at leading
-    coefficient -1 and every prime p with 4p^2 < D and (D/p) >= 0 is some |a|
-    along it; the half walk tells both.  Proof:
+    principal walk, rho steps from f_0 = (1, b0, c0) to the first form with
+    |a| = 1, ends at leading coefficient -1 and every prime p with 4p^2 < D
+    and (D/p) >= 0 is some |a| along it; the half walk tells both.  Proof:
 
     * The walk stops at the first form (+-1, b, c) on the principal cycle,
       and its unit eta (`walk_element`), of norm that leading coefficient,
@@ -302,32 +303,38 @@ def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     walk = _half_walk(D) if walk is None else walk
     if not walk:
         return False
-    met = {abs(a) for a, _, _ in walk}
+    met = {a for a, _, _ in walk}
     top = isqrt((D - 1) // 4)  # 4p^2 < D  <=>  p <= top
     primes = _primes(top) if primes is None else primes[:bisect_right(primes, top)]
     return all(p in met or kronecker(D, p) < 0 for p in primes)
 
 
 def h_narrow_indefinite(D: int) -> int:
-    """Narrow class number h+(D) of fundamental (so nonsquare) D: cycles of reduced forms."""
+    """Narrow class number h+(D) of fundamental (so nonsquare) D: cycles of reduced forms.
+
+    Reduced forms are properly equivalent exactly when they share a rho cycle
+    (Buchmann & Vollmer ch. 6), so h+ counts the cycles.  They are counted
+    from the cycles of (|a|, b, |c|) under `_cycle_step`.  Over an unsigned
+    form are two reduced forms f and -f = (-a, b, -c), and rho(-f) = -rho(f).
+    So if the unsigned cycle of f has length L, rho^L(f) = +-f, with the sign
+    (-1)^L as a alternates: for odd L, f and -f share one signed cycle of
+    length 2L; for even L they lie on two cycles of length L.  Each unsigned
+    cycle counts 1 if L is odd and 2 if L is even.
+    """
     if D <= 0:
         raise ValueError(f"need D > 0, got {D}")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"D={D} is not a fundamental discriminant")
-    forms, s = reduced_indefinite_forms(D), isqrt(D)
-    seen: set[tuple[int, int, int]] = set()
-    cycles = 0
-    for f in forms:
-        if f in seen:
-            continue
-        cycles += 1
-        g = f
-        while True:
-            seen.add(g)
-            g = rho_step(g, D, s)
-            if g == f:
-                break
-    return cycles
+    unsigned = {(abs(a), b, abs(c)) for a, b, c in reduced_indefinite_forms(D)}
+    s, h = isqrt(D), 0
+    while unsigned:
+        f = g = unsigned.pop()
+        length = 1
+        while (g := _cycle_step(g, D, s)) != f:
+            unsigned.remove(g)
+            length += 1
+        h += 2 - length % 2
+    return h
 
 
 # -- analytic bound ----------------------------------------------------------

@@ -25,9 +25,10 @@ from hmsurf import elliptic
 from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, modes_at, norm_achievable
 from hmsurf.elliptic import EllipticCounts, EllipticError
 from hmsurf.field import (FieldContext, FieldElement, FieldError, NarrowClassError,
-                          UnsupportedShapeError, make_field, supported_walk)
-from hmsurf.forms import h_definite, principal_form, rho_step, unit_form_walk, walk_element
-from hmsurf.ntheory import kronecker
+                          UnsupportedShapeError, _omega_image_for, _positive_generator,
+                          make_field, supported_walk)
+from hmsurf.forms import h_definite, reduced_indefinite_forms, walk_element
+from hmsurf.ntheory import kronecker, sqrt_mod
 from hmsurf.numeric import check_precision
 from hmsurf.reference_data import PSL_POINT_TOTALS
 from hmsurf.trees import TreeError, TreeGraph, center_distance, tree_center
@@ -459,6 +460,88 @@ def oracle_reduced_indefinite_forms(D):
 
 
 # ---------------------------------------------------------------------------
+# forms: the signed rho walk, the oracle for forms._cycle_step and forms._reduce
+# ---------------------------------------------------------------------------
+
+def rho_step(form, D, s):
+    """The reduction operator on signed forms: (a,b,c) -> (c,b',c') with
+    b' = -b mod 2|c|, s = isqrt(D).
+
+    b' lies in (-|c|, |c|] when |c| > sqrt(D), else in (sqrt(D) - 2|c|, sqrt(D)),
+    i.e. (s - 2|c|, s] as D is nonsquare.  The steps reach a reduced form,
+    then run round its cycle (Buchmann & Vollmer, Binary Quadratic Forms,
+    2007, ch. 6).
+    """
+    _, b, c = form
+    two_c = 2 * abs(c)
+    if c * c > D:
+        b1 = (-b) % two_c
+        if b1 > abs(c):
+            b1 -= two_c
+    else:
+        b1 = s - (s + b) % two_c
+    return (c, b1, (b1 * b1 - D) // (4 * c))
+
+
+def principal_form(D):
+    """The principal reduced form (1, b, (b^2 - D)/4), b the largest b < sqrt(D)
+    with b = D mod 2."""
+    s = isqrt(D)
+    b = s - (s - D) % 2
+    return (1, b, (b * b - D) // 4)
+
+
+def unit_form_walk(form, D):
+    """Walk rho steps from (a0, b, c) to the first form (a', b', c') with a' = +-1.
+
+    Returns that form and the step quotients t = (b + b')/(2c) in walk order.
+    The walk is eventually periodic, and Brent's check (Brent 1980) compares
+    the next 2^k forms with the one reached after 2^k - 1 steps, so a walk
+    that never meets (+-1, b, c) raises RuntimeError.
+    """
+    s, held = isqrt(D), form
+    quotients = []
+    while True:
+        for _ in range(len(quotients) + 1):  # 2^k steps after the first 2^k - 1
+            _, b, c = form
+            form = rho_step(form, D, s)
+            quotients.append((b + form[1]) // (2 * c))
+            if abs(form[0]) == 1:
+                return form, quotients
+            if form == held:
+                raise RuntimeError(f"no form (+-1, b, c) in the cycle of {form}, D={D}")
+        held = form
+
+
+def oracle_split_generators(F, p):
+    """The generators split_prime(F, p) gives for a split or ramified p, from a
+    signed rho walk of (p, b, (b^2 - D)/4p), b in [0, 2p), to the first form
+    (+-1, b', c') (`unit_form_walk`); a split p's two in omega-image order.
+    Only the walk is the oracle's: the choice of associate and the omega
+    image are the package's `_positive_generator` and `_omega_image_for`."""
+    D = F.D
+    b = sqrt_mod(D, p)
+    b += p * ((b - D) % 2)
+    end, quotients = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
+    g = _positive_generator(FieldElement(*walk_element(end, quotients), D), F)
+    gens = (g, g.conjugate()) if kronecker(D, p) == 1 else (g,)
+    return sorted(gens, key=lambda x: _omega_image_for(x, p))
+
+
+def signed_cycle_count(D):
+    """h+(D) as the number of rho cycles of signed reduced forms (`rho_step`),
+    listed by forms.reduced_indefinite_forms, which test_forms checks against
+    the window scan `oracle_reduced_indefinite_forms`."""
+    s, left, cycles = isqrt(D), set(reduced_indefinite_forms(D)), 0
+    while left:
+        f = g = left.pop()
+        while (g := rho_step(g, D, s)) != f:
+            left.remove(g)
+        cycles += 1
+    return cycles
+
+
+# ---------------------------------------------------------------------------
 # field: make_field from the full principal walk
 # ---------------------------------------------------------------------------
 
@@ -482,19 +565,23 @@ def full_walk_certificate(D, walk):
 
 def oracle_make_field(D):
     """make_field from the full principal walk: the shape test, the full
-    walk's certificate, and eps and the quotients of `unit_form_walk` from
-    the principal form; the refusals are make_field's."""
+    walk's certificate, eps and the quotients of `unit_form_walk` from the
+    principal form, and the walk's first (l + 3)/2 forms without signs; the
+    refusals are make_field's."""
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
     if not (D == 8 or (D % 4 == 1 and sympy.isprime(D))):
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)")
-    if not full_walk_certificate(D, full_principal_walk(D)):
+    walk = full_principal_walk(D)
+    if not full_walk_certificate(D, walk):
         raise NarrowClassError(D)
     end, quotients = unit_form_walk(principal_form(D), D)
     u, v = walk_element(end, quotients)
     eps = FieldElement(abs(u), abs(v), D)
-    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients))
+    half = tuple((abs(a), b, abs(c)) for a, b, c in walk[:len(walk) // 2 + 1])
+    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients),
+                        walk=half)
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,9 @@ def test_classify_bound_mode():
 
 def test_bound_classify_builds_no_field(monkeypatch):
     # given a discriminant, bound classify checks D's shape and takes the
-    # certificate's half walk: no full walk, no unit and no field, with the
-    # report and the refusals (type and message) of the field-built route
+    # certificate's half walk (test_field's census counts its steps): no unit
+    # and no field, with the report and the refusals (type and message) of
+    # the field-built route
     asks = ((13, 103), (13, 4), (97, 4), (853, 3), (1000033, 7))
     expected = [classify(make_field(D), q, mode="bound") for D, q in asks]
     refusals = {}
@@ -312,12 +313,10 @@ def test_bound_classify_builds_no_field(monkeypatch):
         refusals[D] = (type(refused.value), str(refused.value))
 
     def forbidden(*args):
-        raise AssertionError("took the full walk or built the field")
+        raise AssertionError("built a unit or the field")
 
-    for module in (forms, field, chern):
-        for name in ("unit_form_walk", "step_product", "make_field"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    for module, name in ((forms, "step_product"), (field, "make_field"), (chern, "make_field")):
+        monkeypatch.setattr(module, name, forbidden)
     assert [classify(D, q, mode="bound") for D, q in asks] == expected
     for D, (kind, message) in refusals.items():
         with pytest.raises(kind) as refused:

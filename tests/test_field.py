@@ -16,12 +16,13 @@ from hmsurf.field import (
     make_field,
     split_prime,
 )
-from hmsurf.forms import principal_form, unit_form_walk, walk_element
-from hmsurf.ntheory import is_prime
+from hmsurf.forms import walk_element
+from hmsurf.ntheory import is_prime, kronecker
 from hmsurf.zeta import cusp_resolution, zeta_minus_one
 
-from helpers import (ResidueField, divide_exact, linear_product, load_audit_row,
-                     oracle_make_field, real)
+from helpers import (ResidueField, divide_exact, full_principal_walk, linear_product,
+                     load_audit_row, oracle_make_field, oracle_split_generators,
+                     principal_form, real, unit_form_walk)
 
 DISCS = (5, 8, 13, 17, 29)
 
@@ -207,53 +208,89 @@ def test_make_field_reads_the_full_walk_off_its_half():
 
 
 def test_no_full_principal_walk(monkeypatch):
-    # the field, the cusp, zeta, bound classify, the sweep and audit_row.py's
-    # domain check take the h+ = 1 certificate's half walk: no full walk from
-    # the principal form (unit_form_walk serves split_prime alone) and no list
-    # of reduced forms; make_field takes (l + 1)/2 rho steps, l = len(quotients)
+    # the census of every walk: src/ walks forms only by forms._cycle_step,
+    # round a cycle of reduced forms, and forms._reduce, to a reduced form.
+    # Across make_field, split_prime, exact and bound classify, the cusp,
+    # zeta, the sweep and audit_row.py's domain check, make_field and each
+    # h+ = 1 certificate take exactly (l + 1)/2 cycle steps (the half walk,
+    # with l the period of the oracle's full walk), split_prime takes no cycle
+    # step and one reduction (none at an inert p), and nothing else walks or
+    # lists the reduced forms
     audit_row = load_audit_row()
-    discs = (5, 8, 13, 1000033)
+    for module in (forms, field, zeta, chern):
+        assert not {"rho_step", "unit_form_walk"} & set(vars(module)), module
 
-    def run_all():
-        fields = [make_field(D) for D in discs]
-        return (fields, [cusp_resolution(F) for F in fields],
-                [zeta_minus_one(D) for D in discs],
-                [classify(D, 3, mode="bound") for D in discs if D > 12],
-                default_discriminants(2000),
-                [audit_row.main(["--disc", str(D)]) for D in (109, 229)])
+    def half_steps(D):  # (l + 1)/2 from the oracle's full walk f_0, ..., f_l
+        return len(full_principal_walk(D)) // 2
 
-    expected = run_all()
-    step, steps = forms.rho_step, 0
+    steps = reductions = 0
+    cycle_step, reduce = forms._cycle_step, forms._reduce
 
-    def counted(form, D, s):
+    def counted_step(form, D, s):
         nonlocal steps
         steps += 1
-        return step(form, D, s)
+        return cycle_step(form, D, s)
+
+    def counted_reduce(form, D, s):
+        nonlocal reductions
+        reductions += 1
+        return reduce(form, D, s)
 
     def forbidden(*args):
-        raise AssertionError("took the full walk or listed the reduced forms")
+        raise AssertionError("listed the reduced forms")
 
-    monkeypatch.setattr(forms, "rho_step", counted)
-    for module in (forms, field, zeta, chern):
-        for name in ("unit_form_walk", "reduced_indefinite_forms", "h_narrow_indefinite"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    assert run_all() == expected
-    for D in discs + (10**9 + 9,):
-        steps = 0
+    monkeypatch.setattr(forms, "_cycle_step", counted_step)
+    monkeypatch.setattr(forms, "_reduce", counted_reduce)
+    monkeypatch.setattr(field, "_reduce", counted_reduce)
+    monkeypatch.setattr(forms, "reduced_indefinite_forms", forbidden)
+    monkeypatch.setattr(forms, "h_narrow_indefinite", forbidden)
+
+    def census(run):
+        nonlocal steps, reductions
+        steps = reductions = 0
+        result = run()
+        return result, (steps, reductions)
+
+    primes = [p for p in range(2, 60) if is_prime(p)]
+    for D in (5, 8, 13, 1000033, 10**9 + 9):
+        F, walked = census(lambda: make_field(D))
+        assert walked == (half_steps(D), 0) and 2 * walked[0] == len(F.quotients) + 1, D
+        assert census(lambda: (cusp_resolution(F), zeta_minus_one(D)))[1] == (0, 0), D
+        for p in primes:
+            assert census(lambda: split_prime(F, p))[1] == (0, kronecker(D, p) >= 0), (D, p)
+    for D, q in ((13, 3), (13, 4), (29, 9), (1000033, 3)):
+        assert census(lambda: classify(D, q))[1] == (half_steps(D), int(q == 3)), (D, q)
+    for D in (13, 97, 853, 1000033):
+        assert census(lambda: classify(D, 3, mode="bound"))[1] == (half_steps(D), 0), D
+    sweep = [D for D in range(13, 2001, 4) if is_prime(D)]
+    assert census(lambda: default_discriminants(2000))[1] == (
+        sum(map(half_steps, sweep)), 0)
+    for D in (109, 229):
+        assert census(lambda: audit_row.main(["--disc", str(D)]))[1] == (half_steps(D), 0), D
+
+
+def test_split_prime_matches_the_signed_walk():
+    # the generators read off the stored half walk equal those of the oracle's
+    # signed rho walk from (p, b, c), b in [0, 2p), to the first form
+    # (+-1, b', c'): at every table D and D = 5, 8, every prime p < 400
+    # (4p^2 > D, and the ramified p = D), and at 10^9 + 9 and 10^10 + 33 at
+    # split p on both sides of sqrt(D)/2 (15,811 and 50,000)
+    checked = 0
+    for D in [5, 8] + default_discriminants():
         F = make_field(D)
-        assert 2 * steps == len(F.quotients) + 1, D
-
-
-def test_the_sweep_takes_no_full_walk(monkeypatch):
-    # default_discriminants certifies each D from the half walk alone
-    expected = default_discriminants(2000)
-
-    def forbidden(form, D):
-        raise AssertionError("took the full walk")
-
-    monkeypatch.setattr(forms, "unit_form_walk", forbidden)
-    assert default_discriminants(2000) == expected
+        for p in filter(is_prime, range(2, 400)):
+            if kronecker(D, p) >= 0:
+                assert [P.generator for P in split_prime(F, p)] == (
+                    oracle_split_generators(F, p)), (D, p)
+                checked += 1
+    assert checked == 2458
+    for D, ps in ((10**9 + 9, (3, 15803, 15823)), (10**10 + 33, (3, 49999, 50023))):
+        F = make_field(D)
+        assert {4 * p * p > D for p in ps} == {False, True}, D
+        for p in ps:
+            assert kronecker(D, p) == 1, (D, p)
+            assert [P.generator for P in split_prime(F, p)] == (
+                oracle_split_generators(F, p)), (D, p)
 
 
 def test_make_field_contents():

@@ -7,6 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hmsurf import forms
+from hmsurf.chern import default_discriminants
+from hmsurf.field import FieldContext, FieldElement, _cycle_position
 from hmsurf.forms import (
     _RUN,
     _SIEVE_FROM,
@@ -16,14 +18,12 @@ from hmsurf.forms import (
     h_narrow_indefinite,
     narrow_class_one,
     reduced_indefinite_forms,
-    rho_step,
     step_product,
-    unit_form_walk,
 )
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
 from helpers import (full_principal_walk, full_walk_certificate, linear_product,
-                     oracle_reduced_indefinite_forms)
+                     oracle_reduced_indefinite_forms, rho_step, signed_cycle_count)
 
 
 def oracle_h_definite(N):
@@ -174,17 +174,19 @@ def test_narrow_class_one_vs_oracle():
 def test_half_walk_stops_at_the_midpoint(monkeypatch):
     # at every prime D = 1 mod 4 up to 2*10^5, and at D = 5 and 8, the full
     # walk ends at -1 after l steps; the certificate's half walk takes
-    # (l + 1)/2 of them, meets the full walk's |a| and gives its verdict.  At
-    # every fundamental D <= 5000 with N(eps) = +1 it takes the whole period
-    # back to +1 and refuses.
+    # (l + 1)/2 of them, each the oracle's signed rho step without its signs,
+    # meets the full walk's |a| and gives its verdict.  At every fundamental
+    # D <= 5000 with N(eps) = +1 it takes the whole period back to +1 and
+    # refuses.
     reached = []
+    step = forms._cycle_step
 
     def recorded(form, D, s):
-        form = rho_step(form, D, s)
+        form = step(form, D, s)
         reached.append(form)
         return form
 
-    monkeypatch.setattr(forms, "rho_step", recorded)
+    monkeypatch.setattr(forms, "_cycle_step", recorded)
     primes = [8] + [D for D in forms._primes(200_000) if D % 4 == 1]
     fundamental = [D for D in range(5, 5001) if is_fundamental_discriminant(D)]
     plus_one = []
@@ -194,92 +196,105 @@ def test_half_walk_stops_at_the_midpoint(monkeypatch):
         reached.clear()
         verdict = narrow_class_one(D)
         assert verdict == full_walk_certificate(D, walk), D
+        assert reached == [(abs(a), b, abs(c)) for a, b, c in walk[1:len(reached) + 1]], D
         if leads[-1] == 1:
             assert not verdict and len(reached) == len(leads), D
             plus_one.append(D)
             continue
         assert len(leads) % 2 == 1 and len(reached) == (len(leads) + 1) // 2, D
-        assert {1} | {abs(a) for a, _, _ in reached} == {abs(a) for a in leads}, D
+        assert {1} | {a for a, _, _ in reached} == {abs(a) for a in leads}, D
     assert len(primes) == 8_978 and not set(primes) & set(plus_one)
     assert (len(fundamental), len(plus_one)) == (1516, 1007)
 
 
 def test_rho_step_permutes_reduced_forms():
-    for D in (5, 8, 13, 17, 40, 229):
-        forms, s = reduced_indefinite_forms(D), isqrt(D)
-        assert forms, D
+    # the oracle's signed step permutes the reduced forms, and the cycle step
+    # is that step without signs: the sign of a alternates
+    for D in (5, 8, 13, 17, 40, 229, 1129):
+        reduced, s = reduced_indefinite_forms(D), isqrt(D)
+        assert reduced, D
         image = set()
-        for f in forms:
+        for f in reduced:
             g = rho_step(f, D, s)
-            assert g in set(forms), (D, f, g)
+            assert g in set(reduced), (D, f, g)
+            assert (f[0] > 0) != (g[0] > 0), (D, f, g)
+            assert forms._cycle_step((abs(f[0]), f[1], abs(f[2])), D, s) == (
+                abs(g[0]), g[1], abs(g[2])), (D, f)
             image.add(g)
-        assert len(image) == len(forms)  # a bijection on the reduced forms
+        assert len(image) == len(reduced)  # a bijection on the reduced forms
         # every orbit closes
-        for f in forms:
+        for f in reduced:
             g, steps = f, 0
             while True:
                 g = rho_step(g, D, s)
                 steps += 1
-                assert steps <= len(forms) + 1
+                assert steps <= len(reduced) + 1
                 if g == f:
                     break
 
 
 def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
-    # |c| > sqrt(D): b' = -b mod 2|c| is taken in (-|c|, |c|], not below sqrt(D)
-    assert rho_step((-17, -25, -9), 13, 3) == (-9, 7, -1)
-    # h+(229) = 3: no form (+-1, b, c) lies on the cycle of (-9, 7, 5)
-    with pytest.raises(RuntimeError, match="cycle of"):
-        unit_form_walk((-9, 7, 5), 229)
+    # |c| > sqrt(D): b' = -b mod 2|c| is taken in (-|c|, |c|], not below
+    # sqrt(D); (-9, 7, -1) has ac > 0, and the next step ends at |a| = 1
+    assert forms._reduce((-17, -25, -9), 13, 3) == ((-1, 3, 1), [1, -5])
+    assert forms._reduce((-9, 7, -1), 13, 3) == ((-1, 3, 1), [-5])
+    assert forms._reduce((3, 5, -1), 37, 6) == ((3, 5, -1), [])  # reduced
+    # h+(229) = 3, so make_field refuses 229; on a context built by hand from
+    # its principal cycle (229 = 15^2 + 4: l = 1, eps = (15 + sqrt(229))/2),
+    # the reduced form (-9, 7, 5) is not found, and the lookup that would walk
+    # on from it refuses instead
+    eps = FieldElement(15, 1, 229)
+    F229 = FieldContext(D=229, eps=eps, eps_plus=eps * eps, quotients=(-15,),
+                        walk=((1, 15, 1), (1, 15, 1)))
+    with pytest.raises(RuntimeError, match="not on the principal cycle"):
+        _cycle_position(F229, (-9, 7, 5))
 
 
-def _rho_orbit(form, D):
-    """(preperiod, period, every form) of the rho orbit of form, by recording
-    each form reached."""
-    index, s = {}, isqrt(D)
-    while form not in index:
-        index[form] = len(index)
-        form = rho_step(form, D, s)
-    return index[form], len(index) - index[form], index
+def _is_reduced(form, D):
+    """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, by squaring."""
+    a, b, _ = form
+    two_a = 2 * abs(a)
+    return 0 < b and b * b < D and (two_a + b) ** 2 > D and (two_a <= b or (two_a - b) ** 2 < D)
 
 
-def test_walk_off_the_principal_class_stops_within_brents_bound(monkeypatch):
-    # h+ = 3, 3, 5, 7, 9: every reduced form of a non-principal class, and the
-    # form (p, b, c) that split_prime would build for the least prime p > D
-    # off the principal class, which is not reduced (p > sqrt(D))
-    calls = 0
+def test_reduce_is_the_oracle_walk_to_the_first_reduced_form():
+    # from split_prime's start (p, b, c), b in (sqrt(D) - 2p, sqrt(D)), at
+    # every D of narrow class number one up to 2000 and every p < 400 with
+    # (D/p) >= 0: the oracle's signed rho steps up to the first form that is
+    # reduced or has |a| = 1, none when 2p < sqrt(D), and at most
+    # log_4(p/sqrt(D)) + 3 when 2p > sqrt(D)
+    longest = 0
+    for D in [5, 8] + default_discriminants(2000):
+        s = isqrt(D)
+        for p in filter(is_prime, range(2, 400)):
+            if kronecker(D, p) < 0:
+                continue
+            b = sqrt_mod(D, p)
+            b += p * ((b - D) % 2)
+            b = s - (s - b) % (2 * p)
+            start = (p, b, (b * b - D) // (4 * p))
+            end, quotients = forms._reduce(start, D, s)
+            walk = [start]
+            while not (_is_reduced(walk[-1], D) or abs(walk[-1][0]) == 1):
+                walk.append(rho_step(walk[-1], D, s))
+            assert end == walk[-1], (D, p)
+            assert quotients == [(b + b1) // (2 * c) for (_, b, c), (_, b1, _)
+                                 in zip(walk, walk[1:])], (D, p)
+            if 4 * p * p < D:
+                assert not quotients, (D, p)
+            else:
+                assert len(quotients) <= 3 or 16 ** (len(quotients) - 3) * D <= p * p, (D, p)
+            longest = max(longest, len(quotients))
+    assert longest == 4
 
-    def counted(form, D, s):
-        nonlocal calls
-        calls += 1
-        return rho_step(form, D, s)
 
-    monkeypatch.setattr(forms, "rho_step", counted)
-    for D, n_forms in ((229, 12), (257, 12), (401, 32), (577, 44), (1129, 96)):
-        def off_principal(form):
-            return all(abs(a) != 1 for a, _, _ in _rho_orbit(form, D)[2])
-
-        starts = [f for f in reduced_indefinite_forms(D) if off_principal(f)]
-        assert len(starts) == n_forms, D
-        for p in range(D + 1, 20 * D):
-            if is_prime(p) and kronecker(D, p) == 1:
-                b = sqrt_mod(D, p)
-                b += p * ((b - D) % 2)
-                form = (p, b, (b * b - D) // (4 * p))
-                if off_principal(form):
-                    starts.append(form)
-                    break
-        assert _rho_orbit(starts[-1], D)[0] > 0, D
-        for start in starts:
-            mu, lam, _ = _rho_orbit(start, D)
-            power = 1  # the least 2^k with 2^k - 1 >= mu and 2^k >= lam
-            while power - 1 < mu or power < lam:
-                power *= 2
-            calls = 0
-            with pytest.raises(RuntimeError, match="cycle of"):
-                unit_form_walk(start, D)
-            assert calls == power - 1 + lam, (D, start)
-            assert calls <= 2 * max(mu + 1, lam) + lam - 2 <= 3 * (mu + lam), (D, start)
+def test_h_narrow_indefinite_counts_the_signed_cycles():
+    # every fundamental D <= 20000: each unsigned cycle, counted once if odd
+    # and twice if even, against the oracle's count of signed rho cycles
+    discs = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
+    assert len(discs) == 6081
+    for D in discs:
+        assert h_narrow_indefinite(D) == signed_cycle_count(D), D
 
 
 def test_step_product_matches_the_linear_product():

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from hmsurf.chern import default_discriminants
-from hmsurf import field, forms, zeta
+from hmsurf import zeta
 from hmsurf.field import NarrowClassError, make_field
 from hmsurf.forms import h_narrow_indefinite, step_product
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime
@@ -198,32 +198,6 @@ def test_cusp_resolution_refuses_a_bumped_cycle(monkeypatch):
                 cusp_resolution(F)
             monkeypatch.undo()
         assert cusp_resolution(F).c == local_chern_divisor_sum(D)
-
-
-def test_cusp_resolution_walks_the_rho_cycle_once(monkeypatch):
-    # make_field walks from the principal form once, the h+ = 1 certificate's
-    # half walk of (l + 1)/2 rho steps, and lists no reduced forms; the cusp
-    # reads the quotients it kept instead of walking again
-    step, steps = forms.rho_step, 0
-
-    def counted(form, D, s):
-        nonlocal steps
-        steps += 1
-        return step(form, D, s)
-
-    def forbidden(*args):
-        raise AssertionError("took the full walk or counted the reduced forms")
-
-    monkeypatch.setattr(forms, "rho_step", counted)
-    for module in (forms, field, zeta):
-        for name in ("unit_form_walk", "reduced_indefinite_forms", "h_narrow_indefinite"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    for D in (5, 8, 13, 1000033):
-        steps = 0
-        F = make_field(D)
-        cusp_resolution(F)
-        assert 2 * steps == len(F.quotients) + 1, D
 
 
 def test_volume_floor():
