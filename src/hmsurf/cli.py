@@ -2,11 +2,12 @@
 
 Subcommands map 1:1 onto the library layers: field / classnumber / zeta /
 cusp / elliptic / classify / table / tree-center.  Handlers return the
-library's values as they are; `_dumps` writes them with one `json.dumps`
-hook, `_json_value`, the only code that knows the JSON form of an exact
-value (a rational as its [numerator, denominator] pair).  All output is
-deterministic: JSON is emitted with sorted keys and every listing
-canonically ordered, so a rerun with identical inputs is byte-identical.
+library's values as they are; `_dumps` writes them as indented JSON in one
+pass, through one hook, `_json_value`, the only code that knows the JSON
+form of an exact value (a rational as its [numerator, denominator] pair).
+All output is deterministic: JSON is emitted with sorted keys and every
+listing canonically ordered, so a rerun with identical inputs is
+byte-identical.
 
 Exit codes: 0 success (a table run with logged discrepancies is a success -
 those are data), 2 bad input or unsatisfiable request, 3 a broken internal
@@ -21,6 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import chern, config, elliptic, forms, trees, zeta
 from .field import FieldElement, PrimeIdealData, make_field, prime_of_norm
@@ -33,8 +35,9 @@ MAX_NARROW_D = 10 ** 8
 
 
 def _json_value(x):
-    """The `default=` hook of `_dumps`: the JSON form of each exact value
-    the library returns.  A rational is its [numerator, denominator] pair."""
+    """The hook of `_dumps` (`json`'s `default=`): the JSON form of each
+    exact value the library returns.  A rational is its [numerator,
+    denominator] pair."""
     if isinstance(x, Fraction):
         return [x.numerator, x.denominator]
     if isinstance(x, FieldElement):
@@ -306,7 +309,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_value) + "\n"
+    """The bytes of `json.dumps(payload, sort_keys=True, indent=2,
+    default=_json_value)` plus a newline, in one pass.  With `indent`, `json`
+    runs its pure-Python encoder; this writer appends to one list and joins
+    once, strings go through `json`'s own C escaper, and a list of plain ints
+    is one `join`.  It takes only what handlers return: dicts with str keys
+    (any other key raises TypeError), lists, tuples, str, int, bool, None and
+    the `_json_value` types."""
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl, out) -> None:
+    """Append x's JSON to out; nl is the newline and indent of x's line."""
+    if isinstance(x, str):
+        out.append(_escape(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        inner = nl + "  "
+        if all(type(v) is int for v in x):  # [] too
+            ints = ("," + inner).join(map(int.__repr__, x))
+            out.append(f"[{inner}{ints}{nl}]" if x else "[]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            out.append(f"{sep}{_escape(k)}: ")  # TypeError unless k is a str
+            _write(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        _write(_json_value(x), nl, out)
 
 
 def _emit(payload, cfg, stream) -> None:

@@ -305,10 +305,15 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     to (|u|+|v|, u, -v).  Two associates tying on (|u|+|v|, u) would be y and
     y', making P = P'.  So the least key maps to the least key, and the
     output is the same whether (x) is the prime or its conjugate.
+    A context whose eps is not of norm -1 is refused (FieldError): with
+    N(eps) > 0 the generator search never ends, as x*eps keeps a negative
+    norm, and with N(eps) < -1 the generator's norm may not be p.
     """
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
     D = F.D
+    if F.eps.norm() != -1:
+        raise FieldError(f"the context's eps for D={D} is not a unit of norm -1")
     sym = kronecker(D, p)
     if sym == -1:
         return (PrimeIdealData(D=D, p=p, splitting="inert", f=2,

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -382,6 +384,26 @@ def test_split_prime_rejects_composite():
         split_prime(F, 6)
     with pytest.raises(FieldError):
         split_prime(F, 1)
+
+
+def test_split_prime_refuses_eps_not_of_norm_minus_one():
+    # with N(eps) = 3, x*eps keeps a negative norm and the generator search
+    # never ends; the refusal comes at once, and the alarm stops a regression
+    eps = FieldElement(5, 1, 13)
+    bad = dataclasses.replace(make_field(13), eps=eps, eps_plus=eps * eps)
+
+    def stop(signum, frame):
+        raise TimeoutError("split_prime did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        for p in (3, 2, 13):
+            with pytest.raises(FieldError, match="norm -1"):
+                split_prime(bad, p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_prime_membership_and_reduction():
