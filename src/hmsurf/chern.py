@@ -17,10 +17,10 @@ floor above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub
 from mpmath.libmp.libmpi import mpi_pi
@@ -29,7 +29,7 @@ from . import reference_data
 from .elliptic import EllipticCounts, atkin_lehner_refine, check_point_types, counts_gamma0
 from .field import make_field, norm_achievable, prime_of_norm, supported_walk
 from .forms import _primes, narrow_class_one
-from .ntheory import kronecker
+from .ntheory import Frozen, kronecker
 from .numeric import (_log_int, _point, _sqrt_int, check_precision, least_clearing,
                       lower_rational, upper_rational)
 from .zeta import cusp_resolution, local_chern_divisor_sum, zeta_minus_one
@@ -52,12 +52,20 @@ class ModeMixError(ChernError):
     """Exact assembly fed with bound-mode counts or counts for the wrong group."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Frozen):
     """Rational form  const + a2_coeff * a2  in the unknown order-2 count."""
 
+    __slots__ = ("const", "a2_coeff")
     const: Fraction
-    a2_coeff: Fraction = Fraction(0)
+    a2_coeff: Fraction
+
+    def __init__(self, const: Fraction, a2_coeff: Fraction = Fraction(0)):
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "a2_coeff", a2_coeff)
+
+    def __eq__(self, other):
+        return type(other) is LinearForm and (self.const, self.a2_coeff) == (
+            other.const, other.a2_coeff)
 
     def __call__(self, a2) -> Fraction:
         return self.const + self.a2_coeff * Fraction(a2)
@@ -72,8 +80,7 @@ class LinearForm:
         return f"{self.const} + {self.a2_coeff}*a2"
 
 
-@dataclass(frozen=True)
-class ChernReport:
+class ChernReport(NamedTuple):
     D: int
     q: int  # prime norm, n = q + 1
     n: int
@@ -394,8 +401,7 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     return chern_numbers(F, P, refined, cusp_resolution(F), zeta_minus_one(F.D))
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One discriminant's verdict range: general type for n >= n_min except
     the listed exclusions (each an (n, reason) pair)."""
 

@@ -216,7 +216,7 @@ def _cmd_table(args, cfg):
         with open(args.diff, "w", encoding="utf-8") as fh:
             fh.write(_dumps(diff))
     return {
-        "rows": [vars(r) for r in rows],  # a frozen dataclass: its fields only
+        "rows": [r._asdict() for r in rows],
         "diff": diff,
         "csv": csv_text,
     }
@@ -396,18 +396,13 @@ def _pretty_scalar(v) -> str:
 
 
 def _build_config(args) -> config.RunConfig:
+    """The config file's settings, each flag given overriding its own."""
     cfg = config.load_config(args.config)
-    overrides = {}
-    if args.precision is not None:
-        overrides["precision_bits"] = args.precision
-    if args.format is not None:
-        overrides["output"] = args.format
-    if getattr(args, "strict_n", False):
-        overrides["strict_n"] = True
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return config.RunConfig(
+        mode=cfg.mode,
+        strict_n=cfg.strict_n or getattr(args, "strict_n", False),
+        precision_bits=cfg.precision_bits if args.precision is None else args.precision,
+        output=cfg.output if args.format is None else args.format)
 
 
 PARSER = build_parser()

@@ -6,8 +6,7 @@ file, then explicit CLI flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .ntheory import Frozen
 from .numeric import MIN_PRECISION_BITS, PrecisionError, check_precision
 
 MODES = ("exact", "bound")
@@ -18,26 +17,36 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "exact"
-    strict_n: bool = False
-    precision_bits: int = MIN_PRECISION_BITS
-    output: str = "json"
+class RunConfig(Frozen):
+    __slots__ = ("mode", "strict_n", "precision_bits", "output")
+    mode: str
+    strict_n: bool
+    precision_bits: int
+    output: str
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output not in FORMATS:
-            raise ConfigError(f"output must be one of {FORMATS}, got {self.output!r}")
-        if not isinstance(self.precision_bits, int) or isinstance(self.precision_bits, bool):
+    def __init__(self, mode: str = "exact", strict_n: bool = False,
+                 precision_bits: int = MIN_PRECISION_BITS, output: str = "json"):
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        if output not in FORMATS:
+            raise ConfigError(f"output must be one of {FORMATS}, got {output!r}")
+        if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
             raise ConfigError("precision_bits must be an integer")
         try:
-            check_precision(self.precision_bits)
+            check_precision(precision_bits)
         except PrecisionError as exc:
             raise ConfigError(str(exc)) from exc
-        if not isinstance(self.strict_n, bool):
+        if not isinstance(strict_n, bool):
             raise ConfigError("strict_n must be a boolean")
+        set_ = object.__setattr__
+        set_(self, "mode", mode)
+        set_(self, "strict_n", strict_n)
+        set_(self, "precision_bits", precision_bits)
+        set_(self, "output", output)
+
+    def __eq__(self, other):
+        return type(other) is RunConfig and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _parse_bool(text: str) -> bool:

@@ -7,12 +7,12 @@ Gamma0(P) counts are in closed form: class numbers times root counts in O/P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .field import FieldContext, PrimeIdealData
 from .forms import h_bound, h_definite
-from .ntheory import kronecker
+from .ntheory import Frozen, kronecker
 from .numeric import MIN_PRECISION_BITS
 from .reference_data import PSL_POINT_TOTALS
 
@@ -46,8 +46,7 @@ _GROUP_TAGS = ("full", "gamma0", "w_gamma0")
 _MODES = ("exact", "upper_bound")
 
 
-@dataclass(frozen=True)
-class EllipticCounts:
+class EllipticCounts(Frozen):
     """Counts (or upper bounds) of elliptic points by rotation type.
 
     Entries may be None when genuinely unknown (e.g. the order-2 count at the
@@ -55,32 +54,44 @@ class EllipticCounts:
     known entry is a nonnegative integer.
     """
 
-    a2: object = None
-    a3_plus: object = None
-    a3_minus: object = None
-    a4_plus: object = 0
-    a4_minus: object = 0
-    a6_plus: object = 0
-    a6_minus: object = 0
-    mode: str = "exact"
-    group_tag: str = "full"
-    notes: tuple = ()
+    __slots__ = ("a2", "a3_plus", "a3_minus", "a4_plus", "a4_minus", "a6_plus",
+                 "a6_minus", "mode", "group_tag", "notes")
+    a2: object
+    a3_plus: object
+    a3_minus: object
+    a4_plus: object
+    a4_minus: object
+    a6_plus: object
+    a6_minus: object
+    mode: str
+    group_tag: str
+    notes: tuple
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"bad mode {self.mode!r}")
-        if self.group_tag not in _GROUP_TAGS:
-            raise ValueError(f"bad group tag {self.group_tag!r}")
-        for name, val in self.entries().items():
+    def __init__(self, a2=None, a3_plus=None, a3_minus=None, a4_plus=0, a4_minus=0,
+                 a6_plus=0, a6_minus=0, mode="exact", group_tag="full", notes=()):
+        if mode not in _MODES:
+            raise ValueError(f"bad mode {mode!r}")
+        if group_tag not in _GROUP_TAGS:
+            raise ValueError(f"bad group tag {group_tag!r}")
+        set_ = object.__setattr__
+        for name, val in zip(self.__slots__, (a2, a3_plus, a3_minus, a4_plus, a4_minus,
+                                              a6_plus, a6_minus)):
             if val is None:
-                continue
-            if self.mode == "exact":
+                pass
+            elif mode == "exact":
                 if not isinstance(val, int) or val < 0:
                     raise ValueError(f"exact-mode {name}={val!r} must be a "
                                      "nonnegative integer")
-            else:
-                if not isinstance(val, (int, Fraction)) or val < 0:
-                    raise ValueError(f"{name}={val!r} must be nonnegative")
+            elif not isinstance(val, (int, Fraction)) or val < 0:
+                raise ValueError(f"{name}={val!r} must be nonnegative")
+            set_(self, name, val)
+        set_(self, "mode", mode)
+        set_(self, "group_tag", group_tag)
+        set_(self, "notes", notes)
+
+    def __eq__(self, other):
+        return type(other) is EllipticCounts and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def entries(self) -> dict:
         return {
@@ -183,8 +194,7 @@ def bounds_gamma0(F: FieldContext, P: PrimeIdealData) -> EllipticCounts:
     )
 
 
-@dataclass(frozen=True)
-class ALFixedPoints:
+class ALFixedPoints(NamedTuple):
     """How the Atkin-Lehner involution acts on the Gamma0(P) elliptic points.
 
     order2_to_4_plus/minus: order-2 points it fixes, by resulting 4-type;

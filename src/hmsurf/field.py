@@ -12,11 +12,10 @@ norm -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .forms import _half_walk, _reduce, narrow_class_one, walk_element
-from .ntheory import is_prime, kronecker, sqrt_mod
+from .ntheory import Frozen, is_prime, kronecker, sqrt_mod
 
 
 class FieldError(ValueError):
@@ -34,17 +33,28 @@ class NarrowClassError(FieldError):
         super().__init__(f"D={D} does not have narrow class number 1")
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """(u + v*sqrt(D))/2 with u = v*D mod 2; immutable and hashable."""
 
+    __slots__ = ("u", "v", "D")
     u: int
     v: int
     D: int
 
-    def __post_init__(self):
-        if (self.u - self.v * self.D) % 2 != 0:
-            raise ValueError(f"bad parity for ({self.u}+{self.v}*sqrt{self.D})/2")
+    def __init__(self, u: int, v: int, D: int):
+        if (u - v * D) % 2 != 0:
+            raise ValueError(f"bad parity for ({u}+{v}*sqrt{D})/2")
+        set_ = object.__setattr__
+        set_(self, "u", u)
+        set_(self, "v", v)
+        set_(self, "D", D)
+
+    def __eq__(self, other):
+        return type(other) is FieldElement and (self.u, self.v, self.D) == (
+            other.u, other.v, other.D)
+
+    def __hash__(self):
+        return hash((self.u, self.v, self.D))
 
     # -- construction helpers ------------------------------------------------
 
@@ -157,20 +167,39 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(Frozen):
     """A field make_field certified to have h+ = 1: D, the fundamental unit
-    eps (of norm -1), eps^2, the step quotients of the principal rho walk
-    that gives eps, read off its first half and that half's mirror image
-    (omega's partial quotients, see zeta.minus_cf_cycle), and that half walk,
-    the certificate's forms f_0, ..., f_(m+1) as (|a|, b, |c|), on which
-    split_prime finds its reduced forms."""
+    eps (of norm -1), the step quotients of the principal rho walk that gives
+    eps, read off its first half and that half's mirror image (omega's
+    partial quotients, see zeta.minus_cf_cycle), and that half walk, the
+    certificate's forms f_0, ..., f_(m+1) as (|a|, b, |c|), on which
+    split_prime finds its reduced forms.  eps_plus, the fundamental totally
+    positive unit, is eps^2, computed here and never taken as an argument."""
 
+    __slots__ = ("D", "eps", "eps_plus", "quotients", "walk")
     D: int
     eps: FieldElement
-    eps_plus: FieldElement  # fundamental totally positive unit, eps^2
+    eps_plus: FieldElement
     quotients: tuple[int, ...]
     walk: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, D: int, eps: FieldElement, quotients: tuple[int, ...],
+                 walk: tuple[tuple[int, int, int], ...]):
+        set_ = object.__setattr__
+        set_(self, "D", D)
+        set_(self, "eps", eps)
+        set_(self, "eps_plus", eps * eps)
+        set_(self, "quotients", quotients)
+        set_(self, "walk", walk)
+
+    def _key(self):  # eps_plus follows from eps
+        return self.D, self.eps, self.quotients, self.walk
+
+    def __eq__(self, other):
+        return type(other) is FieldContext and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def omega(self) -> FieldElement:
@@ -227,12 +256,10 @@ def make_field(D: int) -> FieldContext:
     quotients = tuple(t if j % 2 else -t for j, t in enumerate((*half, *reversed(half), b0)))
     u, v = walk_element((-1, b0, abs_c0), quotients)
     eps = FieldElement(abs(u), abs(v), D)
-    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=quotients,
-                        walk=tuple(walk))
+    return FieldContext(D=D, eps=eps, quotients=quotients, walk=tuple(walk))
 
 
-@dataclass(frozen=True)
-class PrimeIdealData:
+class PrimeIdealData(Frozen):
     """A prime ideal of O_E above the rational prime p.
 
     q = p^f is the residue norm; `generator` is a totally positive generator
@@ -241,12 +268,23 @@ class PrimeIdealData:
     the two conjugate primes this is.
     """
 
+    __slots__ = ("D", "p", "splitting", "f", "generator", "omega_image")
     D: int
     p: int
     splitting: str  # "split" | "inert" | "ramified"
     f: int
     generator: FieldElement
     omega_image: int | None
+
+    def __init__(self, D: int, p: int, splitting: str, f: int, generator: FieldElement,
+                 omega_image: int | None):
+        set_ = object.__setattr__
+        set_(self, "D", D)
+        set_(self, "p", p)
+        set_(self, "splitting", splitting)
+        set_(self, "f", f)
+        set_(self, "generator", generator)
+        set_(self, "omega_image", omega_image)
 
     @property
     def q(self) -> int:

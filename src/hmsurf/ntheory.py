@@ -1,9 +1,28 @@
-"""Small integer number-theory helpers shared across the package.
+"""Small integer number-theory helpers shared across the package, and the
+base of its immutable value types.
 
 Everything here is exact integer arithmetic; no floats.
 """
 
 from __future__ import annotations
+
+
+class Frozen:
+    """Base of the package's value types: a subclass lists its fields in
+    __slots__ and sets each once in __init__ with object.__setattr__, after
+    which assigning or deleting one raises AttributeError.  copy and pickle
+    restore the slots through __setstate__."""
+
+    __slots__ = ()
+
+    def _refuse(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def is_prime(n: int) -> bool:

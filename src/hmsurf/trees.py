@@ -11,7 +11,7 @@ actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .ntheory import Frozen
 
 
 class TreeError(ValueError):
@@ -28,24 +28,22 @@ def _ckey(v):
     return (str(v), repr(v))
 
 
-@dataclass(frozen=True)
-class TreeGraph:
+class TreeGraph(Frozen):
     """Immutable finite tree.  Connectivity and the edge count are checked on
     every construction; since |E| = |V| - 1 and the graph is connected, it is
     automatically acyclic.  Equal trees have equal vertex and edge sets."""
 
+    __slots__ = ("vertices", "edges", "_adj", "_dist")
     vertices: frozenset
     edges: frozenset
-    _adj: dict = field(init=False, repr=False, compare=False)
-    _dist: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        vs = frozenset(self.vertices)
+    def __init__(self, vertices, edges):
+        vs = frozenset(vertices)
         if not vs:
             raise NotATreeError("a tree needs at least one vertex")
         adj = {v: set() for v in vs}
         eset = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise NotATreeError(f"loop at {u!r}")
@@ -59,13 +57,22 @@ class TreeGraph:
         if len(eset) != len(vs) - 1:
             raise NotATreeError(
                 f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(eset)}")
-        object.__setattr__(self, "_adj", {v: frozenset(n) for v, n in adj.items()})
+        set_ = object.__setattr__
+        set_(self, "_adj", {v: frozenset(n) for v, n in adj.items()})
+        set_(self, "_dist", {})
         # reachability from an arbitrary root; with the count right this is
         # exactly the tree test
         if len(self.distances(next(iter(vs)))) != len(vs):
             raise NotATreeError("graph is not connected")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(eset))
+        set_(self, "vertices", vs)
+        set_(self, "edges", frozenset(eset))
+
+    def __eq__(self, other):
+        return type(other) is TreeGraph and (self.vertices, self.edges) == (
+            other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     def __len__(self):
         return len(self.vertices)
@@ -88,20 +95,32 @@ class TreeGraph:
         return dist
 
 
-@dataclass(frozen=True)
-class CenterResult:
+class CenterResult(Frozen):
     """Centre of a vertex subset: either one vertex or one edge."""
 
+    __slots__ = ("kind", "payload")
     kind: str
     payload: object
 
-    def __post_init__(self):
-        if self.kind not in ("vertex", "edge"):
-            raise TreeError(f"bad centre kind {self.kind!r}")
-        if self.kind == "edge":
-            object.__setattr__(self, "payload", frozenset(self.payload))
-            if len(self.payload) != 2:
+    def __init__(self, kind: str, payload):
+        if kind not in ("vertex", "edge"):
+            raise TreeError(f"bad centre kind {kind!r}")
+        if kind == "edge":
+            payload = frozenset(payload)
+            if len(payload) != 2:
                 raise TreeError("an edge centre needs two distinct endpoints")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other):
+        return type(other) is CenterResult and (self.kind, self.payload) == (
+            other.kind, other.payload)
+
+    def __hash__(self):
+        return hash((self.kind, self.payload))
+
+    def __repr__(self):
+        return f"CenterResult(kind={self.kind!r}, payload={self.payload!r})"
 
     def endpoints(self) -> tuple:
         """The centre's vertices: one for a vertex centre, two for an edge."""

@@ -26,10 +26,10 @@ positive unit, which for narrow class number one is eps^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .field import FieldContext
 from .forms import _sieve_divisors, step_product
@@ -110,8 +110,7 @@ def minus_cf_cycle(F: FieldContext) -> tuple[int, ...]:
     return max(tuple(cycle[i:] + cycle[:i]) for i, b in enumerate(cycle) if b == top)
 
 
-@dataclass(frozen=True)
-class CuspCycle:
+class CuspCycle(NamedTuple):
     """Resolution cycle of the cusp: curves b_k, count l = m, chern term c."""
 
     D: int

@@ -580,8 +580,7 @@ def oracle_make_field(D):
     u, v = walk_element(end, quotients)
     eps = FieldElement(abs(u), abs(v), D)
     half = tuple((abs(a), b, abs(c)) for a, b, c in walk[:len(walk) // 2 + 1])
-    return FieldContext(D=D, eps=eps, eps_plus=eps * eps, quotients=tuple(quotients),
-                        walk=half)
+    return FieldContext(D=D, eps=eps, quotients=tuple(quotients), walk=half)
 
 
 # ---------------------------------------------------------------------------

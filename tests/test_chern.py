@@ -2,7 +2,6 @@ import functools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,7 +114,7 @@ def test_classify_with_new_order2_is_constant():
     F = make_field(13)
     (P,) = split_prime(F, 2)
     g0 = counts_gamma0(F, P)
-    action = replace(involution_action(P, g0), new_order2=6)
+    action = involution_action(P, g0)._replace(new_order2=6)
     rep = chern_numbers(F, P, refine_with_action(g0, P, action),
                         cusp_resolution(F), zeta_minus_one(F.D))
     assert rep.chi.is_constant and rep.chi.const == 2

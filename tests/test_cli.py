@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -148,7 +147,9 @@ def test_cli_failed_cross_check_exits_3(capsys, monkeypatch):
     real = elliptic.counts_gamma0
 
     def odd_a3(F, P):
-        return dataclasses.replace(real(F, P), a3_plus=3)
+        counts = real(F, P)
+        return elliptic.EllipticCounts(**{**counts.entries(), "a3_plus": 3}, mode=counts.mode,
+                                       group_tag=counts.group_tag, notes=counts.notes)
 
     monkeypatch.setattr(elliptic, "counts_gamma0", odd_a3)
     code, out, err = run(capsys, "elliptic", "--disc", "13", "--prime-norm", "17",

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import signal
@@ -386,11 +385,23 @@ def test_split_prime_rejects_composite():
         split_prime(F, 1)
 
 
+@given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+def test_context_squares_its_own_eps(u, v):
+    # FieldContext takes no eps_plus, so a context rebuilt from make_field(13)'s
+    # parts holds eps^2 there, whatever eps it is given
+    F = make_field(13)
+    eps = FieldElement(u + (u - 13 * v) % 2, v, 13)
+    assert FieldContext(F.D, eps, F.quotients, F.walk).eps_plus == eps * eps
+    assert FieldContext(F.D, F.eps, F.quotients, F.walk) == F
+    with pytest.raises(TypeError):
+        FieldContext(F.D, F.eps, F.eps_plus, F.quotients, F.walk)
+
+
 def test_split_prime_refuses_eps_not_of_norm_minus_one():
     # with N(eps) = 3, x*eps keeps a negative norm and the generator search
     # never ends; the refusal comes at once, and the alarm stops a regression
-    eps = FieldElement(5, 1, 13)
-    bad = dataclasses.replace(make_field(13), eps=eps, eps_plus=eps * eps)
+    F = make_field(13)
+    bad = FieldContext(F.D, FieldElement(5, 1, 13), F.quotients, F.walk)
 
     def stop(signum, frame):
         raise TimeoutError("split_prime did not return")

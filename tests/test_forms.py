@@ -244,8 +244,7 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
     # the reduced form (-9, 7, 5) is not found, and the lookup that would walk
     # on from it refuses instead
     eps = FieldElement(15, 1, 229)
-    F229 = FieldContext(D=229, eps=eps, eps_plus=eps * eps, quotients=(-15,),
-                        walk=((1, 15, 1), (1, 15, 1)))
+    F229 = FieldContext(D=229, eps=eps, quotients=(-15,), walk=((1, 15, 1), (1, 15, 1)))
     with pytest.raises(RuntimeError, match="not on the principal cycle"):
         _cycle_position(F229, (-9, 7, 5))
 

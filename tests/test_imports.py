@@ -6,7 +6,10 @@ names it inside a string annotation such as "EllipticCounts | None".
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -147,7 +150,7 @@ def _attribute_reads(tree):
 
 def _members(cls):
     """(name, node) for the methods, properties, class-body attributes and
-    dataclass fields a class body defines."""
+    annotated class-body fields a class body defines."""
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node
@@ -158,8 +161,8 @@ def _members(cls):
 
 
 def unread_members(modules, callers=()):
-    """Public members (methods, properties, class-body attributes, dataclass
-    fields) of the top-level classes in `modules` whose name no `modules` or
+    """Public members (methods, properties, class-body attributes, annotated
+    class-body fields) of the top-level classes in `modules` whose name no `modules` or
     `callers` source reads as an attribute outside the member's own body.
     Names match by name alone, so a member that shares its name with an
     attribute read elsewhere escapes."""
@@ -223,3 +226,13 @@ def test_every_public_name_has_a_runtime_reader():
     assert roots == {"main"}
     found = unreferenced(modules, scripts, roots) + unread_members(modules, scripts)
     assert not found, "public names nothing outside the tests reads:\n" + "\n".join(found)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every cold run imports the CLI; `dataclasses` would load `inspect`, `ast`,
+    # `dis` and `tokenize`, and each @dataclass execs generated source
+    code = "import sys, hmsurf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n", done.stdout
