@@ -60,12 +60,7 @@ class LinearForm(Frozen):
     a2_coeff: Fraction
 
     def __init__(self, const: Fraction, a2_coeff: Fraction = Fraction(0)):
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "a2_coeff", a2_coeff)
-
-    def __eq__(self, other):
-        return type(other) is LinearForm and (self.const, self.a2_coeff) == (
-            other.const, other.a2_coeff)
+        self._set(const, a2_coeff)
 
     def __call__(self, a2) -> Fraction:
         return self.const + self.a2_coeff * Fraction(a2)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import chern, config, elliptic, forms, trees, zeta
-from .field import FieldElement, PrimeIdealData, make_field, prime_of_norm
+from .field import FieldElement, PrimeIdealData, make_field, prime_of_norm, supported_walk
 from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
 # classnumber's limits, each under 1 s and 80 MB cold (Python 3.11, one core):
@@ -145,10 +145,10 @@ def _cmd_classnumber(args, cfg):
 
 
 def _cmd_zeta(args, cfg):
-    F = make_field(args.disc)
+    supported_walk(args.disc)
     return {
-        "D": F.D,
-        "zeta": zeta.zeta_minus_one(F.D),
+        "D": args.disc,
+        "zeta": zeta.zeta_minus_one(args.disc),
         "provenance": {
             "zeta": "sigma1 divisor sum over (D - x^2)/4, divided by 60",
             "mode": "exact",

@@ -38,15 +38,7 @@ class RunConfig(Frozen):
             raise ConfigError(str(exc)) from exc
         if not isinstance(strict_n, bool):
             raise ConfigError("strict_n must be a boolean")
-        set_ = object.__setattr__
-        set_(self, "mode", mode)
-        set_(self, "strict_n", strict_n)
-        set_(self, "precision_bits", precision_bits)
-        set_(self, "output", output)
-
-    def __eq__(self, other):
-        return type(other) is RunConfig and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        self._set(mode, strict_n, precision_bits, output)
 
 
 def _parse_bool(text: str) -> bool:

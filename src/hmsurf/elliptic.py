@@ -73,9 +73,8 @@ class EllipticCounts(Frozen):
             raise ValueError(f"bad mode {mode!r}")
         if group_tag not in _GROUP_TAGS:
             raise ValueError(f"bad group tag {group_tag!r}")
-        set_ = object.__setattr__
-        for name, val in zip(self.__slots__, (a2, a3_plus, a3_minus, a4_plus, a4_minus,
-                                              a6_plus, a6_minus)):
+        counts = (a2, a3_plus, a3_minus, a4_plus, a4_minus, a6_plus, a6_minus)
+        for name, val in zip(self.__slots__, counts):
             if val is None:
                 pass
             elif mode == "exact":
@@ -84,25 +83,11 @@ class EllipticCounts(Frozen):
                                      "nonnegative integer")
             elif not isinstance(val, (int, Fraction)) or val < 0:
                 raise ValueError(f"{name}={val!r} must be nonnegative")
-            set_(self, name, val)
-        set_(self, "mode", mode)
-        set_(self, "group_tag", group_tag)
-        set_(self, "notes", notes)
-
-    def __eq__(self, other):
-        return type(other) is EllipticCounts and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        self._set(*counts, mode, group_tag, notes)
 
     def entries(self) -> dict:
-        return {
-            "a2": self.a2,
-            "a3_plus": self.a3_plus,
-            "a3_minus": self.a3_minus,
-            "a4_plus": self.a4_plus,
-            "a4_minus": self.a4_minus,
-            "a6_plus": self.a6_plus,
-            "a6_minus": self.a6_minus,
-        }
+        """The seven counts by name: the first seven slots."""
+        return {name: getattr(self, name) for name in self.__slots__[:7]}
 
 
 def check_point_types(D: int, q: "int | None" = None) -> None:

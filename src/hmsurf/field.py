@@ -44,17 +44,12 @@ class FieldElement(Frozen):
     def __init__(self, u: int, v: int, D: int):
         if (u - v * D) % 2 != 0:
             raise ValueError(f"bad parity for ({u}+{v}*sqrt{D})/2")
+        # inline, not self._set: every ring operation builds one, and the
+        # three direct calls take about half the time of _set's loop
         set_ = object.__setattr__
         set_(self, "u", u)
         set_(self, "v", v)
         set_(self, "D", D)
-
-    def __eq__(self, other):
-        return type(other) is FieldElement and (self.u, self.v, self.D) == (
-            other.u, other.v, other.D)
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.D))
 
     # -- construction helpers ------------------------------------------------
 
@@ -185,21 +180,7 @@ class FieldContext(Frozen):
 
     def __init__(self, D: int, eps: FieldElement, quotients: tuple[int, ...],
                  walk: tuple[tuple[int, int, int], ...]):
-        set_ = object.__setattr__
-        set_(self, "D", D)
-        set_(self, "eps", eps)
-        set_(self, "eps_plus", eps * eps)
-        set_(self, "quotients", quotients)
-        set_(self, "walk", walk)
-
-    def _key(self):  # eps_plus follows from eps
-        return self.D, self.eps, self.quotients, self.walk
-
-    def __eq__(self, other):
-        return type(other) is FieldContext and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(D, eps, eps * eps, quotients, walk)
 
     @property
     def omega(self) -> FieldElement:
@@ -278,13 +259,7 @@ class PrimeIdealData(Frozen):
 
     def __init__(self, D: int, p: int, splitting: str, f: int, generator: FieldElement,
                  omega_image: int | None):
-        set_ = object.__setattr__
-        set_(self, "D", D)
-        set_(self, "p", p)
-        set_(self, "splitting", splitting)
-        set_(self, "f", f)
-        set_(self, "generator", generator)
-        set_(self, "omega_image", omega_image)
+        self._set(D, p, splitting, f, generator, omega_image)
 
     @property
     def q(self) -> int:

@@ -8,12 +8,30 @@ from __future__ import annotations
 
 
 class Frozen:
-    """Base of the package's value types: a subclass lists its fields in
-    __slots__ and sets each once in __init__ with object.__setattr__, after
-    which assigning or deleting one raises AttributeError.  copy and pickle
-    restore the slots through __setstate__."""
+    """Base of the package's value types.  A subclass lists its fields in
+    __slots__, once; its __init__ validates and then calls _set with one
+    value per slot, in __slots__ order.  After that, assigning or deleting a
+    field raises AttributeError.  Two values are equal when their types are
+    the same and their _key()s are equal, and the hash is that of _key():
+    every slot's value, unless a subclass narrows _key to the fields that
+    define it (TreeGraph leaves out its caches).  copy and pickle restore the
+    slots through __setstate__."""
 
     __slots__ = ()
+
+    def _set(self, *values):
+        set_ = object.__setattr__
+        for name, value in zip(self.__slots__, values):
+            set_(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def _refuse(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")

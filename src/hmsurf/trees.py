@@ -57,22 +57,14 @@ class TreeGraph(Frozen):
         if len(eset) != len(vs) - 1:
             raise NotATreeError(
                 f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(eset)}")
-        set_ = object.__setattr__
-        set_(self, "_adj", {v: frozenset(n) for v, n in adj.items()})
-        set_(self, "_dist", {})
+        self._set(vs, frozenset(eset), {v: frozenset(n) for v, n in adj.items()}, {})
         # reachability from an arbitrary root; with the count right this is
         # exactly the tree test
         if len(self.distances(next(iter(vs)))) != len(vs):
             raise NotATreeError("graph is not connected")
-        set_(self, "vertices", vs)
-        set_(self, "edges", frozenset(eset))
 
-    def __eq__(self, other):
-        return type(other) is TreeGraph and (self.vertices, self.edges) == (
-            other.vertices, other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
+    def _key(self):  # _adj follows from the edges; _dist is a cache
+        return self.vertices, self.edges
 
     def __len__(self):
         return len(self.vertices)
@@ -109,15 +101,7 @@ class CenterResult(Frozen):
             payload = frozenset(payload)
             if len(payload) != 2:
                 raise TreeError("an edge centre needs two distinct endpoints")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-
-    def __eq__(self, other):
-        return type(other) is CenterResult and (self.kind, self.payload) == (
-            other.kind, other.payload)
-
-    def __hash__(self):
-        return hash((self.kind, self.payload))
+        self._set(kind, payload)
 
     def __repr__(self):
         return f"CenterResult(kind={self.kind!r}, payload={self.payload!r})"

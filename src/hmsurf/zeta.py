@@ -120,9 +120,7 @@ class CuspCycle(NamedTuple):
     def m(self) -> int:
         return len(self.cycle)
 
-    @property
-    def l(self) -> int:  # noqa: E741 - established notation
-        return len(self.cycle)
+    l = m  # noqa: E741 - established notation
 
     @property
     def c(self) -> int:

@@ -1,9 +1,12 @@
 """The twelve exported value types: immutable but copyable and picklable,
 each built by its own constructor, and each refusing bad input with its own
-error type."""
+error type.  The eight on ntheory.Frozen compare and hash by Frozen's one
+rule, over their _key()."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from hmsurf import (ALFixedPoints, CenterResult, ChernReport, ConfigError, CuspC
                     EllipticCounts, FieldContext, FieldElement, LinearForm, PrimeIdealData,
                     RunConfig, TableRow, TreeGraph, classify, cusp_resolution, make_field,
                     split_prime)
+from hmsurf.ntheory import Frozen
 from hmsurf.trees import NotATreeError, TreeError
 
 VALUES = {
@@ -29,6 +33,7 @@ VALUES = {
     ALFixedPoints: ALFixedPoints,
     CuspCycle: lambda: cusp_resolution(make_field(13)),
 }
+FROZEN = [cls for cls in VALUES if issubclass(cls, Frozen)]
 
 
 def test_the_twelve_are_exported():
@@ -52,9 +57,10 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         assert getattr(x, name) is before
     with pytest.raises(AttributeError):
         x.extra = 1
-    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-        assert type(twin) is cls and all(getattr(twin, name) == getattr(x, name)
-                                          for name in fields)
+    # a fresh build and every copy equal x and hash alike
+    for twin in (VALUES[cls](), copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is cls and twin == x and x == twin and hash(twin) == hash(x)
+        assert all(getattr(twin, name) == getattr(x, name) for name in fields)
 
 
 def test_field_element_as_set_member_and_dict_key():
@@ -88,3 +94,46 @@ def test_validation_raises_its_own_type(build, error):
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error
+
+
+def _holding(kind, x):
+    """A `kind` whose slots hold x's values, built past `kind`'s constructor."""
+    twin = object.__new__(kind)
+    twin.__setstate__((None, {name: getattr(x, name) for name in type(x).__slots__}))
+    return twin
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_values_never_equal_another_type(cls):
+    x = VALUES[cls]()
+    subclass = type("Sub", (cls,), {"__slots__": ()})
+    lookalike = type("Lookalike", (Frozen,), {"__slots__": cls.__slots__})
+    for other in (_holding(subclass, x), _holding(lookalike, x)):
+        assert all(getattr(other, name) == getattr(x, name) for name in cls.__slots__)
+        assert x != other and other != x and not x == other
+    assert x != x._key() and x._key() != x
+
+
+def test_tree_equality_ignores_the_distance_cache():
+    a = TreeGraph("abcd", [("a", "b"), ("b", "c"), ("b", "d")])
+    b = TreeGraph("dcba", [("d", "b"), ("c", "b"), ("b", "a")])
+    for v in "acd":
+        a.distances(v)
+    assert a._dist.keys() != b._dist.keys()
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_only_frozen_defines_equality_and_hashing():
+    """A value type's fields are its __slots__, stated once: a Frozen subclass
+    narrows _key where some slots are derived or caches, and never writes
+    its own __eq__ or __hash__."""
+    for info in pkgutil.iter_modules(hmsurf.__path__):
+        importlib.import_module(f"hmsurf.{info.name}")
+    found, todo = [], [Frozen]
+    for cls in todo:
+        todo += cls.__subclasses__()
+        if cls is not Frozen and cls.__module__.startswith("hmsurf."):
+            found.append(cls)
+    assert set(FROZEN) <= set(found)
+    assert [(cls.__name__, name) for cls in found for name in ("__eq__", "__hash__")
+            if name in vars(cls)] == []
