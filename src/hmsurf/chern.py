@@ -374,7 +374,7 @@ def classify(F, q: int, mode: str = "exact", *, zeta_mode: "str | None" = None,
     mode="exact" runs the closed-form Gamma0(P) counts + involution refinement
     (the action in closed form, see involution_action).  mode="bound" runs
     the certified estimates (there q need not be an achievable norm - degrees
-    are swept formally); given a discriminant it takes only make_field's
+    are swept formally); given a discriminant it takes only FieldContext's
     test, `supported_walk`, and builds no field, so no unit and no prime
     generator.  Both modes refuse the levels elliptic.check_point_types
     refuses: D = 5's order-5 levels, q = 0 or 1 mod 5, and D = 8 at every
@@ -416,7 +416,7 @@ def default_discriminants(dmax: int = 853) -> "list[int]":
     elliptic.check_point_types refuses some level."""
     small = list(_primes(isqrt(max(dmax - 1, 0) // 4)))  # every p with 4p^2 < D <= dmax
     return [D for D in _primes(max(dmax, 0))
-            if D >= 13 and D % 4 == 1 and narrow_class_one(D, primes=small)]
+            if D >= 13 and D % 4 == 1 and narrow_class_one(D, primes=small) is not None]
 
 
 def _row(D, strict_n, zeta_modes, precision_bits):

@@ -5,7 +5,7 @@ meaning (u + v*sqrt(D))/2 with the parity constraint u = v*D (mod 2), so every
 operation is integer arithmetic and every sign/comparison is decided exactly
 (compare u^2 against v^2*D; no floating point anywhere).
 
-Supported discriminants: prime D = 1 (mod 4), or D = 8.  `make_field` also
+Supported discriminants: prime D = 1 (mod 4), or D = 8.  `FieldContext` also
 certifies narrow class number one, which forces the fundamental unit to have
 norm -1.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .forms import _half_walk, _reduce, narrow_class_one, walk_element
+from .forms import _reduce, narrow_class_one, walk_element
 from .ntheory import Frozen, is_prime, kronecker, sqrt_mod
 
 
@@ -162,31 +162,6 @@ class FieldElement(Frozen):
 # ---------------------------------------------------------------------------
 
 
-class FieldContext(Frozen):
-    """A field make_field certified to have h+ = 1: D, the fundamental unit
-    eps (of norm -1), the step quotients of the principal rho walk that gives
-    eps, read off its first half and that half's mirror image (omega's
-    partial quotients, see zeta.minus_cf_cycle), and that half walk, the
-    certificate's forms f_0, ..., f_(m+1) as (|a|, b, |c|), on which
-    split_prime finds its reduced forms.  eps_plus, the fundamental totally
-    positive unit, is eps^2, computed here and never taken as an argument."""
-
-    __slots__ = ("D", "eps", "eps_plus", "quotients", "walk")
-    D: int
-    eps: FieldElement
-    eps_plus: FieldElement
-    quotients: tuple[int, ...]
-    walk: tuple[tuple[int, int, int], ...]
-
-    def __init__(self, D: int, eps: FieldElement, quotients: tuple[int, ...],
-                 walk: tuple[tuple[int, int, int], ...]):
-        self._set(D, eps, eps * eps, quotients, walk)
-
-    @property
-    def omega(self) -> FieldElement:
-        return FieldElement.omega(self.D)
-
-
 def supported_walk(D: int) -> list[tuple[int, int, int]]:
     """The one test of a supported D: its principal half walk f_0, ...,
     f_(m+1) (`narrow_class_one`), or a refusal.
@@ -201,14 +176,20 @@ def supported_walk(D: int) -> list[tuple[int, int, int]]:
         raise UnsupportedShapeError(
             f"D={D} not of the supported shape (prime = 1 mod 4, or 8)"
         )
-    walk = _half_walk(D)
-    if not narrow_class_one(D, walk):
+    walk = narrow_class_one(D)
+    if walk is None:
         raise NarrowClassError(D)
     return walk
 
 
-def make_field(D: int) -> FieldContext:
-    """Validate D (`supported_walk`) and build the field context.
+class FieldContext(Frozen):
+    """The field of a D that `supported_walk` certifies to have h+ = 1, built
+    from D alone: D, the fundamental unit eps (of norm -1), eps_plus = eps^2,
+    the fundamental totally positive unit, the step quotients of the
+    principal rho walk that gives eps, read off its first half and that
+    half's mirror image (omega's partial quotients, see zeta.minus_cf_cycle),
+    and that half walk, the certificate's forms f_0, ..., f_(m+1) as
+    (|a|, b, |c|), on which split_prime finds its reduced forms.
 
     The principal walk f_0 = (1, b0, c0), ..., f_l = -f_0 = (-1, b0, -c0),
     l = 2m + 1, has the step quotients t_j = (b_j + b_(j+1))/(2c_j) and the
@@ -231,22 +212,45 @@ def make_field(D: int) -> FieldContext:
     As eps > 1 > -eps' = 1/eps > 0, u = eps + eps' and v*sqrt(D) = eps - eps'
     are positive at eps: eps = (|u| + |v|*sqrt(D))/2, and eps_plus = eps^2.
     """
-    walk = supported_walk(D)
-    _, b0, abs_c0 = walk[0]
-    half = [(b + b1) // (2 * c) for (_, b, c), (_, b1, _) in zip(walk[:-2], walk[1:])]
-    quotients = tuple(t if j % 2 else -t for j, t in enumerate((*half, *reversed(half), b0)))
-    u, v = walk_element((-1, b0, abs_c0), quotients)
-    eps = FieldElement(abs(u), abs(v), D)
-    return FieldContext(D=D, eps=eps, quotients=quotients, walk=tuple(walk))
+
+    __slots__ = ("D", "eps", "eps_plus", "quotients", "walk")
+    D: int
+    eps: FieldElement
+    eps_plus: FieldElement
+    quotients: tuple[int, ...]
+    walk: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, D: int):
+        walk = supported_walk(D)
+        _, b0, abs_c0 = walk[0]
+        half = [(b + b1) // (2 * c) for (_, b, c), (_, b1, _) in zip(walk[:-2], walk[1:])]
+        quotients = tuple(t if j % 2 else -t for j, t in enumerate((*half, *reversed(half), b0)))
+        u, v = walk_element((-1, b0, abs_c0), quotients)
+        eps = FieldElement(abs(u), abs(v), D)
+        self._set(D, eps, eps * eps, quotients, tuple(walk))
+
+    @property
+    def omega(self) -> FieldElement:
+        return FieldElement.omega(self.D)
+
+
+def make_field(D: int) -> FieldContext:
+    """FieldContext(D), as a function: the perfbench tracer times the public
+    functions of each layer, not its classes."""
+    return FieldContext(D)
 
 
 class PrimeIdealData(Frozen):
-    """A prime ideal of O_E above the rational prime p.
+    """A prime ideal of O_E above the rational prime p, built from p, its
+    splitting and a totally positive generator (narrow class number one makes
+    one exist); D, f and omega_image follow from them.
 
-    q = p^f is the residue norm; `generator` is a totally positive generator
-    (narrow class number one makes one exist).  For degree-one primes,
-    `omega_image` is the image of omega in O/P = F_p; it pins down which of
-    the two conjugate primes this is.
+    q = p^f is the residue norm, f = 2 for an inert p and 1 otherwise.  For
+    degree-one primes, `omega_image` is the image of omega in O/P = F_p; it
+    pins down which of the two conjugate primes this is.  The generator
+    g = rat + v*omega maps to rat + v*omega_image = 0 in F_p.  p does not
+    divide v: otherwise p | rat too (rat = g - v*omega lies in P, so in pZ),
+    and p^2 would divide N(g) = +-p.
     """
 
     __slots__ = ("D", "p", "splitting", "f", "generator", "omega_image")
@@ -257,9 +261,13 @@ class PrimeIdealData(Frozen):
     generator: FieldElement
     omega_image: int | None
 
-    def __init__(self, D: int, p: int, splitting: str, f: int, generator: FieldElement,
-                 omega_image: int | None):
-        self._set(D, p, splitting, f, generator, omega_image)
+    def __init__(self, p: int, splitting: str, generator: FieldElement):
+        g = generator
+        if splitting == "inert":
+            self._set(g.D, p, splitting, 2, g, None)
+        else:
+            rat = (g.u - g.v) // 2 if g.D % 2 == 1 else g.u // 2
+            self._set(g.D, p, splitting, 1, g, -rat * pow(g.v, -1, p) % p)
 
     @property
     def q(self) -> int:
@@ -318,19 +326,13 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     to (|u|+|v|, u, -v).  Two associates tying on (|u|+|v|, u) would be y and
     y', making P = P'.  So the least key maps to the least key, and the
     output is the same whether (x) is the prime or its conjugate.
-    A context whose eps is not of norm -1 is refused (FieldError): with
-    N(eps) > 0 the generator search never ends, as x*eps keeps a negative
-    norm, and with N(eps) < -1 the generator's norm may not be p.
     """
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
     D = F.D
-    if F.eps.norm() != -1:
-        raise FieldError(f"the context's eps for D={D} is not a unit of norm -1")
     sym = kronecker(D, p)
     if sym == -1:
-        return (PrimeIdealData(D=D, p=p, splitting="inert", f=2,
-                               generator=FieldElement.from_int(p, D), omega_image=None),)
+        return (PrimeIdealData(p, "inert", FieldElement.from_int(p, D)),)
     b, s = sqrt_mod(D, p), isqrt(D)
     b += p * ((b - D) % 2)
     b = s - (s - b) % (2 * p)
@@ -345,8 +347,7 @@ def split_prime(F: FieldContext, p: int) -> tuple[PrimeIdealData, ...]:
     g = _positive_generator(x, F)
     gens = (g, g.conjugate()) if sym == 1 else (g,)
     splitting = "split" if sym == 1 else "ramified"
-    primes = [PrimeIdealData(D=D, p=p, splitting=splitting, f=1, generator=g,
-                             omega_image=_omega_image_for(g, p)) for g in gens]
+    primes = [PrimeIdealData(p, splitting, g) for g in gens]
     # deterministic ordering: smaller omega image first
     return tuple(sorted(primes, key=lambda P: P.omega_image))
 
@@ -378,13 +379,3 @@ def prime_of_norm(F: FieldContext, q: int) -> PrimeIdealData:
     p = isqrt(q)  # q = p^2 for an inert p, else q is the prime itself
     return split_prime(F, p if p * p == q else q)[0]
 
-
-def _omega_image_for(gen: FieldElement, p: int) -> int:
-    """The residue r with omega = r (mod (gen)), (gen) of norm p.
-
-    gen = rat + v*omega maps to rat + v*r = 0 in F_p.  p does not divide v:
-    otherwise p | rat too (rat = gen - v*omega lies in P, so in pZ), and
-    p^2 would divide N(gen) = +-p.
-    """
-    rat = (gen.u - gen.v) // 2 if gen.D % 2 == 1 else gen.u // 2
-    return -rat * pow(gen.v, -1, p) % p

@@ -15,9 +15,10 @@ Cohen, A Course in Computational Algebraic Number Theory, 1993, 5.3-5.6):
   (0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b) under the usual
   neighboring step.
 
-* `narrow_class_one(D)` -- whether h+(D) = 1, certified from half the walk
-  round the principal cycle (Minkowski's bound), without listing the forms:
-  it stops where the walk meets its mirror image, two equal |a| in a row.
+* `narrow_class_one(D)` -- the half walk round the principal cycle when
+  h+(D) = 1, certified from it (Minkowski's bound) without listing the forms,
+  and None otherwise: it stops where the walk meets its mirror image, two
+  equal |a| in a row.
 
 Forms are walked in two ways, each defined once: `_reduce` takes a form to a
 reduced one, and `_cycle_step` walks a cycle of reduced forms as (|a|, b, |c|).
@@ -240,15 +241,16 @@ def _half_walk(D: int) -> list[tuple[int, int, int]]:
             return []
 
 
-def narrow_class_one(D: int, walk=None, primes=None) -> bool:
-    """Whether h+(D) = 1, for a fundamental discriminant D > 0.
+def narrow_class_one(D: int, primes=None) -> "list[tuple[int, int, int]] | None":
+    """The half walk `_half_walk(D)` if h+(D) = 1, else None, for a
+    fundamental discriminant D > 0.
 
-    walk is `_half_walk(D)`, taken here if not given.  primes, if given, is a
-    sorted list holding every prime p with 4p^2 < D (a sweep sieves them once
-    for all its D); else they are sieved here.  h+(D) = 1 exactly when the
-    principal walk, rho steps from f_0 = (1, b0, c0) to the first form with
-    |a| = 1, ends at leading coefficient -1 and every prime p with 4p^2 < D
-    and (D/p) >= 0 is some |a| along it; the half walk tells both.  Proof:
+    primes, if given, is a sorted list holding every prime p with 4p^2 < D
+    (a sweep sieves them once for all its D); else they are sieved here.
+    h+(D) = 1 exactly when the principal walk, rho steps from f_0 =
+    (1, b0, c0) to the first form with |a| = 1, ends at leading coefficient
+    -1 and every prime p with 4p^2 < D and (D/p) >= 0 is some |a| along it;
+    the half walk tells both.  Proof:
 
     * The walk stops at the first form (+-1, b, c) on the principal cycle,
       and its unit eta (`walk_element`), of norm that leading coefficient,
@@ -300,13 +302,13 @@ def narrow_class_one(D: int, walk=None, primes=None) -> bool:
     * A walk with N(eps) = +1 never meets -1, so it has no equal pair: the
       half walk runs on to +1, and the certificate refuses it.
     """
-    walk = _half_walk(D) if walk is None else walk
+    walk = _half_walk(D)
     if not walk:
-        return False
+        return None
     met = {a for a, _, _ in walk}
     top = isqrt((D - 1) // 4)  # 4p^2 < D  <=>  p <= top
     primes = _primes(top) if primes is None else primes[:bisect_right(primes, top)]
-    return all(p in met or kronecker(D, p) < 0 for p in primes)
+    return walk if all(p in met or kronecker(D, p) < 0 for p in primes) else None
 
 
 def h_narrow_indefinite(D: int) -> int:

@@ -15,9 +15,15 @@ class Frozen:
     the same and their _key()s are equal, and the hash is that of _key():
     every slot's value, unless a subclass narrows _key to the fields that
     define it (TreeGraph leaves out its caches).  copy and pickle restore the
-    slots through __setstate__."""
+    slots through __setstate__.  Value types are final: _set and _key read
+    the most derived class's __slots__, so a subclass of anything but Frozen
+    alone is refused (TypeError)."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__bases__ != (Frozen,):
+            raise TypeError(f"{cls.__name__}: value types are final; subclass Frozen alone")
 
     def _set(self, *values):
         set_ = object.__setattr__

@@ -17,7 +17,7 @@ sieve that h(-N) uses (Hirzebruch 1973, section 3; Cohen 1993, 5.3).
 The resolution cycle itself is the period of the negative-regular ("minus")
 continued fraction of omega: w_{k+1} = 1/(b_k - w_k) with b_k = ceil(w_k).
 It is not expanded on its own: the rho walk from the principal form runs
-through the period of omega's regular continued fraction, which `make_field`
+through the period of omega's regular continued fraction, which `FieldContext`
 reads off the h+ = 1 certificate's half walk and its mirror image and keeps,
 and Hirzebruch's rule turns that into the minus period (see `minus_cf_cycle`).
 One period of the minus expansion corresponds to the fundamental totally
@@ -89,7 +89,7 @@ def minus_cf_cycle(F: FieldContext) -> tuple[int, ...]:
     * At (1, b, c), x = 1/(omega - floor(omega)), so the |t| are omega's
       partial quotients a_1, a_2, ..., purely periodic from a_1.  Only
       (1, b, c) and (-1, b, -c) have this x, so the walk from (1, b, c) to
-      (-1, b, -c), whose quotients make_field reads off its half walk and
+      (-1, b, -c), whose quotients FieldContext reads off its half walk and
       that half's mirror image, covers one period (a_1, ..., a_m).  m is odd
       (the midpoint, `forms.narrow_class_one`).
     * Hirzebruch's rule (Hilbert modular surfaces, 1973, section 2):

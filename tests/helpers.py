@@ -24,9 +24,9 @@ from mpmath import iv
 from hmsurf import elliptic
 from hmsurf.chern import ChernError, c1sq_lower_bound, c2_lower_check, modes_at, norm_achievable
 from hmsurf.elliptic import EllipticCounts, EllipticError
-from hmsurf.field import (FieldContext, FieldElement, FieldError, NarrowClassError,
-                          UnsupportedShapeError, _omega_image_for, _positive_generator,
-                          make_field, supported_walk)
+from hmsurf.field import (FieldElement, FieldError, NarrowClassError, PrimeIdealData,
+                          UnsupportedShapeError, _positive_generator, make_field,
+                          supported_walk)
 from hmsurf.forms import h_definite, reduced_indefinite_forms, walk_element
 from hmsurf.ntheory import kronecker, sqrt_mod
 from hmsurf.numeric import check_precision
@@ -518,14 +518,14 @@ def oracle_split_generators(F, p):
     signed rho walk of (p, b, (b^2 - D)/4p), b in [0, 2p), to the first form
     (+-1, b', c') (`unit_form_walk`); a split p's two in omega-image order.
     Only the walk is the oracle's: the choice of associate and the omega
-    image are the package's `_positive_generator` and `_omega_image_for`."""
+    image are the package's `_positive_generator` and `PrimeIdealData`."""
     D = F.D
     b = sqrt_mod(D, p)
     b += p * ((b - D) % 2)
     end, quotients = unit_form_walk((p, b, (b * b - D) // (4 * p)), D)
     g = _positive_generator(FieldElement(*walk_element(end, quotients), D), F)
     gens = (g, g.conjugate()) if kronecker(D, p) == 1 else (g,)
-    return sorted(gens, key=lambda x: _omega_image_for(x, p))
+    return sorted(gens, key=lambda x: PrimeIdealData(p, "split", x).omega_image)
 
 
 def signed_cycle_count(D):
@@ -564,10 +564,10 @@ def full_walk_certificate(D, walk):
 
 
 def oracle_make_field(D):
-    """make_field from the full principal walk: the shape test, the full
-    walk's certificate, eps and the quotients of `unit_form_walk` from the
-    principal form, and the walk's first (l + 3)/2 forms without signs; the
-    refusals are make_field's."""
+    """make_field's (D, eps, quotients, walk) from the full principal walk:
+    the shape test, the full walk's certificate, eps and the quotients of
+    `unit_form_walk` from the principal form, and the walk's first (l + 3)/2
+    forms without signs; the refusals are make_field's."""
     if not isinstance(D, int) or D < 5:
         raise UnsupportedShapeError(f"D={D} not supported (need D >= 5)")
     if not (D == 8 or (D % 4 == 1 and sympy.isprime(D))):
@@ -580,7 +580,7 @@ def oracle_make_field(D):
     u, v = walk_element(end, quotients)
     eps = FieldElement(abs(u), abs(v), D)
     half = tuple((abs(a), b, abs(c)) for a, b, c in walk[:len(walk) // 2 + 1])
-    return FieldContext(D=D, eps=eps, quotients=tuple(quotients), walk=half)
+    return D, eps, tuple(quotients), half
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,8 @@ def test_bound_classify_builds_no_field(monkeypatch):
     def forbidden(*args):
         raise AssertionError("built a unit or the field")
 
-    for module, name in ((forms, "step_product"), (field, "make_field"), (chern, "make_field")):
+    for module, name in ((forms, "step_product"), (field, "make_field"),
+                         (field, "FieldContext"), (chern, "make_field")):
         monkeypatch.setattr(module, name, forbidden)
     assert [classify(D, q, mode="bound") for D, q in asks] == expected
     for D, (kind, message) in refusals.items():

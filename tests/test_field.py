@@ -1,6 +1,7 @@
+import copy
 import math
+import pickle
 import random
-import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -199,12 +200,16 @@ def test_make_field_reads_the_full_walk_off_its_half():
         except FieldError as exc:
             return type(exc), str(exc)
 
+    def fields(D):
+        F = make_field(D)
+        return (F.D, F.eps, F.quotients, F.walk)
+
     primes = [D for D in range(2001, 200_000, 4) if is_prime(D)]
     built = 0
     for D in [*range(-3, 2000), *primes, 1000033, 10000000061, 10**9 + 9]:
-        got = outcome(make_field, D)
+        got = outcome(fields, D)
         assert got == outcome(oracle_make_field, D), D
-        built += isinstance(got, FieldContext)
+        built += isinstance(got[1], FieldElement)
     assert built == 2 + len(default_discriminants(200_000)) + 2
 
 
@@ -385,36 +390,40 @@ def test_split_prime_rejects_composite():
         split_prime(F, 1)
 
 
-@given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
-def test_context_squares_its_own_eps(u, v):
-    # FieldContext takes no eps_plus, so a context rebuilt from make_field(13)'s
-    # parts holds eps^2 there, whatever eps it is given
-    F = make_field(13)
-    eps = FieldElement(u + (u - 13 * v) % 2, v, 13)
-    assert FieldContext(F.D, eps, F.quotients, F.walk).eps_plus == eps * eps
-    assert FieldContext(F.D, F.eps, F.quotients, F.walk) == F
+def test_context_squares_its_own_eps(monkeypatch):
+    # FieldContext is built from D alone: it takes no eps, quotients or walk,
+    # so its eps_plus is always its own eps squared; copy and pickle restore
+    # the slots without walking again
+    for D in (5, 8, 13, 1000033):
+        F = FieldContext(D)
+        assert F == make_field(D) and F.eps_plus == F.eps * F.eps, D
     with pytest.raises(TypeError):
-        FieldContext(F.D, F.eps, F.eps_plus, F.quotients, F.walk)
+        FieldContext(F.D, F.eps, F.quotients, F.walk)
+
+    def forbidden(*args):
+        raise AssertionError("walked the principal cycle")
+
+    monkeypatch.setattr(forms, "_cycle_step", forbidden)
+    for twin in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+        assert twin == F and twin.eps_plus == F.eps_plus
 
 
-def test_split_prime_refuses_eps_not_of_norm_minus_one():
-    # with N(eps) = 3, x*eps keeps a negative norm and the generator search
-    # never ends; the refusal comes at once, and the alarm stops a regression
-    F = make_field(13)
-    bad = FieldContext(F.D, FieldElement(5, 1, 13), F.quotients, F.walk)
-
-    def stop(signum, frame):
-        raise TimeoutError("split_prime did not return")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(5)
-    try:
-        for p in (3, 2, 13):
-            with pytest.raises(FieldError, match="norm -1"):
-                split_prime(bad, p)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def test_prime_is_built_from_its_generator():
+    # D, f, q and omega_image follow from p, the splitting and the generator:
+    # at every table D and every prime p < 200, a prime's generator maps to 0
+    # in F_p when omega maps to omega_image, and f is 2 exactly at an inert p
+    for D in default_discriminants():
+        F = make_field(D)
+        for p in filter(is_prime, range(2, 200)):
+            for P in split_prime(F, p):
+                g = P.generator
+                assert (P.D, P.f, P.q) == (D, 2 if P.splitting == "inert" else 1,
+                                           p ** P.f), (D, p)
+                if P.f == 2:
+                    assert P.omega_image is None and g == FieldElement.from_int(p, D)
+                    continue
+                rat = (g.u - g.v) // 2  # g = rat + v*omega, D odd
+                assert 0 <= P.omega_image < p and (rat + g.v * P.omega_image) % p == 0, (D, p)
 
 
 def test_prime_membership_and_reduction():

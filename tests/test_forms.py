@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 from math import gcd, isqrt, log, pi, sqrt
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hmsurf import forms
 from hmsurf.chern import default_discriminants
-from hmsurf.field import FieldContext, FieldElement, _cycle_position
+from hmsurf.field import _cycle_position
 from hmsurf.forms import (
     _RUN,
     _SIEVE_FROM,
@@ -168,7 +169,7 @@ def test_narrow_class_one_vs_oracle():
     discs = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
     assert len(discs) == 6081
     for D in discs + primes:
-        assert narrow_class_one(D) == (h_narrow_indefinite(D) == 1), D
+        assert (narrow_class_one(D) is not None) == (h_narrow_indefinite(D) == 1), D
 
 
 def test_half_walk_stops_at_the_midpoint(monkeypatch):
@@ -194,7 +195,7 @@ def test_half_walk_stops_at_the_midpoint(monkeypatch):
         walk = full_principal_walk(D)
         leads = [a for a, _, _ in walk[1:]]
         reached.clear()
-        verdict = narrow_class_one(D)
+        verdict = narrow_class_one(D) is not None
         assert verdict == full_walk_certificate(D, walk), D
         assert reached == [(abs(a), b, abs(c)) for a, b, c in walk[1:len(reached) + 1]], D
         if leads[-1] == 1:
@@ -239,12 +240,11 @@ def test_rho_step_off_the_window_and_a_walk_that_cannot_stop():
     assert forms._reduce((-17, -25, -9), 13, 3) == ((-1, 3, 1), [1, -5])
     assert forms._reduce((-9, 7, -1), 13, 3) == ((-1, 3, 1), [-5])
     assert forms._reduce((3, 5, -1), 37, 6) == ((3, 5, -1), [])  # reduced
-    # h+(229) = 3, so make_field refuses 229; on a context built by hand from
-    # its principal cycle (229 = 15^2 + 4: l = 1, eps = (15 + sqrt(229))/2),
-    # the reduced form (-9, 7, 5) is not found, and the lookup that would walk
-    # on from it refuses instead
-    eps = FieldElement(15, 1, 229)
-    F229 = FieldContext(D=229, eps=eps, quotients=(-15,), walk=((1, 15, 1), (1, 15, 1)))
+    # h+(229) = 3, so FieldContext refuses 229; given the fields the lookup
+    # reads of its principal cycle (229 = 15^2 + 4: l = 1), the reduced form
+    # (-9, 7, 5) is not found, and the lookup that would walk on from it
+    # refuses instead
+    F229 = types.SimpleNamespace(D=229, walk=((1, 15, 1), (1, 15, 1)), quotients=(-15,))
     with pytest.raises(RuntimeError, match="not on the principal cycle"):
         _cycle_position(F229, (-9, 7, 5))
 

@@ -1,7 +1,7 @@
 """The twelve exported value types: immutable but copyable and picklable,
 each built by its own constructor, and each refusing bad input with its own
 error type.  The eight on ntheory.Frozen compare and hash by Frozen's one
-rule, over their _key()."""
+rule, over their _key(), and are final."""
 
 import copy
 import importlib
@@ -105,13 +105,24 @@ def _holding(kind, x):
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
 def test_frozen_values_never_equal_another_type(cls):
+    # a subclass of a value type cannot be made (Frozen refuses it), and a
+    # Frozen type with the same slots never equals it
     x = VALUES[cls]()
-    subclass = type("Sub", (cls,), {"__slots__": ()})
+    with pytest.raises(TypeError, match="value types are final"):
+        type("Sub", (cls,), {"__slots__": ()})
     lookalike = type("Lookalike", (Frozen,), {"__slots__": cls.__slots__})
-    for other in (_holding(subclass, x), _holding(lookalike, x)):
-        assert all(getattr(other, name) == getattr(x, name) for name in cls.__slots__)
-        assert x != other and other != x and not x == other
+    other = _holding(lookalike, x)
+    assert all(getattr(other, name) == getattr(x, name) for name in cls.__slots__)
+    assert x != other and other != x and not x == other
     assert x != x._key() and x._key() != x
+
+
+def test_value_types_are_final():
+    # _set and _key read the most derived class's __slots__: a subclass with
+    # no slots of its own would set no field and compare all its values equal
+    with pytest.raises(TypeError, match="Sub: value types are final"):
+        class Sub(LinearForm):
+            __slots__ = ()
 
 
 def test_tree_equality_ignores_the_distance_cache():
