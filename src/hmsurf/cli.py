@@ -29,7 +29,8 @@ from .field import FieldElement, PrimeIdealData, make_field, prime_of_norm, supp
 from .numeric import MAX_PRECISION_BITS, MIN_PRECISION_BITS
 
 # classnumber's limits, each under 1 s and 80 MB cold (Python 3.11, one core):
-# h(-N) sieves about sqrt(N/3)/2 integers, h+(D) does about 0.07*D divisions.
+# h(-N) sieves about sqrt(N/3)/2 integers and h+(D) about sqrt(D)/2; cold,
+# classnumber --disc 99999997 takes about 0.12 s.
 MAX_DEFINITE_N = 10 ** 10
 MAX_NARROW_D = 10 ** 8
 

@@ -430,7 +430,7 @@ def load_audit_row():
 
 
 # ---------------------------------------------------------------------------
-# forms: reduced indefinite forms by scanning the whole window
+# forms: reduced indefinite forms by scanning the whole window, and by trial division
 # ---------------------------------------------------------------------------
 
 def oracle_reduced_indefinite_forms(D):
@@ -457,6 +457,22 @@ def oracle_reduced_indefinite_forms(D):
                 if gcd(gcd(a, b), c) == 1:
                     forms.add((a, b, c))
     return sorted(forms)
+
+
+def oracle_trial_indefinite_forms(D):
+    """The reduced forms of discriminant D by trial division over each b's
+    window of a, never the sieve: the oracle for `forms.reduced_indefinite_forms`,
+    which takes its a from `forms._reduced` (sieved from `forms._SIEVE_FROM`)."""
+    forms = []
+    s = isqrt(D)
+    for b in range(2 - D % 2, s + 1, 2):
+        m = (D - b * b) // 4
+        for a in range((s + 2 - b) // 2, isqrt(m) + 1):
+            if m % a or gcd(gcd(a, b), m // a) != 1:
+                continue
+            c = m // a
+            forms += [(a, b, -c), (-a, b, c), (c, b, -a), (-c, b, a)]
+    return sorted(set(forms))  # a = c lists each form twice
 
 
 # ---------------------------------------------------------------------------

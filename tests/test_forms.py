@@ -24,7 +24,8 @@ from hmsurf.forms import (
 from hmsurf.ntheory import is_fundamental_discriminant, is_prime, kronecker, sqrt_mod
 
 from helpers import (full_principal_walk, full_walk_certificate, linear_product,
-                     oracle_reduced_indefinite_forms, rho_step, signed_cycle_count)
+                     oracle_reduced_indefinite_forms, oracle_trial_indefinite_forms, rho_step,
+                     signed_cycle_count)
 
 
 def oracle_h_definite(N):
@@ -124,6 +125,7 @@ def test_class_numbers_at_large_discriminants():
         assert h_definite(N) == h, N
     assert h_narrow_indefinite(999961) == 3
     assert h_narrow_indefinite(1000033) == 1
+    assert h_narrow_indefinite(99999997) == 24  # cli.MAX_NARROW_D's neighbour
 
 
 def test_definite_rejects():
@@ -151,7 +153,8 @@ def test_narrow_rejections():
     for bad in (0, -5, 45, 16):
         with pytest.raises(ValueError):
             h_narrow_indefinite(bad)
-    for bad in (10, 15):
+    # 9 and 16 on the trial side, 125316 = 354^2 on the sieve side
+    for bad in (10, 15, 9, 16, 125316):
         with pytest.raises(ValueError, match="not a discriminant"):
             reduced_indefinite_forms(bad)
 
@@ -312,6 +315,30 @@ def test_reduced_indefinite_forms_vs_oracle_sweep():
             assert reduced_indefinite_forms(D) == oracle_reduced_indefinite_forms(D), D
             checked += 1
     assert checked == 1516
+
+
+def test_reduced_indefinite_forms_vs_trial_division():
+    # trial division on one side of _SIEVE_FROM, the sieve on the other
+    below = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
+    near = [D for D in range(_SIEVE_FROM - 100, _SIEVE_FROM + 101)
+            if is_fundamental_discriminant(D)]
+    assert len(below) == 6081 and len(near) == 60
+    for D in below + near + [999961, 99999997]:
+        assert reduced_indefinite_forms(D) == oracle_trial_indefinite_forms(D), D
+
+
+def test_one_sieve_switch_for_both_signs(monkeypatch):
+    # `_reduced` takes the divisors from the sieve from |disc| = _SIEVE_FROM on,
+    # for h(-N) and h+(D) alike.  For D > 0 the sieve is the slower path up to
+    # about 5*10^5 (0.40 against 0.27 ms just above 125,000) and the faster
+    # one beyond (15 against 290 ms for the forms of 99,999,997).
+    calls = []
+    sieve = forms._sieve_divisors
+    monkeypatch.setattr(forms, "_sieve_divisors", lambda d, bs, ms: calls.append(d) or sieve(d, bs, ms))
+    h_definite(124999), reduced_indefinite_forms(124997)
+    assert calls == []
+    h_definite(125000), reduced_indefinite_forms(125009)
+    assert calls == [-125000, 125009]
 
 
 def _fundamental_at_or_below(n):
