@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Show every term behind one row of the classification table.
 
-For a discriminant (and optionally one degree n), print the c2 threshold
-check and the certified c1^2 lower bound split into volume, cusp and penalty
-terms, under both volume-term variants, for each inertia case that applies.
+For a discriminant, print the c2 threshold check and the certified c1^2
+lower bound split into volume, cusp and penalty terms, under each volume-term
+variant the row shows, at the row's landmark degrees in the generic case and
+at n = 5 and n = 10 in the inertia cases that apply; with --n, at that one
+degree in its own inertia case.
 This is the drill-down used to understand any diff against the published
 table: the verdict is a sum of four numbers, so show the four numbers.
 """
@@ -12,8 +14,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from hmsurf.chern import (ChernError, _inert_cases, c1sq_terms, c2_lower_check, classify,
-                          modes_at, theorem_table)
+from hmsurf.chern import (ChernError, _inert_cases, _p_case, _variants, c1sq_terms,
+                          c2_lower_check, classify, modes_at, theorem_table)
 from hmsurf.elliptic import EllipticError
 from hmsurf.field import FieldError
 from hmsurf.reference_data import published_row
@@ -28,10 +30,9 @@ def show(x: Fraction) -> str:
 
 
 def audit_degree(D: int, n: int, p_case: str) -> None:
-    c_mode, zeta_mode = modes_at(D)
-    print(f"  n={n} [{p_case}, {c_mode}]  c2 floor check: "
+    print(f"  n={n} [{p_case}, {modes_at(D)[0]}]  c2 floor check: "
           f"{'pass' if c2_lower_check(D, n) else 'FAIL'}")
-    for zmode in ("exact", "bound") if zeta_mode == "exact" else ("bound",):
+    for zmode in _variants(D):
         t = c1sq_terms(D, n, p_case, zeta_mode=zmode)
         sign = "pass" if t["lower_bound"] > 0 else "FAIL"
         print(f"    zeta={zmode:<5}  volume >= {show(t['volume_lb'])}")
@@ -44,7 +45,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--disc", type=int, required=True)
     ap.add_argument("--n", type=int, default=None,
-                    help="audit a single degree instead of the row's landmarks")
+                    help="audit this one degree, in its inertia case, instead of "
+                         "the row's landmarks")
     args = ap.parse_args(argv)
     D = args.disc
     try:
@@ -67,10 +69,9 @@ def main(argv=None) -> int:
         print(f"       published: n_min={pub[0]}, exclusions={sorted(pub[1])}")
 
     if args.n is not None:
-        degrees = [args.n]
-    else:
-        degrees = sorted({3, row.n_min - 1, row.n_min} - {2})
-    for n in degrees:
+        audit_degree(D, args.n, _p_case(D, args.n))
+        return 0
+    for n in sorted({3, row.n_min - 1, row.n_min} - {2}):
         audit_degree(D, n, "generic")
     for q, p_case in _inert_cases(D).items():
         audit_degree(D, q + 1, p_case)

@@ -160,17 +160,18 @@ def modes_at(D: int) -> "tuple[str, str]":
     return "bound_c", "bound"
 
 
-def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
-    """{(zeta_mode, n, p_case): intervals (volume, cusp term, penalty)} of the
-    c1^2 bound f(D, n) = volume + cusp term - penalty (_total), for every
-    combination of the three tuples.  The cusp term, the penalties and
-    zeta_E(-1) are free of n and of the volume variant; only the volume is
-    evaluated per zeta_mode and degree.  The n-free terms are kept in one
+def _c1sq_intervals(D, n, zeta_mode, precision_bits):
+    """(volume, cusp term, penalty) of the c1^2 bound f(D, n) = volume + cusp
+    term - penalty(p_case) (_total) at degree n under one volume variant: the
+    volume and cusp term as intervals, and penalty as the accessor that gives
+    each p_case's interval (ChernError on an unknown case).  The cusp term,
+    the penalties and zeta_E(-1) are free of n and of the volume variant;
+    only the volume is evaluated per call.  The n-free terms are kept in one
     memo keyed by (D, precision_bits), of 64 keys: it holds all 63 table D
     below TAIL_D at one precision, so table_diff finds the terms of every
     such disputed row that theorem_table evaluated before it.  Each entry is
     a pure function of its key, filled term by term on first use, and every
-    argument is checked on every call before the lookup.
+    argument is checked before the lookup, p_case by the accessor.
 
     Tail lemma: for every D > EXACT_C_CUTOFF and n >= 3, with the volume
     floor, c2_lower_check holds and f(D, n) > 0 in each p_case at every
@@ -211,36 +212,25 @@ def _c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
     inert and D < P2_FLOOR_D, none otherwise; from TAIL_D on, so does every
     row with the exact volume term.
     """
-    for p_case in p_cases:
-        if p_case not in P_CASES:
-            raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
-    for zeta_mode in zeta_modes:
-        _check_zeta_mode(zeta_mode)
-    for n in ns:  # the penalty counts points of orders 2 and 3 (4 and 6) only
-        check_point_types(D, n - 1)
+    _check_zeta_mode(zeta_mode)
+    check_point_types(D, n - 1)  # the penalty counts points of orders 2 and 3 (4 and 6) only
     check_precision(precision_bits)
     b = precision_bits
     terms = _n_free_terms(D, b)
-    cterm = terms.cterm
-    pens = {p_case: terms.penalty(p_case) for p_case in p_cases}  # only the cases asked for
-    bounds = {}
-    for zeta_mode in zeta_modes:
-        for n in ns:
-            if zeta_mode == "exact":
-                volume = 2 * n * terms.zeta
-                vol = mpi_div(_point(volume.numerator, b), _point(volume.denominator, b), b)
-            else:
-                vol = _volume_floor(D, n, 180, b)
-            for p_case, pen in pens.items():
-                bounds[zeta_mode, n, p_case] = (vol, cterm, pen)
-    return bounds
+    if zeta_mode == "exact":
+        volume = 2 * n * terms.zeta
+        vol = mpi_div(_point(volume.numerator, b), _point(volume.denominator, b), b)
+    else:
+        vol = _volume_floor(D, n, 180, b)
+    return vol, terms.cterm, terms.penalty
 
 
 class _NFreeTerms:
     """The terms of the c1^2 bound at one (D, bits) that are free of n, each
     evaluated on first use: the cusp term, the order-3 factor
-    sqrt(3D)*log(3D), each p_case's penalty and zeta_E(-1) (with the exact c,
-    which comes from the same divisor sieve)."""
+    sqrt(3D)*log(3D), each p_case's penalty (penalty(p_case), which refuses an
+    unknown case) and zeta_E(-1) (with the exact c, which comes from the same
+    divisor sieve)."""
 
     def __init__(self, D, bits):
         self.D, self.bits, self.pi, self.pens = D, bits, mpi_pi(bits), {}
@@ -249,7 +239,7 @@ class _NFreeTerms:
     def cterm(self):
         D, b, pi = self.D, self.bits, self.pi
         if modes_at(D)[0] == "exact_c":
-            self.zeta = zeta_minus_one(D)
+            self.zeta  # zeta_E(-1) too, while zeta._divisor_sums holds the sieve behind c
             return _point(local_chern_divisor_sum(D), b)
         # -(sqrt(D)/2) * (3 log^2 D/(2 pi^2) + (21/20) log D), in that order
         logd = _log_int(D, b)
@@ -265,13 +255,15 @@ class _NFreeTerms:
     def penalty(self, p_case):
         if p_case not in self.pens:
             D, b, pi = self.D, self.bits, self.pi
-            self.pens[p_case] = {
-                "generic": lambda: mpi_div(self.pen3, mpi_mul(_point(4, b), pi, b), b),
-                "p3_inert": lambda: mpi_div(mpi_mul(_point(4, b), self.pen3, b), pi, b),
-                # p2_inert keeps the generic order-3 term and adds the order-2 one
-                "p2_inert": lambda: mpi_add(self.penalty("generic"), mpi_div(mpi_mul(mpi_mul(
-                    _point(3, b), _sqrt_int(4 * D, b), b), _log_int(4 * D, b), b), pi, b), b),
-            }[p_case]()
+            if p_case == "generic":
+                self.pens[p_case] = mpi_div(self.pen3, mpi_mul(_point(4, b), pi, b), b)
+            elif p_case == "p3_inert":
+                self.pens[p_case] = mpi_div(mpi_mul(_point(4, b), self.pen3, b), pi, b)
+            elif p_case == "p2_inert":  # the generic order-3 term plus the order-2 one
+                self.pens[p_case] = mpi_add(self.penalty("generic"), mpi_div(mpi_mul(mpi_mul(
+                    _point(3, b), _sqrt_int(4 * D, b), b), _log_int(4 * D, b), b), pi, b), b)
+            else:
+                raise ChernError(f"p_case must be one of {P_CASES}, got {p_case!r}")
         return self.pens[p_case]
 
     @cached_property
@@ -315,23 +307,20 @@ def c1sq_lower_bound(D: int, n: int, p_case: str = "generic", *,
     formula: it bounds a surface only at a supported D, which classify and
     theorem_table check, and it does not.
     """
-    bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
-    return lower_rational(_total(*bounds[zeta_mode, n, p_case], precision_bits))
+    vol, cterm, penalty = _c1sq_intervals(D, n, zeta_mode, precision_bits)
+    return lower_rational(_total(vol, cterm, penalty(p_case), precision_bits))
 
 
 def c1sq_terms(D: int, n: int, p_case: str = "generic", *,
                zeta_mode: str = "bound", precision_bits: int = 128) -> dict:
     """Per-term breakdown of the c1^2 bound, a plain formula like it."""
-    bounds = _c1sq_intervals(D, (n,), (p_case,), (zeta_mode,), precision_bits)
-    return _terms(*bounds[zeta_mode, n, p_case], precision_bits)
-
-
-def _terms(vol, cusp, pen, bits) -> dict:
+    vol, cterm, penalty = _c1sq_intervals(D, n, zeta_mode, precision_bits)
+    pen = penalty(p_case)
     return {
         "volume_lb": lower_rational(vol),
-        "c_term_lb": lower_rational(cusp),
+        "c_term_lb": lower_rational(cterm),
         "penalty_ub": upper_rational(pen),
-        "lower_bound": lower_rational(_total(vol, cusp, pen, bits)),
+        "lower_bound": lower_rational(_total(vol, cterm, pen, precision_bits)),
     }
 
 
@@ -342,12 +331,17 @@ def _inert_cases(D: int) -> "dict[int, str]":
             if kronecker(D, p) == -1}
 
 
+def _p_case(D: int, n: int) -> str:
+    """The p_case of a prime of norm n - 1 at D (_inert_cases)."""
+    return _inert_cases(D).get(n - 1, "generic")
+
+
 def _bound_report(D: int, q: int, zeta_mode, precision_bits: int) -> ChernReport:
     n = q + 1
     if n < 3:
         raise ChernError(f"surface degree n={n} below the minimum 3")
     check_point_types(D, q)
-    p_case = _inert_cases(D).get(q, "generic")
+    p_case = _p_case(D, n)
     c_mode, default_zeta = modes_at(D)
     zeta_mode = zeta_mode or default_zeta
     ok2 = c2_lower_check(D, n)
@@ -427,21 +421,20 @@ def _row(D, strict_n, zeta_modes, precision_bits):
     _c2_degree(D) on.  The three endpoints are dyadic, m*2^e, so scaled to
     their least exponent they are integers with the same ratios and the floor
     is one integer division (numeric.least_clearing).  One evaluation at n = 1
-    gives every volume variant's and inertia case's least degree.  Where the
+    per volume variant gives every inertia case's least degree, and the
+    variants share the n-free terms.  Where the
     tail lemma at _c1sq_intervals decides the row (above EXACT_C_CUTOFF under
     the volume floor, from TAIL_D on under either volume term) nothing is
     evaluated: n_min = 3, with (5, "p2_inert") excluded when 2 is inert and
     D < P2_FLOOR_D."""
     check_point_types(D)
     inert = _inert_cases(D) if D < TAIL_D else {}  # the tail's rows exclude nothing
-    cases = ("generic", *inert.values())
-    evaluated = tuple(zeta_mode for zeta_mode in zeta_modes if D < TAIL_D and (
-        zeta_mode == "exact" or modes_at(D)[0] == "exact_c"))
-    bounds = _c1sq_intervals(D, (1,), cases, evaluated, precision_bits) if evaluated else {}
     row = ()
     for zeta_mode in zeta_modes:
-        if zeta_mode in evaluated:
-            least = {case: least_clearing(*bounds[zeta_mode, 1, case]) for case in cases}
+        if D < TAIL_D and (zeta_mode == "exact" or modes_at(D)[0] == "exact_c"):
+            vol, cterm, penalty = _c1sq_intervals(D, 1, zeta_mode, precision_bits)
+            least = {case: least_clearing(vol, cterm, penalty(case))
+                     for case in ("generic", *inert.values())}
             n_min = max(3, _c2_degree(D), least["generic"])
             exclusions = tuple((q + 1, case) for q, case in inert.items()
                                if not (c2_lower_check(D, q + 1) and q + 1 >= least[case]))
@@ -465,10 +458,11 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
     is certified already.  For each D: the least n >= 3 where both certified
     checks pass for a generic prime, plus failures of the special norm-4 /
     norm-9 cases at n = 5 / n = 10 (only where 2 resp. 3 stays prime), from
-    at most one evaluation per D, which both volume variants share, and none
-    where the tail lemma decides the row (_row).  With the default zeta_mode
-    (exact below the cutoff), rows also carry the values of the floor-only
-    zeta estimate, so both variants can be diffed.  Rows the lemma decides
+    at most one evaluation per D and volume variant, all sharing one
+    evaluation of the n-free terms, and none where the tail lemma decides the
+    row (_row).  With the default zeta_mode (exact below the cutoff), rows
+    also carry the values of the floor-only zeta estimate, so both variants
+    can be diffed (_variants).  Rows the lemma decides
     are not evaluated, so zeta_mode and precision_bits are checked on entry.
     """
     if zeta_mode is not None:
@@ -480,12 +474,19 @@ def theorem_table(d_list: "list[int] | None" = None, *, dmax: int = 853,
         d_list = sorted(set(d_list))
         for D in d_list:
             supported_walk(D)
-    rows = []
-    for D in d_list:
-        zmode = zeta_mode or modes_at(D)[1]
-        zmodes = (zmode, "bound") if zeta_mode is None and zmode == "exact" else (zmode,)
-        rows.append(TableRow(D, *_row(D, strict_n, zmodes, precision_bits)))
-    return rows
+    return [TableRow(D, *_row(D, strict_n, _variants(D, zeta_mode), precision_bits))
+            for D in d_list]
+
+
+def _variants(D: int, zeta_mode: "str | None" = None) -> "tuple[str, ...]":
+    """The volume variants of D's table row under theorem_table's zeta_mode,
+    the row's own first: the given one, or the default at D (modes_at) and,
+    where that is exact, the floor as the alternative (n_min_alt).  table_diff
+    shows these and those of D's default row."""
+    if zeta_mode is not None:
+        _check_zeta_mode(zeta_mode)
+        return (zeta_mode,)
+    return ("exact", "bound") if modes_at(D)[1] == "exact" else ("bound",)
 
 
 def _row_dict(n_min, exclusions):
@@ -505,17 +506,20 @@ def _disagree_at(row: TableRow, other: TableRow) -> "list[int]":
     return sorted(n for n in candidates if row.allows(n) != other.allows(n))
 
 
-def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
+def table_diff(rows: "list[TableRow]", *, zeta_mode: "str | None" = None,
+               precision_bits: int = 128) -> dict:
     """Compare computed rows against the published table.
 
     Two rows agree when their allow-predicates coincide on every degree
     (_disagree_at lists the degrees where they do not); a row with the
     published n_min and excluded degrees has the published predicate, so it
     agrees without that test.  For each disagreement the report carries the
-    degrees involved and the per-term bound breakdown there, under both zeta
-    variants, from the n-free terms theorem_table left in _c1sq_intervals'
-    memo (64 (D, precision) keys).  Disagreements are data:
-    the published values come without the program that made them.
+    degrees involved and the per-term bound breakdown there (c1sq_terms) in
+    the row's p_case, under the row's own volume variant and those of the
+    default row at D (_variants), from the n-free terms theorem_table left in
+    _c1sq_intervals' memo (64 (D, precision) keys).  zeta_mode is the one
+    theorem_table made the rows under.  Disagreements are data: the published
+    values come without the program that made them.
     """
     discrepancies = []
     unmatched = []
@@ -533,21 +537,15 @@ def table_diff(rows: "list[TableRow]", *, precision_bits: int = 128) -> dict:
         bad = _disagree_at(row, pub_row)
         if not bad:
             continue
-        # one evaluation of the row's n-free terms serves every degree and variant
-        cases = {n: _inert_cases(row.D).get(n - 1, "generic") for n in bad}
-        zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
-        bounds = _c1sq_intervals(row.D, tuple(bad), tuple(dict.fromkeys(cases.values())),
-                                 zmodes, precision_bits)
+        zmodes = dict.fromkeys(_variants(row.D, zeta_mode) + _variants(row.D))
         breakdown = {}
         for n in bad:
-            entry = {"c2_check": c2_lower_check(row.D, n)}
-            for zmode in zmodes:
-                entry[f"c1sq_{zmode}_zeta"] = _terms(*bounds[zmode, n, cases[n]],
-                                                     precision_bits)
-            entry["p_case"] = cases[n]
-            breakdown[str(n)] = entry
-        alt = None
-        alt_agrees = None
+            p_case = _p_case(row.D, n)
+            breakdown[str(n)] = {"c2_check": c2_lower_check(row.D, n), "p_case": p_case, **{
+                f"c1sq_{zmode}_zeta": c1sq_terms(row.D, n, p_case, zeta_mode=zmode,
+                                                 precision_bits=precision_bits)
+                for zmode in zmodes}}
+        alt = alt_agrees = None
         if row.n_min_alt is not None:
             alt = _row_dict(row.n_min_alt, row.exclusions_alt)
             alt_row = TableRow(D=row.D, n_min=row.n_min_alt,

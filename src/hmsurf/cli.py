@@ -17,8 +17,6 @@ invariant (certificate or cross-check failure).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -95,16 +93,13 @@ def _excl_text(exclusions) -> str:
 
 
 def _rows_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["D", "n_min", "exclusions", "n_min_alt", "exclusions_alt"])
+    # every field is an integer or ;-joined integers, so none needs CSV quoting
+    lines = ["D,n_min,exclusions,n_min_alt,exclusions_alt"]
     for row in rows:
-        writer.writerow([
-            row.D, row.n_min, _excl_text(row.exclusions),
-            "" if row.n_min_alt is None else row.n_min_alt,
-            "" if row.exclusions_alt is None else _excl_text(row.exclusions_alt),
-        ])
-    return buf.getvalue()
+        alt = "" if row.n_min_alt is None else row.n_min_alt
+        alt_excl = "" if row.exclusions_alt is None else _excl_text(row.exclusions_alt)
+        lines.append(f"{row.D},{row.n_min},{_excl_text(row.exclusions)},{alt},{alt_excl}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,7 @@ def _cmd_table(args, cfg):
     rows = chern.theorem_table(dmax=args.dmax, strict_n=cfg.strict_n,
                                zeta_mode=args.zeta_mode,
                                precision_bits=cfg.precision_bits)
-    diff = chern.table_diff(rows, precision_bits=cfg.precision_bits)
+    diff = chern.table_diff(rows, zeta_mode=args.zeta_mode, precision_bits=cfg.precision_bits)
     csv_text = _rows_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

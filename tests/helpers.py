@@ -332,10 +332,22 @@ def interval_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def iv_c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
-    """{(zeta_mode, n, p_case): iv intervals (volume, cusp term, penalty,
-    total)}: chern._c1sq_intervals written in iv's operators, for the
-    kernels to match endpoint for endpoint."""
+def iv_c1sq_intervals(D, n, p_case, zeta_mode, precision_bits):
+    """iv intervals (volume, cusp term, penalty, total) at one degree, inertia
+    case and volume variant: chern._c1sq_intervals written in iv's operators,
+    for the kernels to match endpoint for endpoint."""
+    cterm, pens, zeta = _iv_n_free_terms(D, precision_bits)
+    with interval_precision(precision_bits):
+        if zeta_mode == "exact":
+            vol = interval_fraction(2 * n * zeta)
+        else:
+            vol = n * iv.sqrt(D) ** 3 / 180
+        return vol, cterm, pens[p_case], vol + cterm - pens[p_case]
+
+
+@functools.lru_cache(maxsize=None)
+def _iv_n_free_terms(D, precision_bits):
+    """The cusp term, {p_case: penalty} and zeta_E(-1) of iv_c1sq_intervals."""
     with interval_precision(precision_bits):
         if modes_at(D)[0] == "exact_c":
             cterm = interval_fraction(Fraction(local_chern_divisor_sum(D)))
@@ -344,22 +356,11 @@ def iv_c1sq_intervals(D, ns, p_cases, zeta_modes, precision_bits):
             cterm = -(iv.sqrt(D) / 2) * (3 * logd ** 2 / (2 * iv.pi ** 2)
                                          + (iv.mpf(21) / 20) * logd)
         pen3 = iv.sqrt(3 * D) * iv.log(3 * D)
-        penalty = {"generic": lambda: pen3 / (4 * iv.pi),
-                   "p3_inert": lambda: 4 * pen3 / iv.pi,
-                   # p2_inert keeps the generic order-3 term and adds the order-2 one
-                   "p2_inert": lambda: (pen3 / (4 * iv.pi)
-                                        + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi)}
-        pens = {p_case: penalty[p_case]() for p_case in p_cases}  # only the cases asked for
-        bounds = {}
-        for zeta_mode in zeta_modes:
-            for n in ns:
-                if zeta_mode == "exact":
-                    vol = interval_fraction(2 * n * zeta_minus_one(D))
-                else:
-                    vol = n * iv.sqrt(D) ** 3 / 180
-                for p_case, pen in pens.items():
-                    bounds[zeta_mode, n, p_case] = (vol, cterm, pen, vol + cterm - pen)
-        return bounds
+        generic = pen3 / (4 * iv.pi)
+        pens = {"generic": generic, "p3_inert": 4 * pen3 / iv.pi,
+                # p2_inert keeps the generic order-3 term and adds the order-2 one
+                "p2_inert": generic + 3 * iv.sqrt(4 * D) * iv.log(4 * D) / iv.pi}
+        return cterm, pens, zeta_minus_one(D)
 
 
 def iv_c2_floor(D, n, precision_bits):

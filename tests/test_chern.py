@@ -41,7 +41,7 @@ from hmsurf.elliptic import (
 from hmsurf.field import (FieldError, NarrowClassError, UnsupportedShapeError, make_field,
                           split_prime)
 from hmsurf.forms import h_narrow_indefinite
-from hmsurf.ntheory import is_fundamental_discriminant, is_prime
+from hmsurf.ntheory import is_fundamental_discriminant, is_prime, kronecker
 from hmsurf.numeric import (PrecisionError, _log_int, _sqrt_int, least_clearing, lower_rational,
                             upper_rational)
 from hmsurf.reference_data import published_row
@@ -458,9 +458,8 @@ def table_rows(d_list, *, strict_n=False, zeta_mode=None, precision_bits=128):
     rows = theorem_table(supported, strict_n=strict_n, zeta_mode=zeta_mode,
                          precision_bits=precision_bits)
     for D in set(d_list) - set(supported):
-        zmode = zeta_mode or modes_at(D)[1]
-        zmodes = (zmode, "bound") if zeta_mode is None and zmode == "exact" else (zmode,)
-        rows.append(TableRow(D, *chern._row(D, strict_n, zmodes, precision_bits)))
+        variants = chern._variants(D, zeta_mode)
+        rows.append(TableRow(D, *chern._row(D, strict_n, variants, precision_bits)))
     return sorted(rows, key=lambda row: row.D)
 
 
@@ -478,10 +477,15 @@ def _tail_slope(D, n, p_case):
             - iv.mpf(21) / (40 * D) - pen_slope / D)
 
 
+def _floor_total(D, n, p_case, bits):
+    """The code's own floor-zeta interval of f(D, n) in p_case."""
+    vol, cterm, penalty = _c1sq_intervals(D, n, "bound", bits)
+    return _total(vol, cterm, penalty(p_case), bits)
+
+
 def _f_over_sqrt(D, n, p_case):
     """f(D, n)/sqrt(D) from the code's own floor-zeta intervals."""
-    bounds = _c1sq_intervals(D, (n,), (p_case,), ("bound",), iv.prec)
-    return iv.make_mpf(_total(*bounds["bound", n, p_case], iv.prec)) / iv.sqrt(D)
+    return iv.make_mpf(_floor_total(D, n, p_case, iv.prec)) / iv.sqrt(D)
 
 
 def test_tail_lemma_base_case_and_slope():
@@ -511,10 +515,8 @@ def test_band_lemma_base_case_and_slope():
         with interval_precision(bits):
             for p_case, n in TAIL_CASES:
                 assert lower_rational(_tail_slope(band, n, p_case)._mpi_) > 0, p_case
-            below = _c1sq_intervals(P2_FLOOR_D - 1, (5,), ("p2_inert",), ("bound",), bits)
-            above = _c1sq_intervals(P2_FLOOR_D, (5,), ("p2_inert",), ("bound",), bits)
-            assert upper_rational(_total(*below["bound", 5, "p2_inert"], bits)) < 0
-            assert lower_rational(_total(*above["bound", 5, "p2_inert"], bits)) > 0
+            assert upper_rational(_floor_total(P2_FLOOR_D - 1, 5, "p2_inert", bits)) < 0
+            assert lower_rational(_floor_total(P2_FLOOR_D, 5, "p2_inert", bits)) > 0
     # every integer D in the band, fundamental or not, matches the scan, so
     # the p2 boundary is pinned: 845 (2 inert) is excluded and 851 is not
     rows = table_rows(list(range(band, TAIL_D)), zeta_mode="bound")
@@ -651,6 +653,16 @@ def test_audit_row_script_refuses_what_classify_refuses(capsys):
     assert audit_row.main(["--disc", "109", "--n", "3"]) == 0 and "n=3" in capsys.readouterr().out
 
 
+def test_audit_row_audits_one_degree_in_its_own_inertia_case(capsys):
+    # the only degree-5 surface at D = 29 sits at the inert 2, so --n 5 audits
+    # it as p2_inert, and only that degree
+    audit_row = load_audit_row()
+    assert audit_row.main(["--disc", "29", "--n", "5"]) == 0
+    audited = [line.strip() for line in capsys.readouterr().out.splitlines()
+               if line.strip().startswith("n=")]
+    assert len(audited) == 1 and audited[0].startswith("n=5 [p2_inert")
+
+
 def test_published_rows_cover_table():
     for D in default_discriminants():
         n_min, excl = published_row(D)
@@ -694,12 +706,13 @@ def clear_memos():
 
 
 def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
-    # every inertia case and volume variant of a row comes from one shared
-    # evaluation of its n-free terms, so a row up to EXACT_C_CUTOFF costs one
-    # call and a row the tail lemma decides (every row above the cutoff, under
-    # the default floor) none; table_diff makes one call per disagreeing row,
-    # and finds the terms there in _c1sq_intervals' memo: it runs no divisor
-    # sieve and takes no log
+    # every inertia case and volume variant of a row shares one evaluation of
+    # its n-free terms (one miss of their memo), and each variant one volume
+    # evaluation, so a row up to EXACT_C_CUTOFF costs one miss and two calls
+    # and a row the tail lemma decides (every row above the cutoff, under the
+    # default floor) none; table_diff calls _c1sq_intervals only at the
+    # disagreeing rows and finds their terms in the memo: no miss, no divisor
+    # sieve and no log
     calls = []
     counts = Counter()
 
@@ -720,21 +733,32 @@ def test_one_c1sq_evaluation_per_row_and_volume_variant(monkeypatch):
     rows = theorem_table(dmax=853)
     below = [row for row in rows if row.D < TAIL_D]
     alts = [row for row in below if row.n_min_alt is not None]
-    assert (len(below), len(alts), len(calls)) == (63, 40, 40)
+    assert (len(below), len(alts), len(calls)) == (63, 40, 80)
+    assert chern._n_free_terms.cache_info().misses == 40
     assert (counts["sieve"], counts["log"]) == (40, 62)
-    assert sorted(args[0] for args in calls) == [row.D for row in alts]
+    assert sorted(args[0] for args in calls) == sorted(2 * [row.D for row in alts])
     assert all(row.D <= EXACT_C_CUTOFF for row in alts)
     calls.clear()
     counts.clear()
     diff = table_diff(rows)
-    assert sorted(args[0] for args in calls) == [e["D"] for e in diff["discrepancies"]]
-    assert (len(calls), counts["sieve"], counts["log"]) == (12, 0, 0)
+    assert sorted({args[0] for args in calls}) == [e["D"] for e in diff["discrepancies"]]
+    assert chern._n_free_terms.cache_info().misses == 40
+    assert (len(diff["discrepancies"]), counts["sieve"], counts["log"]) == (12, 0, 0)
     # the volume floor's table keeps zeta_E(-1), which the sieve behind c
     # gives, for the diff's exact-volume breakdown
     clear_memos()
     rows = theorem_table(dmax=853, zeta_mode="bound")
     counts.clear()
-    assert len(table_diff(rows)["discrepancies"]) == 13 and counts["sieve"] == 0
+    assert len(table_diff(rows, zeta_mode="bound")["discrepancies"]) == 13
+    assert chern._n_free_terms.cache_info().misses == 40 and counts["sieve"] == 0
+    # the exact volume's table evaluates every row below TAIL_D, and its diff,
+    # which shows the exact variant at every disputed row, finds them all there
+    clear_memos()
+    rows = theorem_table(dmax=853, zeta_mode="exact")
+    counts.clear()
+    assert len(table_diff(rows, zeta_mode="exact")["discrepancies"]) == 18
+    assert chern._n_free_terms.cache_info().misses == 63
+    assert (counts["sieve"], counts["log"]) == (0, 0)
 
 
 def _table_and_diff(bits):
@@ -771,11 +795,10 @@ def test_integer_least_degree_is_the_fraction_one(bits, monkeypatch):
     evaluated = []
 
     def recorded(*args):
-        bounds = _c1sq_intervals(*args)
-        evaluated.extend(bounds.values())
-        return bounds
+        evaluated.append(args)
+        return least_clearing(*args)
 
-    monkeypatch.setattr(chern, "_c1sq_intervals", recorded)
+    monkeypatch.setattr(chern, "least_clearing", recorded)
     theorem_table(dmax=853, precision_bits=bits)
     theorem_table(dmax=853, zeta_mode="exact", precision_bits=bits)
     # 40 rows up to EXACT_C_CUTOFF in two variants (82 cases) and all 63
@@ -801,9 +824,10 @@ def test_table_makes_no_rational_endpoint(monkeypatch):
         c1sq_terms(13, 3)
 
 
-def oracle_diff(rows):
+def oracle_diff(rows, zeta_mode=None):
     """table_diff with _disagree_at at every row and c1sq_terms at every
-    disputed degree."""
+    disputed degree, in the degree's inertia case, under the row's own
+    volume variant and those of the default row at D."""
     discrepancies, unmatched, compared = [], [], 0
     for row in rows:
         pub = published_row(row.D)
@@ -815,10 +839,12 @@ def oracle_diff(rows):
         bad = chern._disagree_at(row, pub_row)
         if not bad:
             continue
-        zmodes = ("exact", "bound") if modes_at(row.D)[1] == "exact" else ("bound",)
+        default = ("exact", "bound") if row.D <= EXACT_C_CUTOFF else ("bound",)
+        zmodes = {zeta_mode or default[0], *default}
         breakdown = {}
         for n in bad:
-            case = chern._inert_cases(row.D).get(n - 1, "generic")
+            case = next((case for p, case in ((2, "p2_inert"), (3, "p3_inert"))
+                         if n - 1 == p * p and kronecker(row.D, p) == -1), "generic")
             breakdown[str(n)] = {"c2_check": c2_lower_check(row.D, n), "p_case": case, **{
                 f"c1sq_{zmode}_zeta": c1sq_terms(row.D, n, case, zeta_mode=zmode)
                 for zmode in zmodes}}
@@ -842,7 +868,27 @@ def test_table_diff_skips_only_rows_equal_to_the_published_row():
     # diff is the same
     for kw in TABLE_VARIANTS:
         rows = theorem_table(dmax=20_000, **kw)
-        assert table_diff(rows) == oracle_diff(rows), kw
+        zeta_mode = kw.get("zeta_mode")
+        assert table_diff(rows, zeta_mode=zeta_mode) == oracle_diff(rows, zeta_mode), kw
+
+
+@pytest.mark.parametrize("dmax", (853, 2000))
+@pytest.mark.parametrize("zeta_mode", (None, "bound", "exact"))
+def test_table_diff_shows_each_rows_own_verdict(dmax, zeta_mode):
+    # at every disputed degree the breakdown carries the volume variant the
+    # row was made under, and its certified checks there give the row's verdict
+    rows = theorem_table(dmax=dmax, zeta_mode=zeta_mode)
+    by_d = {row.D: row for row in rows}
+    checked = 0
+    for e in table_diff(rows, zeta_mode=zeta_mode)["discrepancies"]:
+        row = by_d[e["D"]]
+        own = zeta_mode or modes_at(row.D)[1]
+        for n in e["disagree_at"]:
+            item = e["breakdown"][str(n)]
+            passes = item["c2_check"] and item[f"c1sq_{own}_zeta"]["lower_bound"] > 0
+            assert passes == row.allows(n), (row.D, n, zeta_mode)
+            checked += 1
+    assert checked >= 12
 
 
 def test_table_diff_tests_only_candidate_degrees():

@@ -365,7 +365,7 @@ TABLE_SHA256 = {
     "table --dmax 853 --zeta-mode bound":
         "e07dff7644b3f5b68c32785937730d26cf6ab8ef4ecf90b36a76a91c9d88d4ec",
     "table --dmax 853 --zeta-mode exact":
-        "63af871f8693116dd9df575cc6948862536e9515741faa3f40a08ca509dbe1c1",
+        "3213da8b562a12b39b82d7535787b49c2c6dd92e441d6b75b4aadd5d628333ae",
     "table --dmax 2000":
         "c13f8bfad129493a0a5001d3905a631a4b7bff5b1645f2a0094eb5936dcb9984",
     "table --dmax 10000":
@@ -375,7 +375,7 @@ TABLE_SHA256 = {
     "table --dmax 10000 --zeta-mode bound":
         "6ded6fc35fc3d70e75977880a0c556f77894951362985e0c0e0c02e91f43cf6d",
     "table --dmax 10000 --zeta-mode exact":
-        "c28acf77120b00d31bcedc1867500c39328a0bf4f99d68ea368748fb103ffeea",
+        "125ab1266fa7e1bbbcc18e49f575603549ee65298c01b11bcdc2f464f44c116d",
     "table --dmax 11000 --zeta-mode bound":
         "e5a87b823bfc6425e8857b2d564c13c2f50e6c82d64db15b114a2a44b994a886",
 }

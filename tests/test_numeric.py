@@ -13,7 +13,7 @@ from mpmath import iv
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpi_log, mpi_pos
 
 from hmsurf import cli
-from hmsurf.chern import P_CASES, _c1sq_intervals, _total, _volume_floor
+from hmsurf.chern import P_CASES, ChernError, _c1sq_intervals, _total, _volume_floor
 from hmsurf.ntheory import is_fundamental_discriminant
 from hmsurf.numeric import (_log_int, _point, least_clearing, lower_rational, sqrt_log_over_pi,
                             upper_rational)
@@ -27,12 +27,17 @@ ZETA_MODES = ("exact", "bound")
 
 
 def _assert_terms_match(D, bits):
-    got = _c1sq_intervals(D, NS, P_CASES, ZETA_MODES, bits)
-    want = iv_c1sq_intervals(D, NS, P_CASES, ZETA_MODES, bits)
-    assert got.keys() == want.keys()
-    for key, (vol, cterm, pen, total) in want.items():
-        assert got[key] == (vol._mpi_, cterm._mpi_, pen._mpi_), (D, bits, key)
-        assert _total(*got[key], bits) == total._mpi_, (D, bits, key)
+    for n in NS:
+        for zeta_mode in ZETA_MODES:
+            vol, cterm, penalty = _c1sq_intervals(D, n, zeta_mode, bits)
+            for p_case in P_CASES:
+                key = (D, bits, n, zeta_mode, p_case)
+                want = iv_c1sq_intervals(D, n, p_case, zeta_mode, bits)
+                got = (vol, cterm, penalty(p_case))
+                assert got == tuple(x._mpi_ for x in want[:3]), key
+                assert _total(*got, bits) == want[3]._mpi_, key
+            with pytest.raises(ChernError, match="p_case"):
+                penalty("banana")
 
 
 @pytest.mark.parametrize("bits", (128, 256))
